@@ -23,6 +23,7 @@ from .decomp import (
 from .errors import (
     DimensionMismatch,
     IncompleteSpectrum,
+    InternalInvariantViolation,
     InvalidProvidedEigenvalue,
     InvalidStructure,
     NotAnEigenvalue,
@@ -41,6 +42,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_REPRESENTABLE = 2
 EXIT_CHECK_FAILED = 3
+EXIT_INTERNAL = 4
 
 _DECOMPOSERS = {
     "schur": trigonalize,
@@ -360,18 +362,11 @@ def run(argv: Sequence[str]) -> int:
     handler = handlers.get(args.command, _cmd_decompose)
     try:
         return handler(args)
-    except SpectrumNotRepresentable as exc:
-        print(
-            f"jordanform {args.command}: SpectrumNotRepresentable: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_NOT_REPRESENTABLE
-    except _USAGE_ERRORS as exc:
-        print(
-            f"jordanform {args.command}: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    except (SpectrumNotRepresentable, InternalInvariantViolation, *_USAGE_ERRORS) as exc:
+        print(f"jordanform {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, SpectrumNotRepresentable):
+            return EXIT_NOT_REPRESENTABLE
+        return EXIT_INTERNAL if isinstance(exc, InternalInvariantViolation) else EXIT_USAGE
 
 
 def main() -> None:

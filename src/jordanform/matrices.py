@@ -96,21 +96,12 @@ class ExactMatrix:
     def col(self, j: int) -> "ExactMatrix":
         return ExactMatrix.column([self._data[i][j] for i in range(self.rows)])
 
-    def columns(self) -> List["ExactMatrix"]:
-        return [self.col(j) for j in range(self.cols)]
-
     def column_entries(self, j: int = 0) -> Tuple[GaussianRational, ...]:
         return tuple(self._data[i][j] for i in range(self.rows))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
         return ExactMatrix(
             [row[c0:c1] for row in self._data[r0:r1]], cols=c1 - c0
-        )
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
         )
 
     def trace(self) -> GaussianRational:
@@ -231,11 +222,6 @@ class Basis:
         if not self.vectors:
             return ExactMatrix.zeros(self.ambient_dim, 0)
         return ExactMatrix.hstack(self.vectors)
-
-    def contains(self, vector: ExactMatrix) -> bool:
-        if not self.vectors:
-            return vector.is_zero()
-        return solve(self.as_matrix(), vector) is not None
 
 
 def rref(matrix: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:

@@ -1,15 +1,18 @@
 """Exact scalars: rationals and Gaussian rationals, the field Q(i).
 
-Every value is stored reduced with arbitrary-precision integer parts, so
-all field operations are exact; nothing in this package ever rounds.
+A Gaussian rational is stored as three Python integers (a + b*i)/d in
+canonical form, d > 0 and gcd(a, b, d) = 1, so all field operations are
+exact and equal values have equal parts; nothing in this package ever
+rounds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import ParseError, ZeroDenominator
 
@@ -20,86 +23,114 @@ _REAL_RE = re.compile(_RATIONAL)
 _IMAG_RE = re.compile(rf"({_RATIONAL})i")
 _PAIR_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})i")
 
+_gcd = math.gcd
+_new = object.__new__
+
 
 def _fraction(value: RationalLike) -> Fraction:
-    if type(value) is Fraction:  # hot path: arithmetic results are Fractions
-        return value
     if isinstance(value, float):
         raise TypeError("floating-point values are not exact; use int or Fraction")
     return Fraction(value)
 
 
+def _order(test):
+    """One comparison operator: ``test`` on the (re, im) key of both sides,
+    cross-multiplied by the other side's (positive) denominator."""
+
+    def compare(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return test(
+            (self._a * other._d, self._b * other._d),
+            (other._a * self._d, other._b * self._d),
+        )
+
+    return compare
+
+
 class GaussianRational:
     """A complex scalar a + bi with exact rational real and imaginary parts.
 
-    Values are immutable.  The comparison operators implement the
-    lexicographic order on (re, im): Q(i) admits no field order, so this is
-    purely a fixed output convention that makes sorted results
-    byte-deterministic.
+    Values are immutable: ``re`` and ``im`` are read-only, the integer
+    parts are private, and every operation returns a new value.  The
+    comparison operators implement the lexicographic order on (re, im):
+    Q(i) admits no field order, so this is purely a fixed output convention
+    that makes sorted results byte-deterministic.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _fraction(re))
-        object.__setattr__(self, "im", _fraction(im))
+        re, im = _fraction(re), _fraction(im)
+        q, s = re.denominator, im.denominator
+        # Over the lcm of two reduced denominators the parts stay coprime.
+        d = q if q == s else q * s // _gcd(q, s)
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
 
-    @staticmethod
-    def _coerce(value) -> Optional["GaussianRational"]:
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not b and not e:
+            return _reduced(a * c, 0, self._d * other._d)
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
-        norm = other.norm_sq()
-        if norm == 0:
+        # (a + bi)/d divided by (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2)).
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero scalar")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return other / self
@@ -120,62 +151,38 @@ class GaussianRational:
         return result
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
-    def _key(self):
-        return (self.re, self.im)
-
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._key() >= other._key()
+    __lt__ = _order(operator.lt)
+    __le__ = _order(operator.le)
+    __gt__ = _order(operator.gt)
+    __ge__ = _order(operator.ge)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm_sq(self) -> Fraction:
         """re**2 + im**2, an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
+        return not self._a and not self._b
 
     def __str__(self):
         return format_scalar(self)
@@ -184,18 +191,44 @@ class GaussianRational:
         return f"GaussianRational({format_scalar(self)!r})"
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The internal constructor: (a + b*i)/d, already in canonical form."""
+    value = _new(GaussianRational)
+    value._a, value._b, value._d = a, b, d
+    return value
 
 
-def _parse_rational(token: str, original: str) -> Fraction:
-    if "/" in token:
-        numerator, denominator = token.split("/")
-        if int(denominator) == 0:
-            raise ZeroDenominator(f"zero denominator in scalar {original!r}")
-        return Fraction(int(numerator), int(denominator))
-    return Fraction(int(token))
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, brought to canonical form with one gcd."""
+    if d != 1:
+        g = _gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
+
+
+def _coerce(value) -> Optional[GaussianRational]:
+    if type(value) is GaussianRational:
+        return value
+    if type(value) is int:
+        return _make(value, 0, 1)
+    if isinstance(value, (int, Fraction)):
+        value = Fraction(value)  # bool and other int subclasses become plain ints
+        return _make(value.numerator, 0, value.denominator)
+    return None
+
+
+ZERO = _make(0, 0, 1)
+ONE = _make(1, 0, 1)
+I = _make(0, 1, 1)
+
+
+def _parse_rational(token: str, original: str) -> Tuple[int, int]:
+    numerator, _, denominator = token.partition("/")
+    den = int(denominator) if denominator else 1
+    if den == 0:
+        raise ZeroDenominator(f"zero denominator in scalar {original!r}")
+    return int(numerator), den
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -210,36 +243,37 @@ def parse_scalar(text: str) -> GaussianRational:
         raise ParseError(f"expected a scalar string, got {type(text).__name__}")
     match = _PAIR_RE.fullmatch(text)
     if match:
-        real = _parse_rational(match.group(1), text)
-        imag = _parse_rational(match.group(3), text)
+        p, q = _parse_rational(match.group(1), text)
+        r, s = _parse_rational(match.group(3), text)
         if match.group(2) == "-":
-            imag = -imag
-        return GaussianRational(real, imag)
+            r = -r
+        return _reduced(p * s, r * q, q * s)
     match = _IMAG_RE.fullmatch(text)
     if match:
-        return GaussianRational(0, _parse_rational(match.group(1), text))
+        return _reduced(0, *_parse_rational(match.group(1), text))
     if _REAL_RE.fullmatch(text):
-        return GaussianRational(_parse_rational(text, text))
+        p, q = _parse_rational(text, text)
+        return _reduced(p, 0, q)
     hint = " (write 1i for the imaginary unit)" if text.strip("+-") == "i" else ""
     raise ParseError(f"malformed scalar {text!r}{hint}")
 
 
-def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _format_ratio(num: int, den: int) -> str:
+    g = _gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def format_scalar(value: GaussianRational) -> str:
     """Canonical text form; ``parse_scalar(format_scalar(v)) == v``."""
-    if value.im == 0:
-        return format_rational(value.re)
-    imag = format_rational(value.im) + "i"
-    if value.re == 0:
+    a, b, d = value._a, value._b, value._d
+    if not b:
+        return _format_ratio(a, d)
+    imag = _format_ratio(b, d) + "i"
+    if not a:
         return imag
-    if value.im > 0:
-        return format_rational(value.re) + "+" + imag
-    return format_rational(value.re) + "-" + format_rational(-value.im) + "i"
+    return _format_ratio(a, d) + ("+" if b > 0 else "") + imag
 
 
 def rational_sqrt(value: Fraction) -> Optional[Fraction]:

@@ -21,7 +21,7 @@ from .errors import (
     SpectrumNotRepresentable,
 )
 from .matrices import ExactMatrix, krylov_annihilator, rank, shift_by
-from .polynomials import Polynomial, poly_lcm
+from .polynomials import Polynomial, poly_gcd, poly_lcm
 from .scalars import ONE, ZERO, GaussianRational, format_scalar, gaussian_sqrt
 
 
@@ -145,6 +145,33 @@ def _root_candidates(poly: Polynomial) -> List[GaussianRational]:
     return sorted(candidates)
 
 
+def _deflate(work: Polynomial, root: GaussianRational) -> Tuple[Polynomial, int]:
+    """Divide (z - root) out of work as often as it goes; returns the count."""
+    count = 0
+    while work.degree >= 1 and work(root).is_zero():
+        work = work.exact_div(Polynomial([-root, ONE]))
+        count += 1
+    return work, count
+
+
+def _square_free_roots(work: Polynomial) -> List[GaussianRational]:
+    """The distinct roots of a monic leftover factor, found by the quadratic
+    formula (through gaussian_sqrt) on its square-free part
+    work / gcd(work, work'), which has degree 2 for a repeated conjugate pair
+    such as (z^2 + 1)^2.  Raises SpectrumNotRepresentable carrying work
+    itself when that part has degree above 2 or roots outside Q(i)."""
+    derivative = Polynomial([k * c for k, c in enumerate(work.coefficients)][1:])
+    core = work // poly_gcd(work, derivative)
+    if core.degree == 1:
+        return [-core.coefficients[0]]
+    if core.degree == 2:  # square-free, so the two roots are distinct
+        half_b = core.coefficients[1] / 2
+        discriminant_root = gaussian_sqrt(half_b * half_b - core.coefficients[0])
+        if discriminant_root is not None:
+            return [-half_b + discriminant_root, -half_b - discriminant_root]
+    raise SpectrumNotRepresentable(work)
+
+
 def poly_roots_exact(
     poly: Polynomial,
 ) -> List[Tuple[GaussianRational, int]]:
@@ -152,9 +179,10 @@ def poly_roots_exact(
 
     The procedure: strip roots at zero, run the divisor-based candidate
     enumeration against the cleared constant and leading coefficients and
-    deflate every hit to exhaustion, then close a remaining quadratic
-    factor with the quadratic formula through gaussian_sqrt.  Any other
-    leftover raises SpectrumNotRepresentable carrying the resistant factor.
+    deflate every hit to exhaustion, then close a remaining factor whose
+    square-free part is quadratic with the quadratic formula through
+    gaussian_sqrt.  Any other leftover raises SpectrumNotRepresentable
+    carrying the resistant factor.
     """
     if poly.degree < 1:
         raise ValueError("poly_roots_exact needs degree >= 1")
@@ -168,28 +196,15 @@ def poly_roots_exact(
         roots.append((ZERO, zero_count))
     if work.degree >= 1:
         for candidate in _root_candidates(work):
-            count = 0
-            while work.degree >= 1 and work(candidate).is_zero():
-                work = work.exact_div(Polynomial([-candidate, ONE]))
-                count += 1
+            work, count = _deflate(work, candidate)
             if count:
                 roots.append((candidate, count))
             if work.degree == 0:
                 break
-    if work.degree == 1:
-        roots.append((-work.coefficients[0], 1))
-    elif work.degree == 2:
-        half_b = work.coefficients[1] / 2
-        discriminant_root = gaussian_sqrt(half_b * half_b - work.coefficients[0])
-        if discriminant_root is None:
-            raise SpectrumNotRepresentable(work)
-        if discriminant_root.is_zero():
-            roots.append((-half_b, 2))
-        else:
-            roots.append((-half_b + discriminant_root, 1))
-            roots.append((-half_b - discriminant_root, 1))
-    elif work.degree > 2:
-        raise SpectrumNotRepresentable(work)
+    if work.degree >= 1:
+        for root in _square_free_roots(work):
+            work, count = _deflate(work, root)
+            roots.append((root, count))
     return sorted(roots)
 
 

@@ -4,8 +4,10 @@ import json
 import pytest
 
 from jordanform import ExactMatrix, jordan_decomposition, spectrum
+from jordanform import cli
 from jordanform.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_NOT_REPRESENTABLE,
     EXIT_OK,
     EXIT_USAGE,
@@ -115,6 +117,21 @@ def test_not_representable_exit_code(cube_path, capsys):
     err = capsys.readouterr().err
     assert "SpectrumNotRepresentable" in err
     assert "z^3 - 2" in err
+
+
+def test_internal_error_exit_code(dense3_path, monkeypatch, capsys):
+    from jordanform import InternalInvariantViolation
+
+    def broken(matrix, provided=None):
+        raise InternalInvariantViolation("chain count mismatch")
+
+    monkeypatch.setitem(cli._DECOMPOSERS, "jordan", broken)
+    assert run(["jordan", dense3_path]) == EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "jordanform jordan: InternalInvariantViolation: chain count mismatch\n"
+    )
 
 
 def test_wrong_provided_eigenvalue(cube_path, capsys):

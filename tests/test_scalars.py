@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -167,3 +168,82 @@ def test_power():
     assert i ** 2 == gr("-1")
     assert i ** 0 == gr("1")
     assert gr("2") ** -2 == gr("1/4")
+
+
+# --- differential test against a plain (Fraction, Fraction) reference ---------
+
+def _ref_rational(rng: random.Random) -> Fraction:
+    # Sizes from a few bits to well past 2**64, numerator and denominator alike.
+    num_bits, den_bits = rng.choice((3, 20, 70, 130)), rng.choice((2, 20, 70, 130))
+    return Fraction(rng.randint(-(2 ** num_bits), 2 ** num_bits), rng.randint(1, 2 ** den_bits))
+
+
+def _ref_value(rng: random.Random):
+    re, im = _ref_rational(rng), _ref_rational(rng)
+    kind = rng.random()
+    if kind < 0.2:
+        im = Fraction(0)  # real only
+    elif kind < 0.4:
+        re = Fraction(0)  # imaginary only
+    elif kind < 0.45:
+        re = im = Fraction(0)
+    return re, im
+
+
+def _ref_format(re: Fraction, im: Fraction) -> str:
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else ''}{im}i"
+
+
+def _assert_matches(value: GaussianRational, re: Fraction, im: Fraction):
+    assert (value.re, value.im) == (re, im)
+    for part in (value.re, value.im):
+        assert math.gcd(part.numerator, part.denominator) == 1
+    assert value == GaussianRational(re, im)
+    assert hash(value) == hash(GaussianRational(re, im))
+
+
+def test_differential_against_fraction_pairs_seeded():
+    rng = random.Random(505)
+    for _ in range(2000):
+        (r1, i1), (r2, i2) = _ref_value(rng), _ref_value(rng)
+        x, y = GaussianRational(r1, i1), GaussianRational(r2, i2)
+        _assert_matches(x, r1, i1)
+        _assert_matches(x + y, r1 + r2, i1 + i2)
+        _assert_matches(x - y, r1 - r2, i1 - i2)
+        _assert_matches(x * y, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+        _assert_matches(-x, -r1, -i1)
+        _assert_matches(x.conjugate(), r1, -i1)
+        assert x.norm_sq() == r1 * r1 + i1 * i1
+        norm = r2 * r2 + i2 * i2
+        if norm:
+            _assert_matches(x / y, (r1 * r2 + i1 * i2) / norm, (i1 * r2 - r1 * i2) / norm)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        assert (x == y) == ((r1, i1) == (r2, i2))
+        assert (x < y) == ((r1, i1) < (r2, i2))
+        assert (x <= y) == ((r1, i1) <= (r2, i2))
+        assert (x > y) == ((r1, i1) > (r2, i2))
+        assert (x >= y) == ((r1, i1) >= (r2, i2))
+        text = format_scalar(x)
+        assert text == _ref_format(r1, i1)
+        # Equal values reached by different routes compare and hash equal.
+        routes = [parse_scalar(text), (x + y) - y, x.conjugate().conjugate()]
+        if not y.is_zero():
+            routes.append((x * y) / y)
+        if i1 == 0:
+            assert x == r1 and x < r1 + 1
+        for other in routes:
+            assert other == x
+            assert hash(other) == hash(x)
+            assert format_scalar(other) == text
+
+
+def test_int_subclasses_become_plain_ints():
+    value = gr("1/2") * True + False
+    assert value == gr("1/2")
+    assert format_scalar(GaussianRational(0) + True) == "1"

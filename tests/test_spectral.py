@@ -78,6 +78,29 @@ def test_unsolvable_real_quartic():
         poly_roots_exact(p)
 
 
+def test_repeated_conjugate_pair():
+    # (z^2 + 1)^2: no rational candidate, closed through its square-free part.
+    p = Polynomial([1, 0, 2, 0, 1])
+    assert roots_as_strs(poly_roots_exact(p)) == [("-1i", 2), ("1i", 2)]
+
+
+def test_repeated_irrational_pair_reports_the_whole_factor():
+    p = Polynomial([-2, 0, 1]) * Polynomial([-2, 0, 1])  # (z^2 - 2)^2
+    with pytest.raises(SpectrumNotRepresentable) as err:
+        poly_roots_exact(p)
+    assert err.value.factor == p
+    assert "z^4 - 4z^2 + 4" in str(err.value)
+
+
+def test_two_distinct_conjugate_pairs_stay_unrepresentable():
+    # (z^2 + 1)(z^2 - 2z + 2): square-free of degree 4, beyond the formula.
+    p = Polynomial([2, -2, 3, -2, 1])
+    with pytest.raises(SpectrumNotRepresentable) as err:
+        poly_roots_exact(p)
+    assert err.value.factor == p
+    assert "z^4 - 2z^3 + 3z^2 - 2z + 2" in str(err.value)
+
+
 def test_roots_with_zero_roots_and_scaling():
     p = Polynomial([0, 0, -4, 4]) * gr("3/7")  # 3/7 * 4z^2(z - 1)
     assert roots_as_strs(poly_roots_exact(p)) == [("0", 2), ("1", 1)]
@@ -153,6 +176,13 @@ def test_spectrum_dense3():
 def test_spectrum_not_representable():
     with pytest.raises(SpectrumNotRepresentable):
         spectrum(CUBE_COMPANION)
+
+
+def test_spectrum_repeated_conjugate_pair():
+    # Minimal polynomial z^4 + 2z^2 + 1: eigenvalues +-i, one chain of 2 each.
+    a = mat([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
+    assert str(minimal_polynomial(a)) == "z^4 + 2z^2 + 1"
+    assert entry_tuples(spectrum(a)) == [("-1i", 2, 1, 2), ("1i", 2, 1, 2)]
 
 
 def test_spectrum_with_provided_matches_automatic():
