@@ -250,11 +250,14 @@ def _build_parser() -> _Parser:
 
 
 def _read_matrix(path: str) -> ExactMatrix:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

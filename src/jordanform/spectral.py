@@ -2,9 +2,11 @@
 
 The minimal polynomial is assembled as the lcm of the Krylov annihilators
 of the standard basis vectors (a spanning family, so the lcm annihilates
-the whole space), and its roots are extracted exactly: divisor-based
-candidate enumeration, then the quadratic formula for a leftover quadratic.
-Anything that resists is reported, never approximated.
+the whole space), and its roots are extracted exactly by one search over
+Z[i]: the square-free part, cleared to a monic polynomial over the Gaussian
+integers, has its roots modulo a split prime Hensel-lifted and recovered by
+Gaussian rounding, and every candidate is checked exactly.  This finds every
+root in Q(i); a factor without one is reported, never approximated.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     IncompleteSpectrum,
@@ -22,7 +24,7 @@ from .errors import (
 )
 from .matrices import ExactMatrix, krylov_annihilator, rank, shift_by
 from .polynomials import Polynomial, poly_gcd, poly_lcm
-from .scalars import ONE, ZERO, GaussianRational, format_scalar, gaussian_sqrt
+from .scalars import ONE, GaussianRational, format_scalar
 
 
 class SpectrumEntry(NamedTuple):
@@ -73,76 +75,80 @@ def poly_apply(poly: Polynomial, matrix: ExactMatrix) -> ExactMatrix:
     return result
 
 
-def _integer_divisors(value: int) -> List[int]:
-    value = abs(value)
-    small, large = [], []
-    d = 1
-    while d * d <= value:
-        if value % d == 0:
-            small.append(d)
-            if d != value // d:
-                large.append(value // d)
-        d += 1
-    return small + large[::-1]
+def _split_primes() -> Iterator[int]:
+    """The primes p = 1 (mod 4) in increasing order: those that split in Z[i]."""
+    p = 5
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 4
 
 
-def _gaussian_divisors(re: int, im: int) -> List[Tuple[int, int]]:
-    """Divisors of re + im*i in Z[i] (all associates included)."""
-    norm = re * re + im * im
-    found: Set[Tuple[int, int]] = set()
-    for d in _integer_divisors(norm):
-        for x in range(math.isqrt(d) + 1):
-            y_sq = d - x * x
-            y = math.isqrt(y_sq)
-            if y * y != y_sq:
-                continue
-            for cand in {(x, y), (x, -y), (-x, y), (-x, -y)}:
-                cx, cy = cand
-                if cx == 0 and cy == 0:
-                    continue
-                # (re + im*i) / (cx + cy*i) must land in Z[i].
-                qr = re * cx + im * cy
-                qi = im * cx - re * cy
-                if qr % d == 0 and qi % d == 0:
-                    found.add(cand)
-    return sorted(found)
+def _value_and_slope(
+    coefficients: Sequence[int], x: int, modulus: int
+) -> Tuple[int, int]:
+    """g(x) and g'(x) modulo modulus, in one Horner pass."""
+    value = slope = 0
+    for c in reversed(coefficients):
+        slope = (slope * x + value) % modulus
+        value = (value * x + c) % modulus
+    return value, slope
 
 
-def _cleared_coefficients(poly: Polynomial) -> List[Tuple[int, int]]:
-    scale = 1
-    for c in poly.coefficients:
-        scale = scale * c.re.denominator // math.gcd(scale, c.re.denominator)
-        scale = scale * c.im.denominator // math.gcd(scale, c.im.denominator)
-    return [
-        (int(c.re * scale), int(c.im * scale)) for c in poly.coefficients
-    ]
+def _simple_roots_mod(coefficients: Sequence[int], p: int) -> Optional[List[int]]:
+    """Every root of g modulo the prime p, or None when one of them is repeated."""
+    roots = []
+    for x in range(p):
+        value, slope = _value_and_slope(coefficients, x, p)
+        if value == 0:
+            if slope == 0:
+                return None
+            roots.append(x)
+    return roots
 
 
-def _root_candidates(poly: Polynomial) -> List[GaussianRational]:
-    """Every possible root of poly in Q(i), by divisor enumeration.
+def _gaussian_integer_roots(g: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """A list of Gaussian integers holding every root in Z[i] of g, a monic
+    square-free polynomial over Z[i] given as (re, im) pairs, ascending.
 
-    For real coefficients the classical candidates p/q (p dividing the
-    constant, q the leading coefficient, both signs) suffice for the
-    rational roots; non-real coefficients get the same theorem over Z[i],
-    with unit multiples folded in.
+    For a prime p = 1 (mod 4), iota^2 = -1 (mod p^k) and pi = gcd(p, iota - i),
+    Z[i]/pi^k is Z/p^k with i sent to iota.  The roots of g modulo pi are
+    found by trying every residue, at the first p where all are simple, and
+    Newton-lifted together with iota until p^k > 8 B^2, B the Cauchy bound of
+    g.  The multiples of pi^k form a square lattice whose shortest vector is
+    p^(k/2) > 2B long, so a root of g, of modulus at most B, is the Gaussian
+    rounding remainder of its lifted residue modulo pi^k.
     """
-    cleared = _cleared_coefficients(poly)
-    constant, leading = cleared[0], cleared[-1]
-    candidates: Set[GaussianRational] = set()
-    if all(im == 0 for _, im in cleared):
-        for p in _integer_divisors(constant[0]):
-            for q in _integer_divisors(leading[0]):
-                candidates.add(GaussianRational(Fraction(p, q)))
-                candidates.add(GaussianRational(Fraction(-p, q)))
-    else:
-        units = (ONE, -ONE, GaussianRational(0, 1), GaussianRational(0, -1))
-        for pr, pi in _gaussian_divisors(*constant):
-            top = GaussianRational(pr, pi)
-            for qr, qi in _gaussian_divisors(*leading):
-                quotient = top / GaussianRational(qr, qi)
-                for unit in units:
-                    candidates.add(quotient * unit)
-    return sorted(candidates)
+    bound = 2 + max(math.isqrt(a * a + b * b) for a, b in g[:-1])
+    for p in _split_primes():
+        iota = next(x for x in range(2, p) if (x * x + 1) % p == 0)
+        residues = _simple_roots_mod([(a + b * iota) % p for a, b in g], p)
+        if residues is not None:
+            break
+    # pi = u + v*i with u^2 + v^2 = p (Fermat: p = 1 mod 4 is such a sum,
+    # so u stays below sqrt(p)) and u + v*iota = 0 (mod p).
+    u = next(u for u in range(1, p) if math.isqrt(p - u * u) ** 2 == p - u * u)
+    v = math.isqrt(p - u * u)
+    if (u + v * iota) % p:
+        v = -v
+    modulus = p
+    while residues and modulus <= 8 * bound * bound:
+        modulus *= modulus
+        iota = (iota - (iota * iota + 1) * pow(2 * iota, -1, modulus)) % modulus
+        u, v = u * u - v * v, 2 * u * v  # pi^k squared, of norm p^(2k)
+        coefficients = [(a + b * iota) % modulus for a, b in g]
+        lifted = []
+        for x in residues:
+            value, slope = _value_and_slope(coefficients, x, modulus)
+            lifted.append((x - value * pow(slope, -1, modulus)) % modulus)
+        residues = lifted
+    roots = []
+    for x in residues:
+        # x - (u + v*i)*q, q the nearest Gaussian integer to x/(u + v*i).
+        qu = (2 * x * u + modulus) // (2 * modulus)
+        qv = (modulus - 2 * x * v) // (2 * modulus)
+        roots.append((x - u * qu + v * qv, -u * qv - v * qu))
+    return roots
 
 
 def _deflate(work: Polynomial, root: GaussianRational) -> Tuple[Polynomial, int]:
@@ -154,57 +160,42 @@ def _deflate(work: Polynomial, root: GaussianRational) -> Tuple[Polynomial, int]
     return work, count
 
 
-def _square_free_roots(work: Polynomial) -> List[GaussianRational]:
-    """The distinct roots of a monic leftover factor, found by the quadratic
-    formula (through gaussian_sqrt) on its square-free part
-    work / gcd(work, work'), which has degree 2 for a repeated conjugate pair
-    such as (z^2 + 1)^2.  Raises SpectrumNotRepresentable carrying work
-    itself when that part has degree above 2 or roots outside Q(i)."""
-    derivative = Polynomial([k * c for k, c in enumerate(work.coefficients)][1:])
-    core = work // poly_gcd(work, derivative)
-    if core.degree == 1:
-        return [-core.coefficients[0]]
-    if core.degree == 2:  # square-free, so the two roots are distinct
-        half_b = core.coefficients[1] / 2
-        discriminant_root = gaussian_sqrt(half_b * half_b - core.coefficients[0])
-        if discriminant_root is not None:
-            return [-half_b + discriminant_root, -half_b - discriminant_root]
-    raise SpectrumNotRepresentable(work)
-
-
 def poly_roots_exact(
     poly: Polynomial,
 ) -> List[Tuple[GaussianRational, int]]:
     """All roots of poly inside Q(i), with multiplicities, canonically sorted.
 
-    The procedure: strip roots at zero, run the divisor-based candidate
-    enumeration against the cleared constant and leading coefficients and
-    deflate every hit to exhaustion, then close a remaining factor whose
-    square-free part is quadratic with the quadratic formula through
-    gaussian_sqrt.  Any other leftover raises SpectrumNotRepresentable
-    carrying the resistant factor.
+    The procedure: take the square-free part s = work / gcd(work, work') of
+    the monic work = poly / lead, clear its denominators by their lcm c, and
+    search the monic g(y) = c^(d-1) s(y/c) over Z[i] for its roots beta
+    (_gaussian_integer_roots, by Hensel lifting).  Every root of poly in Q(i)
+    is some beta/c; each candidate is checked exactly and deflated from work
+    to exhaustion, which counts its multiplicity.  A leftover of positive
+    degree has no root in Q(i) and raises SpectrumNotRepresentable carrying
+    it.
     """
     if poly.degree < 1:
         raise ValueError("poly_roots_exact needs degree >= 1")
-    roots: List[Tuple[GaussianRational, int]] = []
     work = poly.monic()
-    zero_count = 0
-    while work.degree >= 1 and work.coefficients[0].is_zero():
-        work = Polynomial(work.coefficients[1:])
-        zero_count += 1
-    if zero_count:
-        roots.append((ZERO, zero_count))
+    derivative = Polynomial([k * c for k, c in enumerate(work.coefficients)][1:])
+    core = work // poly_gcd(work, derivative)
+    scale = math.lcm(
+        *(x.re.denominator for x in core.coefficients),
+        *(x.im.denominator for x in core.coefficients),
+    )
+    g = []
+    for k, x in enumerate(core.coefficients[:-1]):
+        factor = scale ** (core.degree - k)  # c for clearing, c^(d-1-k) for g
+        g.append(((x.re * factor).numerator, (x.im * factor).numerator))
+    g.append((1, 0))
+    roots: List[Tuple[GaussianRational, int]] = []
+    for re, im in _gaussian_integer_roots(g):
+        candidate = GaussianRational(Fraction(re, scale), Fraction(im, scale))
+        work, count = _deflate(work, candidate)
+        if count:
+            roots.append((candidate, count))
     if work.degree >= 1:
-        for candidate in _root_candidates(work):
-            work, count = _deflate(work, candidate)
-            if count:
-                roots.append((candidate, count))
-            if work.degree == 0:
-                break
-    if work.degree >= 1:
-        for root in _square_free_roots(work):
-            work, count = _deflate(work, root)
-            roots.append((root, count))
+        raise SpectrumNotRepresentable(work)
     return sorted(roots)
 
 

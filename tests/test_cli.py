@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
-from jordanform import ExactMatrix, jordan_decomposition, spectrum
+from jordanform import ExactMatrix, check_decomposition, jordan_decomposition, spectrum
 from jordanform import cli
 from jordanform.cli import (
     EXIT_CHECK_FAILED,
@@ -119,6 +123,52 @@ def test_not_representable_exit_code(cube_path, capsys):
     assert "z^3 - 2" in err
 
 
+def test_two_distinct_conjugate_pairs(tmp_path, capsys):
+    # diag(rotation(0, 1), rotation(1, 1)): a real matrix with eigenvalues
+    # +-i and 1 +- i.
+    matrix = ExactMatrix.from_rows(
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
+    )
+    path = write_doc(tmp_path, "pairs.json", matrix)
+    assert run(["spectrum", path, "--format", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    lambdas = [entry["lambda"] for entry in doc["entries"]]
+    assert lambdas == ["-1i", "1i", "1-1i", "1+1i"]
+    assert run(["jordan", path, "--format", "json"]) == EXIT_OK
+    decomposition = document_to_decomposition(json.loads(capsys.readouterr().out))
+    assert check_decomposition(matrix, decomposition).passed
+
+
+@pytest.mark.parametrize(
+    "entries, eigenvalues",
+    [
+        (
+            [[str(10**18 + 9), "1", "0"], ["0", "2", "0"], ["0", "0", "3"]],
+            ["2", "3", "1000000000000000009"],
+        ),
+        # The constant term of the minimal polynomial has norm about 10^36.
+        (
+            [["500000000000000003+500000000000000021i", "1"], ["0", "1+1i"]],
+            ["1+1i", "500000000000000003+500000000000000021i"],
+        ),
+    ],
+)
+def test_spectrum_with_a_huge_constant_term_is_fast(tmp_path, entries, eigenvalues):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": len(entries), "entries": entries}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    command = [sys.executable, "-m", "jordanform", "spectrum", str(path)]
+    command += ["--format", "json"]
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    done = subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == EXIT_OK, done.stderr
+    doc = json.loads(done.stdout)
+    assert [entry["lambda"] for entry in doc["entries"]] == eigenvalues
+    assert elapsed < 10
+
+
 def test_internal_error_exit_code(dense3_path, monkeypatch, capsys):
     from jordanform import InternalInvariantViolation
 
@@ -204,6 +254,18 @@ def test_stdin_input(monkeypatch, capsys):
     assert run(["spectrum", "-", "--format", "json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["entries"][0]["lambda"] == "3"
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    assert run(["spectrum", str(path)]) == EXIT_USAGE
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(["spectrum", "-"]) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("jordanform spectrum: ParseError: ") for line in lines)
 
 
 def test_usage_errors(tmp_path, capsys):

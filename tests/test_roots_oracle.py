@@ -1,0 +1,81 @@
+"""poly_roots_exact against an independent oracle: sympy's factorisation
+over Q(i), on polynomials built by hypothesis from planted roots.
+
+Both sides get the same planted roots; the package multiplies them out with
+its own Polynomial, sympy with its own arithmetic, and the roots found must
+be exactly the linear factors sympy reports, with their multiplicities.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from jordanform import (  # noqa: E402
+    GaussianRational,
+    Polynomial,
+    SpectrumNotRepresentable,
+    poly_roots_exact,
+)
+
+Z = sympy.Symbol("z")
+PART = st.integers(-(2**60), 2**60)
+
+# (re numerator, im numerator, denominator, multiplicity, add the conjugate)
+ROOT = st.tuples(PART, PART, st.integers(1, 3), st.integers(1, 3), st.booleans())
+# (degree, c) for a factor z^degree - c irreducible over Q(i): z^3 - c is
+# Eisenstein at the prime c, and sqrt(p) is not in Q(i) for a prime p.
+EXTRA = st.sampled_from([None, (3, 2), (3, 7), (2, 3), (2, 11)])
+LEADING = st.sampled_from([(1, 0), (3, 0), (-2, 5), (0, 1), (7, -7)])
+
+
+def planted_case(roots, extra, leading):
+    """The same polynomial built twice: as a package Polynomial and as a
+    sympy expression."""
+    ours = Polynomial([GaussianRational(*leading)])
+    theirs = sympy.Integer(leading[0]) + sympy.I * leading[1]
+    for re, im, den, mult, conjugate in roots:
+        values = [(re, im)] + ([(re, -im)] if conjugate and im else [])
+        for a, b in values:
+            root = GaussianRational(Fraction(a, den), Fraction(b, den))
+            ours = ours * Polynomial.from_roots(*[root] * mult)
+            value = sympy.Rational(a, den) + sympy.I * sympy.Rational(b, den)
+            theirs *= (Z - value) ** mult
+    if extra:
+        degree, constant = extra
+        ours = ours * Polynomial([-constant] + [0] * (degree - 1) + [1])
+        theirs *= Z**degree - constant
+    return ours, theirs
+
+
+def to_scalar(value):
+    re, im = sympy.re(value), sympy.im(value)
+    return GaussianRational(
+        Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(ROOT, min_size=1, max_size=3), EXTRA, LEADING)
+def test_roots_are_the_linear_factors_sympy_finds(roots, extra, leading):
+    ours, theirs = planted_case(roots, extra, leading)
+    _, factors = sympy.factor_list(sympy.expand(theirs), Z, gaussian=True)
+    expected = []
+    leftover = sympy.Integer(1)
+    for factor, mult in factors:
+        coefficients = sympy.Poly(factor, Z).all_coeffs()
+        if len(coefficients) == 2:
+            expected.append((to_scalar(-coefficients[1] / coefficients[0]), mult))
+        else:
+            leftover *= factor**mult
+    if leftover == 1:
+        assert poly_roots_exact(ours) == sorted(expected)
+        return
+    with pytest.raises(SpectrumNotRepresentable) as err:
+        poly_roots_exact(ours)
+    monic = sympy.Poly(sympy.expand(leftover), Z).monic().all_coeffs()
+    assert err.value.factor == Polynomial([to_scalar(c) for c in reversed(monic)])

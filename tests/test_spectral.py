@@ -70,12 +70,15 @@ def test_unsolvable_real_quadratic():
         poly_roots_exact(Polynomial([-2, 0, 1]))  # z^2 - 2
 
 
-def test_unsolvable_real_quartic():
-    # (z^2+1)(z^2+4): all roots lie in Q(i) but no rational root exists and
-    # the remainder has degree 4; this stays outside the solvable boundary.
+def test_real_quartic_with_two_conjugate_pairs():
+    # (z^2+1)(z^2+4): no rational root, every root in Q(i).
     p = Polynomial([1, 0, 1]) * Polynomial([4, 0, 1])
-    with pytest.raises(SpectrumNotRepresentable):
-        poly_roots_exact(p)
+    assert roots_as_strs(poly_roots_exact(p)) == [
+        ("-2i", 1),
+        ("-1i", 1),
+        ("1i", 1),
+        ("2i", 1),
+    ]
 
 
 def test_repeated_conjugate_pair():
@@ -92,13 +95,15 @@ def test_repeated_irrational_pair_reports_the_whole_factor():
     assert "z^4 - 4z^2 + 4" in str(err.value)
 
 
-def test_two_distinct_conjugate_pairs_stay_unrepresentable():
-    # (z^2 + 1)(z^2 - 2z + 2): square-free of degree 4, beyond the formula.
+def test_two_distinct_conjugate_pairs():
+    # (z^2 + 1)(z^2 - 2z + 2): real coefficients, two pairs in Q(i).
     p = Polynomial([2, -2, 3, -2, 1])
-    with pytest.raises(SpectrumNotRepresentable) as err:
-        poly_roots_exact(p)
-    assert err.value.factor == p
-    assert "z^4 - 2z^3 + 3z^2 - 2z + 2" in str(err.value)
+    assert roots_as_strs(poly_roots_exact(p)) == [
+        ("-1i", 1),
+        ("1i", 1),
+        ("1-1i", 1),
+        ("1+1i", 1),
+    ]
 
 
 def test_roots_with_zero_roots_and_scaling():
