@@ -15,12 +15,13 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .errors import InternalInvariantViolation, NotAnEigenvalue
 from .matrices import (
     Basis,
+    Echelon,
     ExactMatrix,
     complete_basis,
     inverse,
+    kernel_from_rref,
     nullspace_basis,
-    rank,
-    rank_of_columns,
+    rref,
     shift_by,
 )
 from .scalars import ONE, ZERO, GaussianRational, format_scalar
@@ -85,22 +86,22 @@ class Decomposition:
 def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational) -> StageLadder:
     """Kernel ladder of (A - lambda*I)^k, stopping at stabilization.
 
-    Powers are built incrementally (one extra multiplication per stage) and
-    the iteration never runs past k = n, where the ladder must have
-    stabilized.
+    With N = A - lambda*I and R_k the nonzero RREF rows of N^k, ker N^(k+1)
+    is ker(R_k * N): no power of N is formed, and the same kernel has the
+    same RREF, hence the same basis.  It never runs past k = n.
     """
     shifted = shift_by(matrix, eigenvalue)
-    first = nullspace_basis(shifted)
+    reduced, pivots = rref(shifted)
+    first = kernel_from_rref(reduced, pivots)
     if first.dimension == 0:
         raise NotAnEigenvalue(
             f"{format_scalar(eigenvalue)} has a trivial eigenspace"
         )
     bases = [first]
-    power = shifted
     n = matrix.rows
     while bases[-1].dimension < n and len(bases) < n:
-        power = power * shifted
-        basis = nullspace_basis(power)
+        reduced, pivots = rref(reduced.submatrix(0, len(pivots), 0, n) * shifted)
+        basis = kernel_from_rref(reduced, pivots)
         if basis.dimension == bases[-1].dimension:
             break
         bases.append(basis)
@@ -125,12 +126,19 @@ def _triangularize(
     n = matrix.rows
     if n == 1:
         return ExactMatrix.identity(1), matrix
-    lam = min(
-        c for c in candidates if rank(shift_by(matrix, c)) < n
-    )
-    eigvec = nullspace_basis(shift_by(matrix, lam)).vectors[0]
+    kernels = ((c, nullspace_basis(shift_by(matrix, c))) for c in sorted(candidates))
+    lam, kernel = next((c, k) for c, k in kernels if k.dimension)
+    eigvec = kernel.vectors[0]
     base = complete_basis(Basis(n, (eigvec,)))
-    conjugated = inverse(base) * matrix * base
+    # base is the identity with column p (eigvec's last nonzero entry) dropped
+    # and eigvec put in front, so its inverse has the closed form below.
+    v = eigvec.column_entries()
+    p = max(i for i, x in enumerate(v) if x)
+    rows = [[ONE / v[p] if j == p else ZERO for j in range(n)]] + [
+        [ONE if j == i else -v[i] / v[p] if j == p else ZERO for j in range(n)]
+        for i in range(n) if i != p
+    ]
+    conjugated = ExactMatrix(rows) * matrix * base
     head_row = conjugated.submatrix(0, 1, 1, n)
     tail = conjugated.submatrix(1, n, 1, n)
     inner_v, inner_u = _triangularize(tail, candidates)
@@ -226,20 +234,16 @@ def jordan_chains(matrix: ExactMatrix, ladder: StageLadder) -> List[JordanChain]
     shifted = shift_by(matrix, ladder.eigenvalue)
     chains_topdown: List[List[ExactMatrix]] = []
     for stage in range(ladder.max_stage, 0, -1):
-        used: List[ExactMatrix] = []
-        if stage >= 2:
-            used.extend(ladder.stage_bases[stage - 2].vectors)
+        used = Echelon()
+        for vector in ladder.stage_bases[stage - 2].vectors if stage >= 2 else ():
+            used.insert(vector.column_entries())
         for chain in chains_topdown:
             extension = shifted * chain[-1]
             chain.append(extension)
-            used.append(extension)
-        base_rank = rank_of_columns(used)
+            used.insert(extension.column_entries())
         for candidate in ladder.stage_bases[stage - 1].vectors:
-            grown = rank_of_columns(used + [candidate])
-            if grown > base_rank:
+            if used.insert(candidate.column_entries()):
                 chains_topdown.append([candidate])
-                used.append(candidate)
-                base_rank = grown
     chains = [
         JordanChain(ladder.eigenvalue, tuple(reversed(vectors)))
         for vectors in chains_topdown

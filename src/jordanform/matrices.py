@@ -1,10 +1,10 @@
 """Dense exact matrices over Q(i) and the elimination toolkit.
 
-Everything here reduces to one primitive: reduced row echelon form with a
-fixed pivoting rule (first nonzero entry scanning down the column).  In
-exact arithmetic that rule costs nothing in accuracy and makes every
-derived basis, and therefore every downstream decomposition,
-byte-deterministic.
+Kernels are read off ``rref``, reduced row echelon form with a fixed
+pivoting rule (first nonzero entry scanning down the column), so the same
+subspace always gets byte-identical basis vectors.  ``Echelon`` grows a
+reduced basis one vector at a time for the layers that ask again and again
+whether a vector is new: Krylov runs, basis completion and chain seeding.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class ExactMatrix:
         if isinstance(other, (int, Fraction, GaussianRational)):
             factor = _entry(other)
             return ExactMatrix(
-                [[x * factor for x in row] for row in self._data], cols=self.cols
+                [[x * factor if x else x for x in row] for row in self._data], cols=self.cols
             )
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -166,7 +166,8 @@ class ExactMatrix:
                 acc = ZERO
                 column = other_t[col] if other_t else ()
                 for a, b in zip(row, column):
-                    acc = acc + a * b
+                    if a and b:
+                        acc = acc + a * b
                 out_row.append(acc)
             out.append(out_row)
         return ExactMatrix(out, cols=other.cols)
@@ -251,7 +252,7 @@ def rref(matrix: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
             if r == pivot_row or data[r][col].is_zero():
                 continue
             factor = data[r][col]
-            data[r] = [x - factor * y for x, y in zip(data[r], data[pivot_row])]
+            data[r] = [x - factor * y if y else x for x, y in zip(data[r], data[pivot_row])]
         pivots.append(col)
         pivot_row += 1
     return ExactMatrix(data, cols=matrix.cols), pivots
@@ -261,31 +262,56 @@ def rank(matrix: ExactMatrix) -> int:
     return len(rref(matrix)[1])
 
 
-def rank_of_columns(columns: Sequence[ExactMatrix]) -> int:
-    if not columns:
-        return 0
-    return rank(ExactMatrix.hstack(list(columns)))
+class Echelon:
+    """A reduced basis of a growing subspace, built one vector at a time.
 
-
-def nullspace_basis(matrix: ExactMatrix) -> Basis:
-    """Canonical basis of the kernel, one vector per free column of the RREF.
-
-    For free column f the vector carries 1 at f, 0 at every other free
-    column, and the negated RREF entry at each pivot column; vectors are
-    ordered by free-column index.
+    ``rows`` holds (pivot, row) pairs in insertion order; each row is 1 at its
+    pivot, its first nonzero entry, and 0 at the pivot of every earlier row.
     """
-    reduced, pivots = rref(matrix)
+
+    def __init__(self):
+        self.rows: List[Tuple[int, List[GaussianRational]]] = []
+
+    def reduce(self, entries: Sequence[GaussianRational]) -> List[GaussianRational]:
+        """The entries less their part along the rows; 0 at every pivot."""
+        vector = list(entries)
+        for pivot, row in self.rows:
+            factor = vector[pivot]
+            if factor:
+                vector = [x - factor * y if y else x for x, y in zip(vector, row)]
+        return vector
+
+    def insert(self, entries: Sequence[GaussianRational]) -> bool:
+        """Add a vector to the span; False, rows untouched, if already in it."""
+        vector = self.reduce(entries)
+        for pivot, lead in enumerate(vector):
+            if lead:
+                inv = ONE / lead
+                self.rows.append((pivot, [x * inv if x else x for x in vector]))
+                return True
+        return False
+
+
+def kernel_from_rref(reduced: ExactMatrix, pivots: Sequence[int]) -> Basis:
+    """Canonical kernel basis read off an RREF, one vector per free column f,
+    in order: 1 at f, 0 at every other free column, and the negated RREF
+    entry at each pivot column.  Rows past the pivots are never read."""
     pivot_set = set(pivots)
     vectors = []
-    for free in range(matrix.cols):
+    for free in range(reduced.cols):
         if free in pivot_set:
             continue
-        entries = [ZERO] * matrix.cols
+        entries = [ZERO] * reduced.cols
         entries[free] = ONE
         for k, pivot_col in enumerate(pivots):
             entries[pivot_col] = -reduced[k, free]
         vectors.append(ExactMatrix.column(entries))
-    return Basis(matrix.cols, tuple(vectors))
+    return Basis(reduced.cols, tuple(vectors))
+
+
+def nullspace_basis(matrix: ExactMatrix) -> Basis:
+    """Canonical basis of the kernel (see ``kernel_from_rref``)."""
+    return kernel_from_rref(*rref(matrix))
 
 
 def colspace_basis(matrix: ExactMatrix) -> Basis:
@@ -332,44 +358,48 @@ def complete_basis(partial: Basis) -> ExactMatrix:
     already dependent on the columns collected so far.
     """
     n = partial.ambient_dim
-    count = len(partial.vectors)
-    if count and rank_of_columns(partial.vectors) < count:
+    span = Echelon()
+    if not all(span.insert(v.column_entries()) for v in partial.vectors):
         raise DependentInput("the given vectors are not linearly independent")
     columns = list(partial.vectors)
-    current_rank = count
     for index in range(n):
         if len(columns) == n:
             break
         candidate = ExactMatrix.basis_vector(n, index)
-        grown = rank_of_columns(columns + [candidate])
-        if grown > current_rank:
+        if span.insert(candidate.column_entries()):
             columns.append(candidate)
-            current_rank = grown
     return ExactMatrix.hstack(columns)
 
 
-def krylov_annihilator(matrix: ExactMatrix, vector: ExactMatrix) -> Polynomial:
-    """Monic polynomial of least degree with P(matrix) * vector = 0.
-
-    Builds vector, A*vector, A^2*vector, ... and stops at the first power
-    that is linearly dependent on its predecessors; since the retained
-    powers are independent, the solved coefficients are unique and the
-    degree is minimal.
-    """
+def krylov_run(matrix: ExactMatrix, vector: ExactMatrix) -> Tuple[Polynomial, Echelon]:
+    """``krylov_annihilator`` and an echelon whose rows, cut to their first n
+    entries, span the cyclic subspace; the other n + 1 entries of a row are
+    its coefficients over the powers."""
     if not matrix.is_square():
         raise DimensionMismatch("krylov_annihilator needs a square matrix")
     if vector.cols != 1 or vector.rows != matrix.rows:
         raise DimensionMismatch("vector shape does not match the matrix")
     if vector.is_zero():
         raise ZeroVector("krylov_annihilator of the zero vector")
-    powers = [vector]
-    current = vector
-    for _ in range(matrix.rows):
-        current = matrix * current
-        combination = solve(ExactMatrix.hstack(powers), current)
-        if combination is not None:
-            coefficients = [-combination[k, 0] for k in range(len(powers))]
-            coefficients.append(ONE)
-            return Polynomial(coefficients)
-        powers.append(current)
+    n = matrix.rows
+    echelon = Echelon()
+    power = vector
+    for degree in range(n + 1):
+        tag = [ONE if k == degree else ZERO for k in range(n + 1)]
+        reduced = echelon.reduce(list(power.column_entries()) + tag)
+        if not any(reduced[:n]):
+            # 0 = sum of c_k * A^k v with c_degree = 1: the annihilator itself.
+            return Polynomial(reduced[n:]), echelon
+        echelon.insert(reduced)
+        power = matrix * power
     raise AssertionError("n+1 Krylov vectors cannot stay independent")
+
+
+def krylov_annihilator(matrix: ExactMatrix, vector: ExactMatrix) -> Polynomial:
+    """Monic polynomial of least degree with P(matrix) * vector = 0.
+
+    Reduces vector, A*vector, A^2*vector, ... against the earlier powers
+    and stops at the first power that reduces to zero; since the retained
+    powers are independent, the combination found is unique.
+    """
+    return krylov_run(matrix, vector)[0]

@@ -17,12 +17,14 @@ from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
+    DimensionMismatch,
     IncompleteSpectrum,
     InternalInvariantViolation,
     InvalidProvidedEigenvalue,
+    NotAnEigenvalue,
     SpectrumNotRepresentable,
 )
-from .matrices import ExactMatrix, krylov_annihilator, rank, shift_by
+from .matrices import Echelon, ExactMatrix, krylov_run
 from .polynomials import Polynomial, poly_gcd, poly_lcm
 from .scalars import ONE, GaussianRational, format_scalar
 
@@ -53,16 +55,22 @@ class Spectrum:
 
 
 def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
-    """Least-degree monic annihilator of the whole space."""
+    """Least-degree monic annihilator of the whole space: the lcm of the
+    Krylov annihilators of e_0, e_1, ..., skipping each e_i that already lies
+    in the sum of the cyclic subspaces found so far (the lcm annihilates it)."""
     n = matrix.rows
-    result = krylov_annihilator(matrix, ExactMatrix.basis_vector(n, 0))
-    for index in range(1, n):
-        if result.degree == n:
-            break
-        result = poly_lcm(
-            result, krylov_annihilator(matrix, ExactMatrix.basis_vector(n, index))
-        )
-    return result.monic()
+    if n == 0:
+        raise DimensionMismatch("minimal polynomial of a 0x0 matrix")
+    span = Echelon()
+    result = Polynomial([ONE])
+    for index in range(n):
+        start = ExactMatrix.basis_vector(n, index)
+        if len(span.rows) < n and span.insert(start.column_entries()):
+            annihilator, cyclic = krylov_run(matrix, start)
+            for _, row in cyclic.rows:
+                span.insert(row[:n])
+            result = poly_lcm(result, annihilator)
+    return result
 
 
 def poly_apply(poly: Polynomial, matrix: ExactMatrix) -> ExactMatrix:
@@ -213,33 +221,28 @@ def spectrum_with_ladders(
     if not matrix.is_square():
         raise InvalidProvidedEigenvalue("spectrum of a non-square matrix")
     n = matrix.rows
-    if provided is None:
-        lambdas = [root for root, _ in poly_roots_exact(minimal_polynomial(matrix))]
-        for lam in lambdas:
-            if rank(shift_by(matrix, lam)) == n:
+    found = provided is None
+    if found:
+        provided = [root for root, _ in poly_roots_exact(minimal_polynomial(matrix))]
+    ladders = []
+    for lam in provided:
+        if lam in [ladder.eigenvalue for ladder in ladders]:
+            raise InvalidProvidedEigenvalue(f"duplicate eigenvalue {format_scalar(lam)}")
+        try:
+            ladders.append(stage_ladder(matrix, lam))
+        except NotAnEigenvalue:
+            if found:
                 raise InternalInvariantViolation(
                     f"minimal polynomial root {format_scalar(lam)} is not an eigenvalue"
-                )
-    else:
-        lambdas = []
-        for candidate in provided:
-            if candidate in lambdas:
-                raise InvalidProvidedEigenvalue(
-                    f"duplicate eigenvalue {format_scalar(candidate)}"
-                )
-            if rank(shift_by(matrix, candidate)) == n:
-                raise InvalidProvidedEigenvalue(
-                    f"{format_scalar(candidate)} is not an eigenvalue: "
-                    "A - (value)I has full rank"
-                )
-            lambdas.append(candidate)
+                ) from None
+            raise InvalidProvidedEigenvalue(
+                f"{format_scalar(lam)} is not an eigenvalue: A - (value)I has full rank"
+            ) from None
+    ladders.sort(key=lambda ladder: ladder.eigenvalue)
     entries = []
-    ladders = []
-    for lam in sorted(lambdas):
-        ladder = stage_ladder(matrix, lam)
+    for ladder in ladders:
         dims = ladder.dims()
-        entries.append(SpectrumEntry(lam, dims[-1], dims[0], ladder.max_stage))
-        ladders.append(ladder)
+        entries.append(SpectrumEntry(ladder.eigenvalue, dims[-1], dims[0], len(dims)))
     total = sum(entry.multiplicity for entry in entries)
     if total != n:
         raise IncompleteSpectrum(

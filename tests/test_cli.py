@@ -241,6 +241,30 @@ def test_verify_subcommand(dense3_path, capsys):
     assert all(report["passed"] for report in doc["reports"])
 
 
+def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, capsys):
+    import jordanform.spectral
+
+    calls = []
+    real = jordanform.spectral.minimal_polynomial
+
+    def counted(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(jordanform.spectral, "minimal_polynomial", counted)
+    assert run(["verify", dense3_path, "--format", "json"]) == EXIT_OK
+    assert len(calls) == 1
+    assert all(report["passed"] for report in json.loads(capsys.readouterr().out)["reports"])
+    assert run(["verify", cube_path]) == EXIT_NOT_REPRESENTABLE
+    assert len(calls) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "jordanform verify: SpectrumNotRepresentable: "
+        "no root in Q(i) for the remaining factor z^3 - 2\n"
+    )
+
+
 def test_byte_determinism(dense3_path, capsys):
     assert run(["jordan", dense3_path, "--format", "json"]) == EXIT_OK
     first = capsys.readouterr().out

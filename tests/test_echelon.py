@@ -1,0 +1,185 @@
+"""The incremental echelon, and the layers built on it checked against
+slower references that form matrix powers explicitly.
+
+The inputs are seeded random matrices over Q(i), many of them derogatory
+(lambda*I, several equal Jordan blocks), conjugated by a random invertible
+matrix rather than taken from generate_case.
+"""
+
+import random
+
+import pytest
+
+from jordanform import (
+    Block,
+    ExactMatrix,
+    Polynomial,
+    inverse,
+    jordan_matrix,
+    minimal_polynomial,
+    nullspace_basis,
+    rank,
+    shift_by,
+    solve,
+    stage_ladder,
+)
+from jordanform.matrices import Echelon
+
+from conftest import gr, rand_matrix, rand_scalar
+
+
+def entries(values):
+    return [gr(v) for v in values]
+
+
+def snapshot(echelon):
+    return [(pivot, list(row)) for pivot, row in echelon.rows]
+
+
+# --- Echelon.insert ---------------------------------------------------------------
+
+def test_insert_reports_independence():
+    echelon = Echelon()
+    assert echelon.insert(entries([0, 2, 4]))
+    assert echelon.insert(entries([1, 0, "1i"]))
+    assert not echelon.insert(entries([2, 3, "6+2i"]))  # 1.5 * first + 2 * second
+    assert not echelon.insert(entries([0, 0, 0]))
+    assert echelon.insert(entries([0, 0, 5]))
+    assert not echelon.insert(entries(["1/3", "-7i", 9]))
+    assert len(echelon.rows) == 3
+
+
+def test_dependent_insert_leaves_the_rows_unchanged():
+    echelon = Echelon()
+    echelon.insert(entries([1, "1i", 0, 2]))
+    echelon.insert(entries([0, 3, 1, "-1"]))
+    before = snapshot(echelon)
+    assert not echelon.insert(entries([2, "6+2i", 2, 2]))  # 2 * first + 2 * second
+    assert snapshot(echelon) == before
+
+
+def test_rows_are_unit_at_their_pivot_and_clear_earlier_pivots():
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        echelon = Echelon()
+        for _ in range(n + 2):
+            echelon.insert([rand_scalar(rng, 3) for _ in range(n)])
+        for index, (pivot, row) in enumerate(echelon.rows):
+            assert row[pivot] == gr(1)
+            assert not any(row[:pivot])
+            assert not any(row[p] for p, _ in echelon.rows[:index])
+
+
+def test_insert_matches_rank_growth_seeded():
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        dim = rng.randint(0, n)
+        # Vectors from a random subspace of dimension <= dim, plus zeros.
+        spanning = [[rand_scalar(rng, 3) for _ in range(n)] for _ in range(dim)]
+        echelon = Echelon()
+        inserted = []
+        for _ in range(n + 3):
+            weights = [rand_scalar(rng, 2) for _ in spanning]
+            vector = [sum((w * s[i] for w, s in zip(weights, spanning)), gr(0)) for i in range(n)]
+            before = rank(ExactMatrix.hstack(inserted)) if inserted else 0
+            inserted.append(ExactMatrix.column(vector))
+            grew = rank(ExactMatrix.hstack(inserted)) > before
+            rows = snapshot(echelon)
+            assert echelon.insert(vector) == grew
+            if not grew:
+                assert snapshot(echelon) == rows
+        assert len(echelon.rows) == rank(ExactMatrix.hstack(inserted))
+
+
+# --- seeded Q(i) matrices with planted Jordan structure ----------------------------
+
+def planted_cases(seed, count):
+    """(A, blocks) with A = P * J * P^-1 for a random invertible P."""
+    rng = random.Random(seed)
+    cases = []
+    for index in range(count):
+        lam, mu = rand_scalar(rng, 3), rand_scalar(rng, 3)
+        while mu == lam:
+            mu = rand_scalar(rng, 3)
+        shapes = [
+            [(lam, 1)] * rng.randint(1, 5),  # lambda * I
+            [(lam, 2), (lam, 2)],
+            [(lam, 2), (lam, 2), (mu, 1)],
+            [(lam, 3), (lam, 1), (mu, 2)],
+            [(lam, 2), (lam, 1), (lam, 1), (mu, 1), (mu, 1)],
+            [(lam, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            + [(mu, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))],
+        ]
+        blocks = [Block(value, size) for value, size in shapes[index % len(shapes)]]
+        n = sum(block.size for block in blocks)
+        while True:
+            p = rand_matrix(rng, n, n, bound=2)
+            if rank(p) == n:
+                break
+        cases.append((p * jordan_matrix(blocks) * inverse(p), blocks))
+    return cases
+
+
+def random_cases(seed, count):
+    """Unstructured random matrices, sometimes of low rank."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        m = rand_matrix(rng, n, n, bound=3)
+        if rng.random() < 0.4:
+            inner = rng.randint(1, n)
+            m = rand_matrix(rng, n, inner, bound=2) * rand_matrix(rng, inner, n, bound=2)
+        cases.append(m)
+    return cases
+
+
+def vec(matrix):
+    return ExactMatrix.column([matrix[i, j] for j in range(matrix.cols) for i in range(matrix.rows)])
+
+
+def reference_minimal_polynomial(matrix):
+    """The least d with vec(I), vec(A), ..., vec(A^d) dependent."""
+    powers = [ExactMatrix.identity(matrix.rows)]
+    while True:
+        following = powers[-1] * matrix
+        combination = solve(ExactMatrix.hstack([vec(p) for p in powers]), vec(following))
+        if combination is not None:
+            return Polynomial([-combination[k, 0] for k in range(len(powers))] + [gr(1)])
+        powers.append(following)
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_stage_ladder_matches_kernels_of_explicit_powers(seed):
+    for matrix, blocks in planted_cases(seed, 12):
+        n = matrix.rows
+        for lam in sorted({block.eigenvalue for block in blocks}):
+            ladder = stage_ladder(matrix, lam)
+            sizes = [block.size for block in blocks if block.eigenvalue == lam]
+            assert ladder.dims() == [sum(min(s, k) for s in sizes) for k in range(1, max(sizes) + 1)]
+            shifted = shift_by(matrix, lam)
+            power = shifted
+            for basis in ladder.stage_bases:
+                expected = nullspace_basis(power)
+                assert basis.vectors == expected.vectors
+                assert [v.entries_str() for v in basis.vectors] == [
+                    v.entries_str() for v in expected.vectors
+                ]
+                power = power * shifted
+            if ladder.top.dimension < n:
+                assert nullspace_basis(power).dimension == ladder.top.dimension
+
+
+@pytest.mark.parametrize("seed", [5, 29])
+def test_minimal_polynomial_matches_references(seed):
+    for matrix, blocks in planted_cases(seed, 12):
+        degrees = {}
+        for block in blocks:
+            degrees[block.eigenvalue] = max(degrees.get(block.eigenvalue, 0), block.size)
+        planted = Polynomial.from_roots(*[lam for lam, d in degrees.items() for _ in range(d)])
+        assert minimal_polynomial(matrix) == planted
+        assert reference_minimal_polynomial(matrix) == planted
+    for matrix in random_cases(seed, 30):
+        assert minimal_polynomial(matrix) == reference_minimal_polynomial(matrix)

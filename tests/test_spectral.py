@@ -3,6 +3,7 @@ import random
 import pytest
 
 from jordanform import (
+    DimensionMismatch,
     ExactMatrix,
     IncompleteSpectrum,
     InvalidProvidedEigenvalue,
@@ -152,6 +153,14 @@ def test_minimal_polynomial_annihilates_and_is_minimal():
         for root, _ in poly_roots_exact(minimal):
             shrunk = minimal.exact_div(Polynomial.from_roots(root))
             assert not poly_apply(shrunk, matrix).is_zero()
+
+
+def test_empty_matrix_is_a_dimension_error():
+    empty = ExactMatrix.zeros(0, 0)
+    with pytest.raises(DimensionMismatch):
+        minimal_polynomial(empty)
+    with pytest.raises(DimensionMismatch):
+        spectrum(empty)
 
 
 # --- spectrum ---------------------------------------------------------------------
