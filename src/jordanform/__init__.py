@@ -4,139 +4,87 @@ A = V * J * V^-1 computed with arbitrary-precision rational arithmetic:
 triangularization, generalized-eigenspace block diagonalization, blockwise
 triangularization, and the canonical Jordan form, plus structural checks
 and a round-trip test-case generator.
+
+The public names load on first use (PEP 562), so a command-line call
+imports only the modules it runs.
 """
 
-from .decomp import (
-    Block,
-    Decomposition,
-    JordanChain,
-    StageLadder,
-    block_diagonalize,
-    blockwise_trigonalize,
-    is_jordan_matrix,
-    jordan_chains,
-    jordan_decomposition,
-    jordan_matrix,
-    stage_ladder,
-    trigonalize,
-)
-from .errors import (
-    DependentInput,
-    DimensionMismatch,
-    IncompleteSpectrum,
-    InternalInvariantViolation,
-    InvalidProvidedEigenvalue,
-    InvalidStructure,
-    JordanFormError,
-    NotAnEigenvalue,
-    ParseError,
-    SingularMatrix,
-    SpectrumNotRepresentable,
-    ZeroDenominator,
-    ZeroVector,
-)
-from .matrices import (
-    Basis,
-    ExactMatrix,
-    colspace_basis,
-    complete_basis,
-    inverse,
-    krylov_annihilator,
-    nullspace_basis,
-    rank,
-    rref,
-    shift_by,
-    solve,
-)
-from .polynomials import Polynomial, format_polynomial, poly_gcd, poly_lcm
-from .scalars import (
-    GaussianRational,
-    format_scalar,
-    gaussian_sqrt,
-    parse_scalar,
-    rational_sqrt,
-)
-from .spectral import (
-    Spectrum,
-    SpectrumEntry,
-    find_eigenvalue,
-    minimal_polynomial,
-    poly_apply,
-    poly_roots_exact,
-    spectrum,
-)
-from .verify import (
-    CheckReport,
-    CheckResult,
-    JordanStructure,
-    check_decomposition,
-    elementary_conjugator,
-    exhaustive_structures,
-    generate_case,
-    parse_structure,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "Block",
-    "CheckReport",
-    "CheckResult",
-    "Decomposition",
-    "DependentInput",
-    "DimensionMismatch",
-    "ExactMatrix",
-    "GaussianRational",
-    "IncompleteSpectrum",
-    "InternalInvariantViolation",
-    "InvalidProvidedEigenvalue",
-    "InvalidStructure",
-    "JordanChain",
-    "JordanFormError",
-    "JordanStructure",
-    "NotAnEigenvalue",
-    "ParseError",
-    "Polynomial",
-    "SingularMatrix",
-    "Spectrum",
-    "SpectrumEntry",
-    "SpectrumNotRepresentable",
-    "StageLadder",
-    "ZeroDenominator",
-    "ZeroVector",
-    "block_diagonalize",
-    "blockwise_trigonalize",
-    "check_decomposition",
-    "colspace_basis",
-    "complete_basis",
-    "elementary_conjugator",
-    "exhaustive_structures",
-    "find_eigenvalue",
-    "format_polynomial",
-    "format_scalar",
-    "gaussian_sqrt",
-    "generate_case",
-    "inverse",
-    "is_jordan_matrix",
-    "jordan_chains",
-    "jordan_decomposition",
-    "jordan_matrix",
-    "krylov_annihilator",
-    "minimal_polynomial",
-    "nullspace_basis",
-    "parse_scalar",
-    "parse_structure",
-    "poly_apply",
-    "poly_gcd",
-    "poly_lcm",
-    "poly_roots_exact",
-    "rank",
-    "rational_sqrt",
-    "rref",
-    "shift_by",
-    "solve",
-    "spectrum",
-    "stage_ladder",
-    "trigonalize",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "Block": "decomp",
+    "Decomposition": "decomp",
+    "JordanChain": "decomp",
+    "StageLadder": "decomp",
+    "block_diagonalize": "decomp",
+    "blockwise_trigonalize": "decomp",
+    "is_jordan_matrix": "decomp",
+    "jordan_chains": "decomp",
+    "jordan_decomposition": "decomp",
+    "jordan_matrix": "decomp",
+    "stage_ladder": "decomp",
+    "trigonalize": "decomp",
+    "DependentInput": "errors",
+    "DimensionMismatch": "errors",
+    "IncompleteSpectrum": "errors",
+    "InternalInvariantViolation": "errors",
+    "InvalidProvidedEigenvalue": "errors",
+    "InvalidStructure": "errors",
+    "JordanFormError": "errors",
+    "NotAnEigenvalue": "errors",
+    "ParseError": "errors",
+    "SingularMatrix": "errors",
+    "SpectrumNotRepresentable": "errors",
+    "ZeroDenominator": "errors",
+    "ZeroVector": "errors",
+    "Basis": "matrices",
+    "ExactMatrix": "matrices",
+    "complete_basis": "matrices",
+    "inverse": "matrices",
+    "krylov_annihilator": "matrices",
+    "nullspace_basis": "matrices",
+    "rank": "matrices",
+    "rref": "matrices",
+    "shift_by": "matrices",
+    "solve": "matrices",
+    "Polynomial": "polynomials",
+    "format_polynomial": "polynomials",
+    "poly_gcd": "polynomials",
+    "poly_lcm": "polynomials",
+    "GaussianRational": "scalars",
+    "format_scalar": "scalars",
+    "parse_scalar": "scalars",
+    "Spectrum": "spectral",
+    "SpectrumEntry": "spectral",
+    "find_eigenvalue": "spectral",
+    "minimal_polynomial": "spectral",
+    "poly_apply": "spectral",
+    "poly_roots_exact": "spectral",
+    "spectrum": "spectral",
+    "CheckReport": "verify",
+    "CheckResult": "verify",
+    "JordanStructure": "verify",
+    "check_decomposition": "verify",
+    "elementary_conjugator": "verify",
+    "exhaustive_structures": "verify",
+    "generate_case": "verify",
+    "parse_structure": "verify",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

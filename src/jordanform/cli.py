@@ -15,6 +15,10 @@ from typing import List, Optional, Sequence
 from .decomp import (
     Block,
     Decomposition,
+    _blockdiag,
+    _blocktri,
+    _jordan,
+    _schur,
     block_diagonalize,
     blockwise_trigonalize,
     jordan_decomposition,
@@ -35,8 +39,7 @@ from .errors import (
 )
 from .matrices import ExactMatrix
 from .scalars import GaussianRational, format_scalar, parse_scalar
-from .spectral import Spectrum, SpectrumEntry, spectrum
-from .verify import check_decomposition, generate_case, parse_structure
+from .spectral import Spectrum, SpectrumEntry, spectrum, spectrum_with_ladders
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -297,6 +300,8 @@ def _cmd_decompose(args) -> int:
     pretty = _pretty_decomposition(decomposition)
     code = EXIT_OK
     if args.check:
+        from .verify import check_decomposition
+
         report = check_decomposition(matrix, decomposition)
         doc["check"] = {
             "passed": report.passed,
@@ -313,14 +318,19 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import check_decomposition
+
     matrix = _read_matrix(args.matrix)
-    # The eigenvalues are found once; the four stages only validate them.
-    provided = _parse_provided(args.provided) or spectrum(matrix).eigenvalues()
+    # One analysis serves all four stages, and blocktri refines blockdiag.
+    spect, ladders = spectrum_with_ladders(matrix, _parse_provided(args.provided))
+    schur = _schur(matrix, spect)
+    blockdiag = _blockdiag(matrix, spect, ladders)
+    stages = (schur, blockdiag, _blocktri(blockdiag), _jordan(matrix, spect, ladders))
     doc_reports = []
     pretty: List[str] = []
     all_passed = True
-    for kind, decompose in _DECOMPOSERS.items():
-        decomposition = decompose(matrix, provided)
+    for decomposition in stages:
+        kind = decomposition.kind
         report = check_decomposition(matrix, decomposition)
         all_passed = all_passed and report.passed
         doc_reports.append(
@@ -340,6 +350,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .verify import generate_case, parse_structure
+
     structure = parse_structure(args.structure)
     matrix, _expected = generate_case(structure, args.seed, args.bound)
     # Default is JSON (unlike the other subcommands) so gen can be piped

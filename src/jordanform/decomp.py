@@ -9,7 +9,6 @@ identical inputs always produce identical output matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInvariantViolation, NotAnEigenvalue
@@ -25,7 +24,7 @@ from .matrices import (
     shift_by,
 )
 from .scalars import ONE, ZERO, GaussianRational, format_scalar
-from .spectral import spectrum, spectrum_with_ladders
+from .spectral import Spectrum, spectrum_with_ladders
 
 
 class Block(NamedTuple):
@@ -33,8 +32,7 @@ class Block(NamedTuple):
     size: int
 
 
-@dataclass(frozen=True)
-class StageLadder:
+class StageLadder(NamedTuple):
     """The nested kernels of (A - lambda*I)^k for k = 1..L.
 
     stage_bases[k-1] is the canonical basis of the k-th kernel; dimensions
@@ -57,8 +55,7 @@ class StageLadder:
         return [basis.dimension for basis in self.stage_bases]
 
 
-@dataclass(frozen=True)
-class JordanChain:
+class JordanChain(NamedTuple):
     """Vectors v_1, ..., v_len with (A - lambda*I) v_k = v_{k-1} and v_1 an
     eigenvector; v_k has stage exactly k."""
 
@@ -70,8 +67,7 @@ class JordanChain:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A similarity A = V * M * V^-1 with block metadata in layout order."""
 
     kind: str  # "schur" | "blockdiag" | "blocktri" | "jordan"
@@ -150,6 +146,15 @@ def _triangularize(
     return v, ExactMatrix(rows)
 
 
+# The stages proper take the analysis spectrum_with_ladders returns, so a
+# caller that runs several stages on one matrix (cli verify) analyses it once.
+
+def _schur(matrix: ExactMatrix, spect: Spectrum) -> Decomposition:
+    v, u = _triangularize(matrix, spect.eigenvalues())
+    blocks = tuple(Block(u[i, i], 1) for i in range(u.rows))
+    return Decomposition("schur", v, u, blocks)
+
+
 def trigonalize(
     matrix: ExactMatrix,
     eigenvalues: Optional[Sequence[GaussianRational]] = None,
@@ -160,10 +165,20 @@ def trigonalize(
     block, the first vector of its canonical eigenspace basis, completes it
     to a basis, and recurses on the trailing (n-1) x (n-1) block.
     """
-    spect = spectrum(matrix, eigenvalues)
-    v, u = _triangularize(matrix, spect.eigenvalues())
-    blocks = tuple(Block(u[i, i], 1) for i in range(u.rows))
-    return Decomposition("schur", v, u, blocks)
+    return _schur(matrix, spectrum_with_ladders(matrix, eigenvalues)[0])
+
+
+def _blockdiag(
+    matrix: ExactMatrix, spect: Spectrum, ladders: Sequence[StageLadder]
+) -> Decomposition:
+    columns: List[ExactMatrix] = []
+    blocks = []
+    for entry, ladder in zip(spect.entries, ladders):
+        columns.extend(ladder.top.vectors)
+        blocks.append(Block(entry.eigenvalue, entry.multiplicity))
+    v = ExactMatrix.hstack(columns)
+    m = inverse(v) * matrix * v
+    return Decomposition("blockdiag", v, m, tuple(blocks))
 
 
 def block_diagonalize(
@@ -175,15 +190,7 @@ def block_diagonalize(
     V concatenates the canonical top-stage ladder bases in canonical
     eigenvalue order; block j has the size of the j-th multiplicity.
     """
-    spect, ladders = spectrum_with_ladders(matrix, eigenvalues)
-    columns: List[ExactMatrix] = []
-    blocks = []
-    for entry, ladder in zip(spect.entries, ladders):
-        columns.extend(ladder.top.vectors)
-        blocks.append(Block(entry.eigenvalue, entry.multiplicity))
-    v = ExactMatrix.hstack(columns)
-    m = inverse(v) * matrix * v
-    return Decomposition("blockdiag", v, m, tuple(blocks))
+    return _blockdiag(matrix, *spectrum_with_ladders(matrix, eigenvalues))
 
 
 def _block_diagonal(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -198,16 +205,8 @@ def _block_diagonal(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def blockwise_trigonalize(
-    matrix: ExactMatrix,
-    eigenvalues: Optional[Sequence[GaussianRational]] = None,
-) -> Decomposition:
-    """Block diagonalization with each diagonal block triangularized in place.
-
-    Every block's spectrum is its single eigenvalue, so the result is upper
-    triangular with a constant diagonal inside each block.
-    """
-    base = block_diagonalize(matrix, eigenvalues)
+def _blocktri(base: Decomposition) -> Decomposition:
+    """Triangularizes each diagonal block of a blockdiag result in place."""
     v_parts, u_parts = [], []
     offset = 0
     for block in base.blocks:
@@ -219,6 +218,18 @@ def blockwise_trigonalize(
         offset = end
     v = base.V * _block_diagonal(v_parts)
     return Decomposition("blocktri", v, _block_diagonal(u_parts), base.blocks)
+
+
+def blockwise_trigonalize(
+    matrix: ExactMatrix,
+    eigenvalues: Optional[Sequence[GaussianRational]] = None,
+) -> Decomposition:
+    """Block diagonalization with each diagonal block triangularized in place.
+
+    Every block's spectrum is its single eigenvalue, so the result is upper
+    triangular with a constant diagonal inside each block.
+    """
+    return _blocktri(block_diagonalize(matrix, eigenvalues))
 
 
 def jordan_chains(matrix: ExactMatrix, ladder: StageLadder) -> List[JordanChain]:
@@ -271,6 +282,19 @@ def jordan_matrix(blocks: Sequence[Block]) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _jordan(
+    matrix: ExactMatrix, spect: Spectrum, ladders: Sequence[StageLadder]
+) -> Decomposition:
+    columns: List[ExactMatrix] = []
+    blocks: List[Block] = []
+    for entry, ladder in zip(spect.entries, ladders):
+        for chain in jordan_chains(matrix, ladder):
+            columns.extend(chain.vectors)
+            blocks.append(Block(entry.eigenvalue, chain.length))
+    v = ExactMatrix.hstack(columns)
+    return Decomposition("jordan", v, jordan_matrix(blocks), tuple(blocks))
+
+
 def jordan_decomposition(
     matrix: ExactMatrix,
     eigenvalues: Optional[Sequence[GaussianRational]] = None,
@@ -281,15 +305,7 @@ def jordan_decomposition(
     decreasing length, each contributing its vectors in ascending stage
     order; J carries one Jordan block per chain.
     """
-    spect, ladders = spectrum_with_ladders(matrix, eigenvalues)
-    columns: List[ExactMatrix] = []
-    blocks: List[Block] = []
-    for entry, ladder in zip(spect.entries, ladders):
-        for chain in jordan_chains(matrix, ladder):
-            columns.extend(chain.vectors)
-            blocks.append(Block(entry.eigenvalue, chain.length))
-    v = ExactMatrix.hstack(columns)
-    return Decomposition("jordan", v, jordan_matrix(blocks), tuple(blocks))
+    return _jordan(matrix, *spectrum_with_ladders(matrix, eigenvalues))
 
 
 def is_jordan_matrix(matrix: ExactMatrix) -> Tuple[bool, List[Block]]:

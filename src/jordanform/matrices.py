@@ -9,9 +9,8 @@ whether a vector is new: Krylov runs, basis completion and chain seeding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
 from .polynomials import Polynomial
@@ -200,11 +199,16 @@ def shift_by(matrix: ExactMatrix, scalar: GaussianRational) -> ExactMatrix:
     """matrix - scalar * identity."""
     if not matrix.is_square():
         raise DimensionMismatch("shift of a non-square matrix")
-    return matrix - ExactMatrix.identity(matrix.rows) * scalar
+    return ExactMatrix(
+        [
+            [x - scalar if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(matrix._data)
+        ],
+        cols=matrix.cols,
+    )
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(NamedTuple):
     """An ordered, linearly independent family of column vectors.
 
     Bases produced in this package are canonical: they come out of the RREF
@@ -312,12 +316,6 @@ def kernel_from_rref(reduced: ExactMatrix, pivots: Sequence[int]) -> Basis:
 def nullspace_basis(matrix: ExactMatrix) -> Basis:
     """Canonical basis of the kernel (see ``kernel_from_rref``)."""
     return kernel_from_rref(*rref(matrix))
-
-
-def colspace_basis(matrix: ExactMatrix) -> Basis:
-    """Basis of the column space: the original columns at the pivot indices."""
-    _, pivots = rref(matrix)
-    return Basis(matrix.rows, tuple(matrix.col(j) for j in pivots))
 
 
 def solve(matrix: ExactMatrix, rhs: ExactMatrix) -> Optional[ExactMatrix]:

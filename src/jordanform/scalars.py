@@ -275,37 +275,3 @@ def format_scalar(value: GaussianRational) -> str:
         return imag
     return _format_ratio(a, d) + ("+" if b > 0 else "") + imag
 
-
-def rational_sqrt(value: Fraction) -> Optional[Fraction]:
-    """Exact nonnegative square root of a nonnegative rational, or None."""
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    root_num, root_den = math.isqrt(num), math.isqrt(den)
-    if root_num * root_num == num and root_den * root_den == den:
-        return Fraction(root_num, root_den)
-    return None
-
-
-def gaussian_sqrt(value: GaussianRational) -> Optional[GaussianRational]:
-    """Exact square root in Q(i), or None when no such root exists.
-
-    Of the two roots +-w, the returned one satisfies re(w) > 0, or
-    re(w) = 0 and im(w) >= 0.
-    """
-    a, b = value.re, value.im
-    if b == 0:
-        root = rational_sqrt(a if a >= 0 else -a)
-        if root is None:
-            return None
-        if a >= 0:
-            return GaussianRational(root, 0)
-        return GaussianRational(0, root)
-    norm_root = rational_sqrt(a * a + b * b)
-    if norm_root is None:
-        return None
-    # w = x + yi with x**2 = (a + |z|)/2 and y = b/(2x); x > 0 since b != 0.
-    x = rational_sqrt((a + norm_root) / 2)
-    if x is None or x == 0:
-        return None
-    return GaussianRational(x, b / (2 * x))

@@ -12,7 +12,6 @@ root in Q(i); a factor without one is reported, never approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -36,8 +35,7 @@ class SpectrumEntry(NamedTuple):
     max_stage: int
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues in canonical (re, im) order with their dimension data.
 
     multiplicity is the dimension of the generalized eigenspace,
@@ -49,9 +47,6 @@ class Spectrum:
 
     def eigenvalues(self) -> List[GaussianRational]:
         return [entry.eigenvalue for entry in self.entries]
-
-    def multiplicity_pairs(self) -> Tuple[Tuple[GaussianRational, int], ...]:
-        return tuple((e.eigenvalue, e.multiplicity) for e in self.entries)
 
 
 def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:

@@ -10,7 +10,6 @@ what the decomposition must recover.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .decomp import Block, Decomposition, is_jordan_matrix, jordan_matrix
@@ -29,22 +28,25 @@ PALETTE: Tuple[GaussianRational, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class JordanStructure:
+class _Structure(NamedTuple):
+    entries: Tuple[Tuple[GaussianRational, Tuple[int, ...]], ...]
+
+
+class JordanStructure(_Structure):
     """Target block structure: per eigenvalue, a multiset of chain lengths.
 
     Stored canonically (eigenvalues ascending, lengths descending), so two
     descriptions of the same structure compare equal.
     """
 
-    entries: Tuple[Tuple[GaussianRational, Tuple[int, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: Tuple[Tuple[GaussianRational, Tuple[int, ...]], ...]):
         seen = set()
         canonical = []
-        if not self.entries:
+        if not entries:
             raise InvalidStructure("a structure needs at least one eigenvalue")
-        for eigenvalue, lengths in self.entries:
+        for eigenvalue, lengths in entries:
             if eigenvalue in seen:
                 raise InvalidStructure(
                     f"duplicate eigenvalue {format_scalar(eigenvalue)}"
@@ -58,7 +60,7 @@ class JordanStructure:
                 raise InvalidStructure("chain lengths must be integers >= 1")
             canonical.append((eigenvalue, tuple(sorted(lengths, reverse=True))))
         canonical.sort(key=lambda item: item[0])
-        object.__setattr__(self, "entries", tuple(canonical))
+        return super().__new__(cls, tuple(canonical))
 
     @property
     def n(self) -> int:
@@ -225,8 +227,7 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     results: Tuple[CheckResult, ...]
 
     @property

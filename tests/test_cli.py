@@ -242,27 +242,64 @@ def test_verify_subcommand(dense3_path, capsys):
 
 
 def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, capsys):
+    import jordanform.decomp
     import jordanform.spectral
 
     calls = []
-    real = jordanform.spectral.minimal_polynomial
+    real_minimal_polynomial = jordanform.spectral.minimal_polynomial
+    real_analysis = jordanform.spectral.spectrum_with_ladders
 
-    def counted(matrix):
-        calls.append(matrix)
-        return real(matrix)
+    def counted_minimal_polynomial(matrix):
+        calls.append("minimal_polynomial")
+        return real_minimal_polynomial(matrix)
 
-    monkeypatch.setattr(jordanform.spectral, "minimal_polynomial", counted)
+    def counted_analysis(matrix, provided=None):
+        calls.append("spectrum_with_ladders")
+        return real_analysis(matrix, provided)
+
+    monkeypatch.setattr(jordanform.spectral, "minimal_polynomial", counted_minimal_polynomial)
+    for module in (jordanform.spectral, jordanform.decomp, cli):
+        monkeypatch.setattr(module, "spectrum_with_ladders", counted_analysis)
     assert run(["verify", dense3_path, "--format", "json"]) == EXIT_OK
-    assert len(calls) == 1
+    assert calls == ["spectrum_with_ladders", "minimal_polynomial"]
     assert all(report["passed"] for report in json.loads(capsys.readouterr().out)["reports"])
+    calls.clear()
+    assert run(["verify", dense3_path, "--spectrum", "3"]) == EXIT_OK
+    assert calls == ["spectrum_with_ladders"]
+    assert "jordan: pass" in capsys.readouterr().out
+    calls.clear()
     assert run(["verify", cube_path]) == EXIT_NOT_REPRESENTABLE
-    assert len(calls) == 2
+    assert calls == ["spectrum_with_ladders", "minimal_polynomial"]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "jordanform verify: SpectrumNotRepresentable: "
         "no root in Q(i) for the remaining factor z^3 - 2\n"
     )
+
+
+@pytest.mark.parametrize(
+    "matrix, provided, message",
+    [
+        (DENSE3, "3,3", "InvalidProvidedEigenvalue: duplicate eigenvalue 3"),
+        (
+            DENSE3,
+            "7,3",
+            "InvalidProvidedEigenvalue: 7 is not an eigenvalue: A - (value)I has full rank",
+        ),
+        (
+            ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
+            "1",
+            "IncompleteSpectrum: eigenvalue multiplicities cover 2 of 3 dimensions",
+        ),
+    ],
+)
+def test_verify_rejects_a_bad_spectrum_list(tmp_path, capsys, matrix, provided, message):
+    path = write_doc(tmp_path, "matrix.json", matrix)
+    assert run(["verify", path, "--spectrum", provided]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"jordanform verify: {message}\n"
 
 
 def test_byte_determinism(dense3_path, capsys):

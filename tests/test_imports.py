@@ -1,0 +1,105 @@
+"""What one command-line call imports, and the lazy package namespace."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import jordanform
+from jordanform import (
+    Basis,
+    CheckReport,
+    CheckResult,
+    Decomposition,
+    JordanChain,
+    JordanStructure,
+    Spectrum,
+    SpectrumEntry,
+    StageLadder,
+    jordan_decomposition,
+    stage_ladder,
+)
+
+from conftest import DENSE3, gr
+
+SRC = Path(jordanform.__file__).resolve().parent.parent
+
+# Run in a new interpreter: records what ``import jordanform.cli`` adds to a
+# bare interpreter's modules, then imports the rest of the package and
+# lists every package module that binds a function the benchmark wraps.
+FOOTPRINT = """
+import sys
+bare = set(sys.modules)
+import jordanform.cli
+added = set(sys.modules) - bare
+import json
+import jordanform.verify
+binders = sorted(
+    name for name, module in sys.modules.items()
+    if name.startswith("jordanform.")
+    and any(key in vars(module) for key in ("spectrum_with_ladders", "poly_roots_exact"))
+)
+print(json.dumps({"added": sorted(added), "binders": binders}))
+"""
+
+
+@pytest.fixture(scope="module")
+def footprint():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(done.stdout)
+
+
+def test_cli_import_leaves_out_dataclasses_and_verify(footprint):
+    added = set(footprint["added"])
+    assert "jordanform.cli" in added
+    assert "dataclasses" not in added
+    assert "jordanform.verify" not in added
+
+
+def test_cli_import_loads_every_module_that_binds_a_wrapped_function(footprint):
+    assert footprint["binders"]
+    assert set(footprint["binders"]) <= set(footprint["added"])
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from jordanform import *", namespace)
+    listed = set(dir(jordanform))
+    for name in jordanform.__all__:
+        assert getattr(jordanform, name) is namespace[name]
+        assert name in listed
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'jordanform' has no attribute 'no_such_name'"):
+        jordanform.no_such_name
+    assert not hasattr(jordanform, "gaussian_sqrt")
+
+
+def test_result_types_refuse_attribute_assignment():
+    decomposition = jordan_decomposition(DENSE3)
+    ladder = stage_ladder(DENSE3, gr("3"))
+    instances = [
+        Basis(2, ()),
+        ladder,
+        JordanChain(gr("3"), ladder.top.vectors[:1]),
+        decomposition,
+        Spectrum((SpectrumEntry(gr("3"), 3, 1, 3),)),
+        CheckReport((CheckResult("trace", True, ""),)),
+        JordanStructure(((gr("0"), (2, 1)),)),
+    ]
+    assert {type(x) for x in instances} == {
+        Basis, StageLadder, JordanChain, Decomposition, Spectrum, CheckReport, JordanStructure
+    }
+    for instance in instances:
+        with pytest.raises(AttributeError):
+            setattr(instance, type(instance)._fields[0], None)
+        with pytest.raises(AttributeError):
+            instance.extra = None

@@ -9,9 +9,7 @@ from jordanform import (
     ParseError,
     ZeroDenominator,
     format_scalar,
-    gaussian_sqrt,
     parse_scalar,
-    rational_sqrt,
 )
 
 from conftest import gr, rand_scalar
@@ -96,45 +94,6 @@ def test_order_is_total_on_samples():
         a = rand_scalar(rng)
         b = rand_scalar(rng)
         assert (a < b) + (b < a) + (a == b) == 1
-
-
-@pytest.mark.parametrize(
-    "value, expected",
-    [
-        (gr("9/4"), gr("3/2")),
-        (gr("-1"), gr("1i")),
-        (gr("-4"), gr("2i")),
-        (gr("0"), gr("0")),
-        (gr("3+4i"), gr("2+1i")),
-    ],
-)
-def test_gaussian_sqrt_values(value, expected):
-    root = gaussian_sqrt(value)
-    assert root == expected
-    assert root * root == value
-
-
-@pytest.mark.parametrize("value", [gr("2"), gr("1+1i"), gr("1/3")])
-def test_gaussian_sqrt_not_a_square(value):
-    assert gaussian_sqrt(value) is None
-
-
-def test_gaussian_sqrt_round_trip_seeded():
-    rng = random.Random(404)
-    for _ in range(1000):
-        w = rand_scalar(rng)
-        root = gaussian_sqrt(w * w)
-        assert root is not None
-        assert root == w or root == -w
-        assert root.re > 0 or (root.re == 0 and root.im >= 0)
-        assert root * root == w * w
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(49, 9)) == Fraction(7, 3)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
-    assert rational_sqrt(Fraction(0)) == 0
 
 
 def test_rational_parts_are_stored_reduced():
