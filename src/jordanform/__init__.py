@@ -42,6 +42,7 @@ _EXPORTS = {
     "ZeroVector": "errors",
     "Basis": "matrices",
     "ExactMatrix": "matrices",
+    "colspace_basis": "matrices",
     "complete_basis": "matrices",
     "inverse": "matrices",
     "krylov_annihilator": "matrices",

@@ -10,6 +10,7 @@ from jordanform import (
     Polynomial,
     SingularMatrix,
     ZeroVector,
+    colspace_basis,
     complete_basis,
     inverse,
     krylov_annihilator,
@@ -86,6 +87,22 @@ def test_nullspace_vectors_are_in_the_kernel_seeded():
         assert basis.dimension == m.cols - rank(m)
         for v in basis.vectors:
             assert (m * v).is_zero()
+
+
+def test_colspace_examples():
+    assert columns_of(colspace_basis(ExactMatrix.identity(2))) == [
+        ["1", "0"],
+        ["0", "1"],
+    ]
+    assert colspace_basis(ExactMatrix.zeros(3, 3)).dimension == 0
+    assert columns_of(colspace_basis(mat([[1, 2], [2, 4]]))) == [["1", "2"]]
+
+
+def test_rank_theorem_seeded():
+    rng = random.Random(23)
+    for _ in range(500):
+        m = rand_ranked_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert colspace_basis(m).dimension + nullspace_basis(m).dimension == m.cols
 
 
 # --- solve / inverse ----------------------------------------------------------
