@@ -18,14 +18,12 @@ _EXPORTS = {
     "Block": "decomp",
     "Decomposition": "decomp",
     "JordanChain": "decomp",
-    "StageLadder": "decomp",
     "block_diagonalize": "decomp",
     "blockwise_trigonalize": "decomp",
     "is_jordan_matrix": "decomp",
     "jordan_chains": "decomp",
     "jordan_decomposition": "decomp",
     "jordan_matrix": "decomp",
-    "stage_ladder": "decomp",
     "trigonalize": "decomp",
     "DependentInput": "errors",
     "DimensionMismatch": "errors",
@@ -42,7 +40,6 @@ _EXPORTS = {
     "ZeroVector": "errors",
     "Basis": "matrices",
     "ExactMatrix": "matrices",
-    "colspace_basis": "matrices",
     "complete_basis": "matrices",
     "inverse": "matrices",
     "krylov_annihilator": "matrices",
@@ -60,11 +57,13 @@ _EXPORTS = {
     "parse_scalar": "scalars",
     "Spectrum": "spectral",
     "SpectrumEntry": "spectral",
+    "StageLadder": "spectral",
     "find_eigenvalue": "spectral",
     "minimal_polynomial": "spectral",
     "poly_apply": "spectral",
     "poly_roots_exact": "spectral",
     "spectrum": "spectral",
+    "stage_ladder": "spectral",
     "CheckReport": "verify",
     "CheckResult": "verify",
     "JordanStructure": "verify",

@@ -191,6 +191,16 @@ def _pretty_spectrum(spect: Spectrum) -> List[str]:
     ]
 
 
+def _report_document(report) -> dict:
+    return {
+        "passed": report.passed,
+        "checks": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in report.results
+        ],
+    }
+
+
 def _pretty_report(report) -> List[str]:
     return [
         f"check {result.name}: {'pass' if result.passed else 'FAIL'}"
@@ -303,13 +313,7 @@ def _cmd_decompose(args) -> int:
         from .verify import check_decomposition
 
         report = check_decomposition(matrix, decomposition)
-        doc["check"] = {
-            "passed": report.passed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in report.results
-            ],
-        }
+        doc["check"] = _report_document(report)
         pretty.extend(_pretty_report(report))
         if not report.passed:
             code = EXIT_CHECK_FAILED
@@ -322,31 +326,21 @@ def _cmd_verify(args) -> int:
 
     matrix = _read_matrix(args.matrix)
     # One analysis serves all four stages, and blocktri refines blockdiag.
-    spect, ladders = spectrum_with_ladders(matrix, _parse_provided(args.provided))
-    schur = _schur(matrix, spect)
-    blockdiag = _blockdiag(matrix, spect, ladders)
-    stages = (schur, blockdiag, _blocktri(blockdiag), _jordan(matrix, spect, ladders))
+    ladders = spectrum_with_ladders(matrix, _parse_provided(args.provided))[1]
+    schur = _schur(matrix, ladders)
+    blockdiag = _blockdiag(matrix, ladders)
+    stages = (schur, blockdiag, _blocktri(blockdiag), _jordan(matrix, ladders))
     doc_reports = []
     pretty: List[str] = []
-    all_passed = True
     for decomposition in stages:
         kind = decomposition.kind
         report = check_decomposition(matrix, decomposition)
-        all_passed = all_passed and report.passed
-        doc_reports.append(
-            {
-                "kind": kind,
-                "passed": report.passed,
-                "checks": [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in report.results
-                ],
-            }
-        )
+        doc_reports.append({"kind": kind, **_report_document(report)})
         pretty.append(f"{kind}: {'pass' if report.passed else 'FAIL'}")
         pretty.extend("  " + line for line in _pretty_report(report))
     _emit({"n": matrix.rows, "reports": doc_reports}, pretty, args.format)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    passed = all(report["passed"] for report in doc_reports)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _cmd_gen(args) -> int:
@@ -360,11 +354,25 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _join_spectrum_values(argv: Sequence[str]) -> List[str]:
+    """argv with ``--spectrum -1,3`` written as ``--spectrum=-1,3``: argparse
+    takes only -<digits> for a negative number, so it would read a list that
+    starts with a negative value as an option."""
+    joined: List[str] = []
+    for token in argv:
+        negative = token[:1] == "-" and "0" <= token[1:2] <= "9"
+        if negative and joined and joined[-1] == "--spectrum":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def run(argv: Sequence[str]) -> int:
     """Execute one invocation; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_join_spectrum_values(argv))
     except UsageError as exc:
         print(f"jordanform: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

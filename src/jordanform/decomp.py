@@ -1,5 +1,6 @@
 """The decomposition pipeline: triangularization, generalized-eigenspace
-block diagonalization, blockwise triangularization, and the Jordan form.
+block diagonalization, blockwise triangularization, and the Jordan form,
+with the Jordan chains read off the stage ladders of ``spectral``.
 
 Every stage returns a Decomposition (V, M) with A * V = V * M exactly.  All
 choices that the underlying theorems leave open (eigenvector picks, basis
@@ -11,48 +12,24 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InternalInvariantViolation, NotAnEigenvalue
+from .errors import InternalInvariantViolation
 from .matrices import (
     Basis,
     Echelon,
     ExactMatrix,
     complete_basis,
     inverse,
-    kernel_from_rref,
     nullspace_basis,
-    rref,
     shift_by,
 )
 from .scalars import ONE, ZERO, GaussianRational, format_scalar
-from .spectral import Spectrum, spectrum_with_ladders
+from .spectral import StageLadder, spectrum_with_ladders
+from .spectral import stage_ladder  # noqa: F401 -- re-exported, as decomp.stage_ladder
 
 
 class Block(NamedTuple):
     eigenvalue: GaussianRational
     size: int
-
-
-class StageLadder(NamedTuple):
-    """The nested kernels of (A - lambda*I)^k for k = 1..L.
-
-    stage_bases[k-1] is the canonical basis of the k-th kernel; dimensions
-    grow strictly until they stabilize at stage L, whose kernel is the
-    generalized eigenspace.
-    """
-
-    eigenvalue: GaussianRational
-    stage_bases: Tuple[Basis, ...]
-
-    @property
-    def max_stage(self) -> int:
-        return len(self.stage_bases)
-
-    @property
-    def top(self) -> Basis:
-        return self.stage_bases[-1]
-
-    def dims(self) -> List[int]:
-        return [basis.dimension for basis in self.stage_bases]
 
 
 class JordanChain(NamedTuple):
@@ -77,40 +54,6 @@ class Decomposition(NamedTuple):
 
     def is_diagonal_form(self) -> bool:
         return all(block.size == 1 for block in self.blocks)
-
-
-def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational) -> StageLadder:
-    """Kernel ladder of (A - lambda*I)^k, stopping at stabilization.
-
-    With N = A - lambda*I and R_k the nonzero RREF rows of N^k, ker N^(k+1)
-    is ker(R_k * N): no power of N is formed, and the same kernel has the
-    same RREF, hence the same basis.  It never runs past k = n.
-    """
-    shifted = shift_by(matrix, eigenvalue)
-    reduced, pivots = rref(shifted)
-    first = kernel_from_rref(reduced, pivots)
-    if first.dimension == 0:
-        raise NotAnEigenvalue(
-            f"{format_scalar(eigenvalue)} has a trivial eigenspace"
-        )
-    bases = [first]
-    n = matrix.rows
-    while bases[-1].dimension < n and len(bases) < n:
-        reduced, pivots = rref(reduced.submatrix(0, len(pivots), 0, n) * shifted)
-        basis = kernel_from_rref(reduced, pivots)
-        if basis.dimension == bases[-1].dimension:
-            break
-        bases.append(basis)
-    return StageLadder(eigenvalue, tuple(bases))
-
-
-def _embed_tail(inner: ExactMatrix) -> ExactMatrix:
-    """diag(1, inner)."""
-    n = inner.rows + 1
-    rows = [[ONE] + [ZERO] * (n - 1)]
-    for i in range(inner.rows):
-        rows.append([ZERO] + list(inner.row(i)))
-    return ExactMatrix(rows)
 
 
 def _triangularize(
@@ -138,7 +81,7 @@ def _triangularize(
     head_row = conjugated.submatrix(0, 1, 1, n)
     tail = conjugated.submatrix(1, n, 1, n)
     inner_v, inner_u = _triangularize(tail, candidates)
-    v = base * _embed_tail(inner_v)
+    v = base * _block_diagonal([ExactMatrix.identity(1), inner_v])
     top = [lam] + list((head_row * inner_v).row(0))
     rows = [top]
     for i in range(n - 1):
@@ -146,11 +89,11 @@ def _triangularize(
     return v, ExactMatrix(rows)
 
 
-# The stages proper take the analysis spectrum_with_ladders returns, so a
+# The stages proper take the ladders spectrum_with_ladders returns, so a
 # caller that runs several stages on one matrix (cli verify) analyses it once.
 
-def _schur(matrix: ExactMatrix, spect: Spectrum) -> Decomposition:
-    v, u = _triangularize(matrix, spect.eigenvalues())
+def _schur(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
+    v, u = _triangularize(matrix, [ladder.eigenvalue for ladder in ladders])
     blocks = tuple(Block(u[i, i], 1) for i in range(u.rows))
     return Decomposition("schur", v, u, blocks)
 
@@ -165,17 +108,15 @@ def trigonalize(
     block, the first vector of its canonical eigenspace basis, completes it
     to a basis, and recurses on the trailing (n-1) x (n-1) block.
     """
-    return _schur(matrix, spectrum_with_ladders(matrix, eigenvalues)[0])
+    return _schur(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 
 
-def _blockdiag(
-    matrix: ExactMatrix, spect: Spectrum, ladders: Sequence[StageLadder]
-) -> Decomposition:
+def _blockdiag(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
     columns: List[ExactMatrix] = []
     blocks = []
-    for entry, ladder in zip(spect.entries, ladders):
+    for ladder in ladders:
         columns.extend(ladder.top.vectors)
-        blocks.append(Block(entry.eigenvalue, entry.multiplicity))
+        blocks.append(Block(ladder.eigenvalue, ladder.top.dimension))
     v = ExactMatrix.hstack(columns)
     m = inverse(v) * matrix * v
     return Decomposition("blockdiag", v, m, tuple(blocks))
@@ -190,7 +131,7 @@ def block_diagonalize(
     V concatenates the canonical top-stage ladder bases in canonical
     eigenvalue order; block j has the size of the j-th multiplicity.
     """
-    return _blockdiag(matrix, *spectrum_with_ladders(matrix, eigenvalues))
+    return _blockdiag(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 
 
 def _block_diagonal(mats: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -282,15 +223,13 @@ def jordan_matrix(blocks: Sequence[Block]) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def _jordan(
-    matrix: ExactMatrix, spect: Spectrum, ladders: Sequence[StageLadder]
-) -> Decomposition:
+def _jordan(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
     columns: List[ExactMatrix] = []
     blocks: List[Block] = []
-    for entry, ladder in zip(spect.entries, ladders):
+    for ladder in ladders:
         for chain in jordan_chains(matrix, ladder):
             columns.extend(chain.vectors)
-            blocks.append(Block(entry.eigenvalue, chain.length))
+            blocks.append(Block(ladder.eigenvalue, chain.length))
     v = ExactMatrix.hstack(columns)
     return Decomposition("jordan", v, jordan_matrix(blocks), tuple(blocks))
 
@@ -305,7 +244,7 @@ def jordan_decomposition(
     decreasing length, each contributing its vectors in ascending stage
     order; J carries one Jordan block per chain.
     """
-    return _jordan(matrix, *spectrum_with_ladders(matrix, eigenvalues))
+    return _jordan(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 
 
 def is_jordan_matrix(matrix: ExactMatrix) -> Tuple[bool, List[Block]]:

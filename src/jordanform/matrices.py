@@ -318,12 +318,6 @@ def nullspace_basis(matrix: ExactMatrix) -> Basis:
     return kernel_from_rref(*rref(matrix))
 
 
-def colspace_basis(matrix: ExactMatrix) -> Basis:
-    """Basis of the column space: the original columns at the pivot indices."""
-    _, pivots = rref(matrix)
-    return Basis(matrix.rows, tuple(matrix.col(j) for j in pivots))
-
-
 def solve(matrix: ExactMatrix, rhs: ExactMatrix) -> Optional[ExactMatrix]:
     """One exact solution of matrix * x = rhs, or None when inconsistent.
 

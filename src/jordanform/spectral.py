@@ -1,4 +1,4 @@
-"""Determinant-free eigenvalue discovery inside Q(i).
+"""Determinant-free eigenvalue discovery inside Q(i), and the kernel ladders.
 
 The minimal polynomial is assembled as the lcm of the Krylov annihilators
 of the standard basis vectors (a spanning family, so the lcm annihilates
@@ -6,7 +6,9 @@ the whole space), and its roots are extracted exactly by one search over
 Z[i]: the square-free part, cleared to a monic polynomial over the Gaussian
 integers, has its roots modulo a split prime Hensel-lifted and recovered by
 Gaussian rounding, and every candidate is checked exactly.  This finds every
-root in Q(i); a factor without one is reported, never approximated.
+root in Q(i); a factor without one is reported, never approximated.  Each
+eigenvalue's stage ladder, the nested kernels of (A - lambda*I)^k, confirms
+it, gives its multiplicities, and is all a decomposition stage reads.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ from .errors import (
     NotAnEigenvalue,
     SpectrumNotRepresentable,
 )
-from .matrices import Echelon, ExactMatrix, krylov_run
+from .matrices import (
+    Basis,
+    Echelon,
+    ExactMatrix,
+    kernel_from_rref,
+    krylov_run,
+    rref,
+    shift_by,
+)
 from .polynomials import Polynomial, poly_gcd, poly_lcm
 from .scalars import ONE, GaussianRational, format_scalar
 
@@ -44,9 +54,6 @@ class Spectrum(NamedTuple):
     """
 
     entries: Tuple[SpectrumEntry, ...]
-
-    def eigenvalues(self) -> List[GaussianRational]:
-        return [entry.eigenvalue for entry in self.entries]
 
 
 def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
@@ -202,17 +209,63 @@ def poly_roots_exact(
     return sorted(roots)
 
 
+class StageLadder(NamedTuple):
+    """The nested kernels of (A - lambda*I)^k for k = 1..L.
+
+    stage_bases[k-1] is the canonical basis of the k-th kernel; dimensions
+    grow strictly until they stabilize at stage L, whose kernel is the
+    generalized eigenspace.
+    """
+
+    eigenvalue: GaussianRational
+    stage_bases: Tuple[Basis, ...]
+
+    @property
+    def max_stage(self) -> int:
+        return len(self.stage_bases)
+
+    @property
+    def top(self) -> Basis:
+        return self.stage_bases[-1]
+
+    def dims(self) -> List[int]:
+        return [basis.dimension for basis in self.stage_bases]
+
+
+def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational) -> StageLadder:
+    """Kernel ladder of (A - lambda*I)^k, stopping at stabilization.
+
+    With N = A - lambda*I and R_k the nonzero RREF rows of N^k, ker N^(k+1)
+    is ker(R_k * N): no power of N is formed, and the same kernel has the
+    same RREF, hence the same basis.  It never runs past k = n.
+    """
+    shifted = shift_by(matrix, eigenvalue)
+    reduced, pivots = rref(shifted)
+    first = kernel_from_rref(reduced, pivots)
+    if first.dimension == 0:
+        raise NotAnEigenvalue(
+            f"{format_scalar(eigenvalue)} has a trivial eigenspace"
+        )
+    bases = [first]
+    n = matrix.rows
+    while bases[-1].dimension < n and len(bases) < n:
+        reduced, pivots = rref(reduced.submatrix(0, len(pivots), 0, n) * shifted)
+        basis = kernel_from_rref(reduced, pivots)
+        if basis.dimension == bases[-1].dimension:
+            break
+        bases.append(basis)
+    return StageLadder(eigenvalue, tuple(bases))
+
+
 def spectrum_with_ladders(
     matrix: ExactMatrix,
     provided: Optional[Sequence[GaussianRational]] = None,
-) -> Tuple[Spectrum, tuple]:
-    """spectrum() plus the stage ladders it was derived from.
+) -> Tuple[Spectrum, Tuple[StageLadder, ...]]:
+    """spectrum() plus the stage ladders it was read from, in the same order.
 
-    The pipeline stages need both and the ladders are the expensive part,
-    so this keeps them from being computed twice.
+    The ladders are all the decomposition stages read, so a caller that runs
+    several stages on one matrix analyses it once.
     """
-    from .decomp import stage_ladder  # deferred: decomp builds on this module
-
     if not matrix.is_square():
         raise InvalidProvidedEigenvalue("spectrum of a non-square matrix")
     n = matrix.rows

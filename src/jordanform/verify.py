@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .decomp import Block, Decomposition, is_jordan_matrix, jordan_matrix
 from .errors import DimensionMismatch, InvalidStructure, ParseError, SingularMatrix
-from .matrices import ExactMatrix, inverse, nullspace_basis, rank, shift_by
+from .matrices import ExactMatrix, inverse, rank, shift_by
 from .scalars import ZERO, GaussianRational, format_scalar, parse_scalar
 
 # Order decides which eigenvalue each partition group receives during
@@ -360,8 +360,8 @@ def check_decomposition(
         counts_ok = True
         detail = "chain counts match the kernel dimensions"
         for eigenvalue, sizes in per_eigenvalue.items():
-            geometric = nullspace_basis(shift_by(matrix, eigenvalue)).dimension
             dims = _ladder_dims(matrix, eigenvalue)
+            geometric = dims[0]
             if len(sizes) != geometric or sum(sizes) != dims[-1]:
                 counts_ok = False
                 detail = (

@@ -344,6 +344,27 @@ def test_empty_spectrum_flag(dense3_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("values", ["-1,3", "-1i,3"])
+def test_spectrum_list_may_start_with_a_negative_value(tmp_path, capsys, command, values):
+    # argparse reads "-1,3" as an option; it must work as --spectrum=-1,3 does.
+    first = values.split(",")[0]
+    path = write_doc(tmp_path, "matrix.json", ExactMatrix.from_rows([[first, 1], [0, 3]]))
+    assert run([command, path, f"--spectrum={values}"]) == EXIT_OK
+    joined = capsys.readouterr()
+    assert run([command, path, "--spectrum", values]) == EXIT_OK
+    assert capsys.readouterr() == joined
+    expected = {"spectrum": f"lambda={first} multiplicity=1", "verify": "jordan: pass"}
+    assert expected[command] in joined.out
+
+
+def test_spectrum_flag_without_a_value(dense3_path, capsys):
+    assert run(["verify", dense3_path, "--spectrum"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "jordanform: error: argument --spectrum: expected one argument\n"
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "jordan" in capsys.readouterr().out

@@ -68,6 +68,23 @@ def test_cli_import_loads_every_module_that_binds_a_wrapped_function(footprint):
     assert set(footprint["binders"]) <= set(footprint["added"])
 
 
+def test_spectral_runs_without_loading_decomp():
+    # The stage ladders live in spectral, so finding a spectrum needs no decomp.
+    script = (
+        "import sys\n"
+        "from jordanform.matrices import ExactMatrix\n"
+        "from jordanform.spectral import spectrum\n"
+        "print(len(spectrum(ExactMatrix([[2, 1], [0, 2]])).entries))\n"
+        "print('jordanform.decomp' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "1\nFalse\n"
+
+
 def test_every_public_name_resolves():
     namespace = {}
     exec("from jordanform import *", namespace)
