@@ -355,13 +355,15 @@ def _cmd_gen(args) -> int:
 
 
 def _join_spectrum_values(argv: Sequence[str]) -> List[str]:
-    """argv with ``--spectrum -1,3`` written as ``--spectrum=-1,3``: argparse
-    takes only -<digits> for a negative number, so it would read a list that
+    """argv with ``--spectrum -1,3`` written as ``--spectrum=-1,3``, also for
+    the prefixes ``--s`` ... ``--spectru`` that argparse accepts: it takes
+    only -<digits> for a negative number, so it would read a list that
     starts with a negative value as an option."""
     joined: List[str] = []
     for token in argv:
         negative = token[:1] == "-" and "0" <= token[1:2] <= "9"
-        if negative and joined and joined[-1] == "--spectrum":
+        flag = joined[-1] if joined else ""
+        if negative and len(flag) > 2 and "--spectrum".startswith(flag):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -394,6 +396,8 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact answers of any size
     sys.exit(run(sys.argv[1:]))
 
 

@@ -13,15 +13,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInvariantViolation
-from .matrices import (
-    Basis,
-    Echelon,
-    ExactMatrix,
-    complete_basis,
-    inverse,
-    nullspace_basis,
-    shift_by,
-)
+from .matrices import Echelon, ExactMatrix, inverse, nullspace_basis, shift_by
 from .scalars import ONE, ZERO, GaussianRational, format_scalar
 from .spectral import StageLadder, spectrum_with_ladders
 from .spectral import stage_ladder  # noqa: F401 -- re-exported, as decomp.stage_ladder
@@ -67,26 +59,27 @@ def _triangularize(
         return ExactMatrix.identity(1), matrix
     kernels = ((c, nullspace_basis(shift_by(matrix, c))) for c in sorted(candidates))
     lam, kernel = next((c, k) for c, k in kernels if k.dimension)
-    eigvec = kernel.vectors[0]
-    base = complete_basis(Basis(n, (eigvec,)))
-    # base is the identity with column p (eigvec's last nonzero entry) dropped
-    # and eigvec put in front, so its inverse has the closed form below.
-    v = eigvec.column_entries()
+    # The step conjugates by B = [v, e_i for i != p], v the eigenvector and p
+    # its last nonzero index, in closed form: B^-1 A B is [[lam, head], [0,
+    # tail]] with head_j = A[p][j]/v_p and tail[i][j] = A[i][j] - v_i*head_j
+    # (i, j != p).  V = B*diag(1, V') is v in column 0 with row k of V' on
+    # the k-th index other than p, and U's top row is [lam] + head*V'.
+    v = kernel.vectors[0].column_entries()
     p = max(i for i, x in enumerate(v) if x)
-    rows = [[ONE / v[p] if j == p else ZERO for j in range(n)]] + [
-        [ONE if j == i else -v[i] / v[p] if j == p else ZERO for j in range(n)]
-        for i in range(n) if i != p
+    rest = [i for i in range(n) if i != p]
+    a = [matrix.row(i) for i in range(n)]
+    head = [a[p][j] / v[p] for j in rest]
+    tail = [[a[i][j] - v[i] * h for j, h in zip(rest, head)] for i in rest]
+    inner_v, inner_u = _triangularize(ExactMatrix(tail), candidates)
+    inner = [inner_v.row(k) for k in range(n - 1)]
+    top = [lam] + [
+        sum((h * x for h, x in zip(head, column) if h and x), ZERO)
+        for column in zip(*inner)
     ]
-    conjugated = ExactMatrix(rows) * matrix * base
-    head_row = conjugated.submatrix(0, 1, 1, n)
-    tail = conjugated.submatrix(1, n, 1, n)
-    inner_v, inner_u = _triangularize(tail, candidates)
-    v = base * _block_diagonal([ExactMatrix.identity(1), inner_v])
-    top = [lam] + list((head_row * inner_v).row(0))
-    rows = [top]
-    for i in range(n - 1):
-        rows.append([ZERO] + list(inner_u.row(i)))
-    return v, ExactMatrix(rows)
+    inner.insert(p, (ZERO,) * (n - 1))
+    rows_v = [[x, *row] for x, row in zip(v, inner)]
+    rows_u = [top] + [[ZERO, *inner_u.row(k)] for k in range(n - 1)]
+    return ExactMatrix(rows_v), ExactMatrix(rows_u)
 
 
 # The stages proper take the ladders spectrum_with_ladders returns, so a
@@ -105,8 +98,9 @@ def trigonalize(
     """Similarity to an upper triangular matrix by recursive deflation.
 
     Each step takes the canonically smallest eigenvalue of the current
-    block, the first vector of its canonical eigenspace basis, completes it
-    to a basis, and recurses on the trailing (n-1) x (n-1) block.
+    block and the first vector v of its canonical eigenspace basis, puts v
+    in place of the standard basis vector at v's last nonzero index, and
+    recurses on the trailing (n-1) x (n-1) block.
     """
     return _schur(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 

@@ -1,10 +1,10 @@
 """Dense exact matrices over Q(i) and the elimination toolkit.
 
-Kernels are read off ``rref``, reduced row echelon form with a fixed
-pivoting rule (first nonzero entry scanning down the column), so the same
-subspace always gets byte-identical basis vectors.  ``Echelon`` grows a
-reduced basis one vector at a time for the layers that ask again and again
-whether a vector is new: Krylov runs, basis completion and chain seeding.
+``Echelon`` is the only elimination: it grows a reduced basis one vector at
+a time for the layers that ask again and again whether a vector is new
+(Krylov runs, basis completion and chain seeding), and ``rref`` is built on
+it.  Kernels are read off the RREF, which is unique, so the same subspace
+always gets byte-identical basis vectors whatever order the rows arrive in.
 """
 
 from __future__ import annotations
@@ -229,43 +229,6 @@ class Basis(NamedTuple):
         return ExactMatrix.hstack(self.vectors)
 
 
-def rref(matrix: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
-    """Reduced row echelon form together with the pivot column indices.
-
-    The pivot in each column is the first nonzero entry scanning downward;
-    magnitude pivoting is pointless in exact arithmetic, and the fixed rule
-    keeps every derived basis reproducible.
-    """
-    data = [list(row) for row in (matrix.row(i) for i in range(matrix.rows))]
-    pivots: List[int] = []
-    pivot_row = 0
-    for col in range(matrix.cols):
-        if pivot_row == matrix.rows:
-            break
-        sel = None
-        for r in range(pivot_row, matrix.rows):
-            if not data[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        data[pivot_row], data[sel] = data[sel], data[pivot_row]
-        inv = ONE / data[pivot_row][col]
-        data[pivot_row] = [x * inv for x in data[pivot_row]]
-        for r in range(matrix.rows):
-            if r == pivot_row or data[r][col].is_zero():
-                continue
-            factor = data[r][col]
-            data[r] = [x - factor * y if y else x for x, y in zip(data[r], data[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    return ExactMatrix(data, cols=matrix.cols), pivots
-
-
-def rank(matrix: ExactMatrix) -> int:
-    return len(rref(matrix)[1])
-
-
 class Echelon:
     """A reduced basis of a growing subspace, built one vector at a time.
 
@@ -294,6 +257,30 @@ class Echelon:
                 self.rows.append((pivot, [x * inv if x else x for x in vector]))
                 return True
         return False
+
+
+def rref(matrix: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
+    """Reduced row echelon form together with the pivot column indices.
+
+    The RREF of a matrix is unique, so every basis read off it depends on
+    the row space alone.  The rows go into an ``Echelon``; then, in
+    descending pivot order, each is reduced against the finished rows below
+    it, which clears the entries above every pivot from the bottom up.
+    """
+    echelon = Echelon()
+    for i in range(matrix.rows):
+        echelon.insert(matrix.row(i))
+    reduced = Echelon()
+    for pivot, row in sorted(echelon.rows, key=lambda item: -item[0]):
+        reduced.rows.append((pivot, reduced.reduce(row)))
+    reduced.rows.reverse()
+    rows = [row for _, row in reduced.rows]
+    rows.extend([ZERO] * matrix.cols for _ in range(matrix.rows - len(rows)))
+    return ExactMatrix(rows, cols=matrix.cols), [pivot for pivot, _ in reduced.rows]
+
+
+def rank(matrix: ExactMatrix) -> int:
+    return len(rref(matrix)[1])
 
 
 def kernel_from_rref(reduced: ExactMatrix, pivots: Sequence[int]) -> Basis:

@@ -225,10 +225,13 @@ I = _make(0, 1, 1)
 
 def _parse_rational(token: str, original: str) -> Tuple[int, int]:
     numerator, _, denominator = token.partition("/")
-    den = int(denominator) if denominator else 1
+    try:
+        num, den = int(numerator), int(denominator) if denominator else 1
+    except ValueError as exc:  # the token is digits, so the digit limit refused it
+        raise ParseError(f"scalar of {len(original)} characters: {exc}") from exc
     if den == 0:
         raise ZeroDenominator(f"zero denominator in scalar {original!r}")
-    return int(numerator), den
+    return num, den
 
 
 def parse_scalar(text: str) -> GaussianRational:

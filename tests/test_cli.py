@@ -43,6 +43,14 @@ def cube_path(tmp_path):
     return write_doc(tmp_path, "cube.json", CUBE_COMPANION)
 
 
+def cli_process(*args):
+    """Run the CLI in a new interpreter, through ``main`` as a shell would."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "jordanform", *args]
+    return subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
+
+
 # --- document round-trips --------------------------------------------------------
 
 def test_matrix_document_round_trip():
@@ -156,17 +164,34 @@ def test_two_distinct_conjugate_pairs(tmp_path, capsys):
 def test_spectrum_with_a_huge_constant_term_is_fast(tmp_path, entries, eigenvalues):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": len(entries), "entries": entries}))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    command = [sys.executable, "-m", "jordanform", "spectrum", str(path)]
-    command += ["--format", "json"]
-    env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    done = subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
+    done = cli_process("spectrum", str(path), "--format", "json")
     elapsed = time.perf_counter() - start
     assert done.returncode == EXIT_OK, done.stderr
     doc = json.loads(done.stdout)
     assert [entry["lambda"] for entry in doc["entries"]] == eigenvalues
     assert elapsed < 10
+
+
+def test_a_literal_past_the_interpreter_digit_limit(tmp_path):
+    literal = "9" * 4999 + "7"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 1, "entries": [[literal]]}))
+    done = cli_process("spectrum", str(path), "--format", "json")
+    assert done.returncode == EXIT_OK, done.stderr[-300:]
+    assert json.loads(done.stdout)["entries"][0]["lambda"] == literal
+
+
+def test_a_factor_past_the_interpreter_digit_limit(tmp_path):
+    # a = 10^2200 + 1 in [[a, a], [a, 0]]: the factor z^2 - a*z - a^2 has no
+    # root in Q(i), and a^2 = 10^4400 + 2*10^2200 + 1 has 4401 digits.
+    a = "1" + "0" * 2199 + "1"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[a, a], [a, "0"]]}))
+    done = cli_process("spectrum", str(path))
+    assert done.returncode == EXIT_NOT_REPRESENTABLE, done.stderr[-300:]
+    assert done.stderr.startswith("jordanform spectrum: SpectrumNotRepresentable: ")
+    assert f"z^2 - {a}z - " + "1" + "0" * 2199 + "2" + "0" * 2199 + "1\n" in done.stderr
 
 
 def test_internal_error_exit_code(dense3_path, monkeypatch, capsys):
@@ -356,6 +381,16 @@ def test_spectrum_list_may_start_with_a_negative_value(tmp_path, capsys, command
     assert capsys.readouterr() == joined
     expected = {"spectrum": f"lambda={first} multiplicity=1", "verify": "jordan: pass"}
     assert expected[command] in joined.out
+
+
+@pytest.mark.parametrize("flag, values", [("--spec", "-1,3"), ("--sp", "-1i,3"), ("--s", "-1,3")])
+def test_spectrum_flag_prefix_takes_a_negative_list(tmp_path, capsys, flag, values):
+    first = values.split(",")[0]
+    path = write_doc(tmp_path, "matrix.json", ExactMatrix.from_rows([[first, 1], [0, 3]]))
+    assert run(["spectrum", path, f"--spectrum={values}"]) == EXIT_OK
+    joined = capsys.readouterr()
+    assert run(["spectrum", path, flag, values]) == EXIT_OK
+    assert capsys.readouterr() == joined
 
 
 def test_spectrum_flag_without_a_value(dense3_path, capsys):

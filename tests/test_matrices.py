@@ -20,7 +20,9 @@ from jordanform import (
     solve,
 )
 
-from conftest import DENSE3, ROTATION2, SHEAR2, UPPER3, col, gr, mat, rand_ranked_matrix
+from conftest import (
+    DENSE3, ROTATION2, SHEAR2, UPPER3, col, gr, mat, rand_matrix, rand_ranked_matrix
+)
 
 
 def columns_of(basis):
@@ -58,6 +60,57 @@ def test_rref_is_idempotent_seeded():
         assert again == reduced
         assert pivots_again == pivots
         assert pivots == sorted(pivots)
+
+
+def reference_rref(rows):
+    """Textbook Gauss-Jordan on (re, im) pairs of Fractions, independent of
+    the package: per column, swap the first nonzero entry at or below the
+    next pivot row up, scale it to 1, and clear the rest of the column."""
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    data = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(data[0])):
+        top = len(pivots)
+        found = [r for r in range(top, len(data)) if data[r][col] != (0, 0)]
+        if not found:
+            continue
+        data[top], data[found[0]] = data[found[0]], data[top]
+        a, b = data[top][col]
+        norm = a * a + b * b
+        data[top] = [mul(x, (a / norm, -b / norm)) for x in data[top]]
+        for r in range(len(data)):
+            factor = data[r][col]
+            if r != top and factor != (0, 0):
+                data[r] = [
+                    (x[0] - m[0], x[1] - m[1])
+                    for x, m in zip(data[r], (mul(factor, y) for y in data[top]))
+                ]
+        pivots.append(col)
+    return data, pivots
+
+
+def test_rref_matches_an_independent_gauss_jordan_seeded():
+    rng = random.Random(61)
+    zero = gr(0)
+    for trial in range(120):
+        rows, cols = [(7, 3), (3, 7), (5, 5), (6, 4)][trial % 4]  # tall, wide, square
+        if trial % 3:  # rank deficient: a product through a thin inner dimension
+            inner = rng.randint(1, min(rows, cols) - 1)
+            m = rand_matrix(rng, rows, inner) * rand_matrix(rng, inner, cols)
+        else:
+            m = rand_matrix(rng, rows, cols)
+        if trial % 5 == 0:  # a zero row in the middle
+            table = [list(m.row(i)) for i in range(m.rows)]
+            table.insert(rows // 2, [zero] * cols)
+            m = ExactMatrix(table)
+        reduced, pivots = rref(m)
+        expected, expected_pivots = reference_rref(
+            [[(x.re, x.im) for x in m.row(i)] for i in range(m.rows)]
+        )
+        assert pivots == expected_pivots
+        assert [[(x.re, x.im) for x in reduced.row(i)] for i in range(m.rows)] == expected
 
 
 # --- null space / column space ----------------------------------------------

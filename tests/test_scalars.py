@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,17 @@ def test_parse_scalar_rejects_malformed(text):
 def test_parse_scalar_zero_denominator(text):
     with pytest.raises(ZeroDenominator):
         parse_scalar(text)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter converts integer literals of any length",
+)
+@pytest.mark.parametrize("form", ["{}", "1/{}", "2+{}i", "1-1/{}i"])
+def test_parse_scalar_past_the_digit_limit_is_a_parse_error(form):
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError):
+        parse_scalar(form.format(digits))
 
 
 def test_format_parse_round_trip_seeded():

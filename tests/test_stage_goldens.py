@@ -68,8 +68,8 @@ def test_stage_output_is_unchanged(case, golden, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "matrix.json"
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "matrix.json"
         table = {case: stage_digests(case, path) for case in cases()}
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(table)} cases to {GOLDEN}", file=sys.stderr)
