@@ -354,16 +354,19 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _join_spectrum_values(argv: Sequence[str]) -> List[str]:
-    """argv with ``--spectrum -1,3`` written as ``--spectrum=-1,3``, also for
-    the prefixes ``--s`` ... ``--spectru`` that argparse accepts: it takes
-    only -<digits> for a negative number, so it would read a list that
-    starts with a negative value as an option."""
+def _join_negative_values(argv: Sequence[str]) -> List[str]:
+    """argv with ``--spectrum -1,3`` written as ``--spectrum=-1,3``, and
+    ``--structure -1:2`` as ``--structure=-1:2``, also for the prefixes
+    (``--s`` ... ``--spectru``, ``--st`` ... ``--structur``) that argparse
+    accepts: it takes only -<digits> for a negative number, so it would read
+    a value that starts with a negative number as an option."""
     joined: List[str] = []
     for token in argv:
         negative = token[:1] == "-" and "0" <= token[1:2] <= "9"
         flag = joined[-1] if joined else ""
-        if negative and len(flag) > 2 and "--spectrum".startswith(flag):
+        if negative and len(flag) > 2 and any(
+            name.startswith(flag) for name in ("--spectrum", "--structure")
+        ):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -374,7 +377,7 @@ def run(argv: Sequence[str]) -> int:
     """Execute one invocation; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_spectrum_values(argv))
+        args = parser.parse_args(_join_negative_values(argv))
     except UsageError as exc:
         print(f"jordanform: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -70,16 +70,13 @@ def _triangularize(
     a = [matrix.row(i) for i in range(n)]
     head = [a[p][j] / v[p] for j in rest]
     tail = [[a[i][j] - v[i] * h for j, h in zip(rest, head)] for i in rest]
-    inner_v, inner_u = _triangularize(ExactMatrix(tail), candidates)
+    inner_v, inner_u = _triangularize(ExactMatrix._trusted(tail, n - 1), candidates)
     inner = [inner_v.row(k) for k in range(n - 1)]
-    top = [lam] + [
-        sum((h * x for h, x in zip(head, column) if h and x), ZERO)
-        for column in zip(*inner)
-    ]
+    top = [lam, *(ExactMatrix._trusted([head], n - 1) * inner_v).row(0)]
     inner.insert(p, (ZERO,) * (n - 1))
     rows_v = [[x, *row] for x, row in zip(v, inner)]
     rows_u = [top] + [[ZERO, *inner_u.row(k)] for k in range(n - 1)]
-    return ExactMatrix(rows_v), ExactMatrix(rows_u)
+    return ExactMatrix._trusted(rows_v, n), ExactMatrix._trusted(rows_u, n)
 
 
 # The stages proper take the ladders spectrum_with_ladders returns, so a
@@ -137,7 +134,7 @@ def _block_diagonal(mats: Sequence[ExactMatrix]) -> ExactMatrix:
             row = [ZERO] * offset + list(m.row(i)) + [ZERO] * (n - offset - m.cols)
             rows.append(row)
         offset += m.cols
-    return ExactMatrix(rows)
+    return ExactMatrix._trusted(rows, n)
 
 
 def _blocktri(base: Decomposition) -> Decomposition:

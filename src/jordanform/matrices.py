@@ -5,16 +5,26 @@ a time for the layers that ask again and again whether a vector is new
 (Krylov runs, basis completion and chain seeding), and ``rref`` is built on
 it.  Kernels are read off the RREF, which is unique, so the same subspace
 always gets byte-identical basis vectors whatever order the rows arrive in.
+Elimination and products run on packed vectors, Gaussian integers over one
+positive denominator: ``(re, im, d)`` with int lists re and im.  A row
+operation is int arithmetic, then one gcd that divides out the content and
+leaves the row primitive, so entries keep their true size; scalars are built
+only for what callers read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
 from .polynomials import Polynomial
-from .scalars import ONE, ZERO, GaussianRational, format_scalar, parse_scalar
+from .scalars import ONE, ZERO, GaussianRational, _reduced, format_scalar, parse_scalar
+
+Packed = Tuple[List[int], List[int], int]
+Row = Tuple[int, List[int], List[int], int]  # (pivot, re, im, d)
 
 
 def _entry(value) -> GaussianRational:
@@ -27,28 +37,69 @@ def _entry(value) -> GaussianRational:
     raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
 
 
+def _pack(entries: Sequence[GaussianRational]) -> Packed:
+    """Scalars as one packed vector over the lcm of their denominators,
+    which leaves it primitive: gcd(d, *re, *im) == 1."""
+    d = lcm(*[x._d for x in entries])
+    return [x._a * (d // x._d) for x in entries], [x._b * (d // x._d) for x in entries], d
+
+
+def _primitive(re: List[int], im: List[int], d: int) -> Packed:
+    """The same packed vector with its content gcd(d, *re, *im) divided out."""
+    g = gcd(d, *re, *im)
+    if g == 1:
+        return re, im, d
+    return [a // g for a in re], [b // g for b in im], d // g
+
+
+def _unpack(re: Sequence[int], im: Sequence[int], d: int) -> List[GaussianRational]:
+    return [_reduced(a, b, d) for a, b in zip(re, im)]
+
+
+def _product(rows: Iterable[Packed], right: Packed, width: int) -> List[Packed]:
+    """Each packed row times the matrix packed row-major in ``right``: a
+    packed row over the product of the denominators, content not removed."""
+    r_re, r_im, e = right
+    c_re = [r_re[j::width] for j in range(width)]
+    c_im = [r_im[j::width] for j in range(width)] if any(r_im) else None
+    out = []
+    for re, im, d in rows:
+        x_re = [sum(map(mul, re, c)) for c in c_re]
+        x_im = [sum(map(mul, im, c)) for c in c_re] if any(im) else [0] * width
+        if c_im is not None:
+            x_re = [x - sum(map(mul, im, c)) for x, c in zip(x_re, c_im)]
+            x_im = [y + sum(map(mul, re, c)) for y, c in zip(x_im, c_im)]
+        out.append((x_re, x_im, d * e))
+    return out
+
+
 class ExactMatrix:
     """An immutable dense matrix of Gaussian rationals.
 
-    Equality is entrywise exact equality.  Arithmetic never rounds; entry
-    growth under elimination is accepted (target sizes are small).
+    Equality is entrywise exact equality, and arithmetic never rounds.
+    Products and elimination work on packed rows, Gaussian integers over one
+    denominator kept primitive (content removed) after every step, so the
+    integers stay at the size the exact values need.
     """
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, data: Iterable[Iterable], cols: Optional[int] = None):
+    def __new__(cls, data: Iterable[Iterable]) -> "ExactMatrix":
         table = tuple(tuple(_entry(x) for x in row) for row in data)
-        object.__setattr__(self, "rows", len(table))
-        if table:
-            width = len(table[0])
-            if any(len(row) != width for row in table):
-                raise DimensionMismatch("rows of unequal length")
-            if cols is not None and cols != width:
-                raise DimensionMismatch("explicit column count does not match data")
-        else:
-            width = cols or 0
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_data", table)
+        width = len(table[0]) if table else 0
+        if any(len(row) != width for row in table):
+            raise DimensionMismatch("rows of unequal length")
+        return cls._trusted(table, width)
+
+    @classmethod
+    def _trusted(cls, table: Sequence[Sequence], cols: int) -> "ExactMatrix":
+        """A matrix over a rectangular table of scalars this package built,
+        taken as they are: ``_entry`` coercion is for caller input."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", len(table))
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "_data", tuple(map(tuple, table)))
+        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -59,11 +110,12 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        table = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        return cls._trusted(table, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted([[ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def column(cls, entries: Iterable) -> "ExactMatrix":
@@ -71,7 +123,7 @@ class ExactMatrix:
 
     @classmethod
     def basis_vector(cls, n: int, index: int) -> "ExactMatrix":
-        return cls.column([ONE if i == index else ZERO for i in range(n)])
+        return cls._trusted([[ONE if i == index else ZERO] for i in range(n)], 1)
 
     @classmethod
     def hstack(cls, mats: Sequence["ExactMatrix"]) -> "ExactMatrix":
@@ -80,9 +132,9 @@ class ExactMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise DimensionMismatch("hstack of matrices with different row counts")
-        return cls(
+        return cls._trusted(
             [[x for m in mats for x in m._data[i]] for i in range(rows)],
-            cols=sum(m.cols for m in mats),
+            sum(m.cols for m in mats),
         )
 
     def __getitem__(self, key: Tuple[int, int]) -> GaussianRational:
@@ -93,23 +145,18 @@ class ExactMatrix:
         return self._data[i]
 
     def col(self, j: int) -> "ExactMatrix":
-        return ExactMatrix.column([self._data[i][j] for i in range(self.rows)])
+        return ExactMatrix._trusted([[row[j]] for row in self._data], 1)
 
     def column_entries(self, j: int = 0) -> Tuple[GaussianRational, ...]:
         return tuple(self._data[i][j] for i in range(self.rows))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
-        return ExactMatrix(
-            [row[c0:c1] for row in self._data[r0:r1]], cols=c1 - c0
-        )
+        return ExactMatrix._trusted([row[c0:c1] for row in self._data[r0:r1]], c1 - c0)
 
     def trace(self) -> GaussianRational:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        total = ZERO
-        for i in range(self.rows):
-            total = total + self._data[i][i]
-        return total
+        return sum((self._data[i][i] for i in range(self.rows)), ZERO)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -129,12 +176,9 @@ class ExactMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition with different shapes")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ],
-            cols=self.cols,
+        return ExactMatrix._trusted(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
+            self.cols,
         )
 
     def __sub__(self, other):
@@ -143,13 +187,13 @@ class ExactMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix([[-x for x in row] for row in self._data], cols=self.cols)
+        return ExactMatrix._trusted([[-x for x in row] for row in self._data], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             factor = _entry(other)
-            return ExactMatrix(
-                [[x * factor if x else x for x in row] for row in self._data], cols=self.cols
+            return ExactMatrix._trusted(
+                [[x * factor if x else x for x in row] for row in self._data], self.cols
             )
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -157,19 +201,9 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        other_t = list(zip(*other._data)) if other._data else []
-        out = []
-        for row in self._data:
-            out_row = []
-            for col in range(other.cols):
-                acc = ZERO
-                column = other_t[col] if other_t else ()
-                for a, b in zip(row, column):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return ExactMatrix(out, cols=other.cols)
+        right = _pack([x for row in other._data for x in row])
+        products = _product(map(_pack, self._data), right, other.cols)
+        return ExactMatrix._trusted([_unpack(*row) for row in products], other.cols)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -199,12 +233,10 @@ def shift_by(matrix: ExactMatrix, scalar: GaussianRational) -> ExactMatrix:
     """matrix - scalar * identity."""
     if not matrix.is_square():
         raise DimensionMismatch("shift of a non-square matrix")
-    return ExactMatrix(
-        [
-            [x - scalar if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(matrix._data)
-        ],
-        cols=matrix.cols,
+    return ExactMatrix._trusted(
+        [[x - scalar if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(matrix._data)],
+        matrix.cols,
     )
 
 
@@ -212,8 +244,8 @@ class Basis(NamedTuple):
     """An ordered, linearly independent family of column vectors.
 
     Bases produced in this package are canonical: they come out of the RREF
-    free-variable construction (or a fixed completion rule), so the same
-    subspace always gets byte-identical vectors.
+    free-variable construction, so the same subspace always gets
+    byte-identical vectors.
     """
 
     ambient_dim: int
@@ -232,77 +264,104 @@ class Basis(NamedTuple):
 class Echelon:
     """A reduced basis of a growing subspace, built one vector at a time.
 
-    ``rows`` holds (pivot, row) pairs in insertion order; each row is 1 at its
-    pivot, its first nonzero entry, and 0 at the pivot of every earlier row.
+    ``packed`` holds (pivot, re, im, d) in insertion order: a primitive
+    packed row that is 1 at its pivot (re[pivot] == d, im[pivot] == 0), its
+    first nonzero entry, and 0 at the pivot of every earlier row.  ``rows``
+    shows the same rows as (pivot, scalars) pairs.
     """
 
     def __init__(self):
-        self.rows: List[Tuple[int, List[GaussianRational]]] = []
+        self.packed: List[Row] = []
 
-    def reduce(self, entries: Sequence[GaussianRational]) -> List[GaussianRational]:
-        """The entries less their part along the rows; 0 at every pivot."""
-        vector = list(entries)
-        for pivot, row in self.rows:
-            factor = vector[pivot]
-            if factor:
-                vector = [x - factor * y if y else x for x, y in zip(vector, row)]
-        return vector
+    @property
+    def rows(self) -> List[Tuple[int, List[GaussianRational]]]:
+        return [(pivot, _unpack(re, im, d)) for pivot, re, im, d in self.packed]
 
-    def insert(self, entries: Sequence[GaussianRational]) -> bool:
-        """Add a vector to the span; False, rows untouched, if already in it."""
-        vector = self.reduce(entries)
-        for pivot, lead in enumerate(vector):
-            if lead:
-                inv = ONE / lead
-                self.rows.append((pivot, [x * inv if x else x for x in vector]))
+    def reduce(self, re: List[int], im: List[int], d: int) -> Packed:
+        """A packed vector less its part along the rows; 0 at every pivot.
+        Against a row y over e, x over d becomes (e*x - f*y)/(d*e), f the
+        numerator of x at y's pivot, and then loses its content."""
+        for pivot, y_re, y_im, e in self.packed:
+            f_re, f_im = re[pivot], im[pivot]
+            if not (f_re or f_im):
+                continue
+            if f_im:
+                re = [a * e - f_re * b + f_im * c for a, b, c in zip(re, y_re, y_im)]
+                im = [a * e - f_re * c - f_im * b for a, b, c in zip(im, y_re, y_im)]
+            else:
+                re = [a * e - f_re * b for a, b in zip(re, y_re)]
+                im = [a * e - f_re * c for a, c in zip(im, y_im)]
+            re, im, d = _primitive(re, im, d * e)
+        return re, im, d
+
+    def add(self, re: List[int], im: List[int], d: int) -> bool:
+        """Add a packed vector to the span; False, rows untouched, if already in it."""
+        re, im, d = self.reduce(re, im, d)
+        for pivot, (f_re, f_im) in enumerate(zip(re, im)):
+            if f_re or f_im:
+                # Over its pivot entry (f_re + f_im*i)/d: times the conjugate over the norm.
+                self.packed.append((pivot, *_primitive(
+                    [a * f_re + b * f_im for a, b in zip(re, im)],
+                    [b * f_re - a * f_im for a, b in zip(re, im)],
+                    f_re * f_re + f_im * f_im,
+                )))
                 return True
         return False
+
+    def insert(self, entries: Sequence[GaussianRational]) -> bool:
+        """Add a vector of scalars to the span; False if already in it."""
+        return self.add(*_pack(entries))
+
+
+def _rref_rows(rows: Iterable[Packed]) -> List[Row]:
+    """The nonzero rows of the RREF of the packed rows, in pivot order.
+
+    The rows go into an ``Echelon``; then, in descending pivot order, each is
+    reduced against the finished rows below it, clearing above every pivot.
+    """
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(*row)
+    reduced = Echelon()
+    for pivot, re, im, d in sorted(echelon.packed, key=lambda row: -row[0]):
+        reduced.packed.append((pivot, *reduced.reduce(re, im, d)))
+    reduced.packed.reverse()
+    return reduced.packed
 
 
 def rref(matrix: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
     """Reduced row echelon form together with the pivot column indices.
-
-    The RREF of a matrix is unique, so every basis read off it depends on
-    the row space alone.  The rows go into an ``Echelon``; then, in
-    descending pivot order, each is reduced against the finished rows below
-    it, which clears the entries above every pivot from the bottom up.
-    """
-    echelon = Echelon()
-    for i in range(matrix.rows):
-        echelon.insert(matrix.row(i))
-    reduced = Echelon()
-    for pivot, row in sorted(echelon.rows, key=lambda item: -item[0]):
-        reduced.rows.append((pivot, reduced.reduce(row)))
-    reduced.rows.reverse()
-    rows = [row for _, row in reduced.rows]
-    rows.extend([ZERO] * matrix.cols for _ in range(matrix.rows - len(rows)))
-    return ExactMatrix(rows, cols=matrix.cols), [pivot for pivot, _ in reduced.rows]
+    The RREF is unique, so every basis read off it depends on the row space alone."""
+    rows = _rref_rows(map(_pack, matrix._data))
+    table = [_unpack(re, im, d) for _, re, im, d in rows]
+    table.extend([ZERO] * matrix.cols for _ in range(matrix.rows - len(rows)))
+    return ExactMatrix._trusted(table, matrix.cols), [row[0] for row in rows]
 
 
 def rank(matrix: ExactMatrix) -> int:
-    return len(rref(matrix)[1])
+    return sum(map(Echelon().insert, matrix._data))
 
 
-def kernel_from_rref(reduced: ExactMatrix, pivots: Sequence[int]) -> Basis:
-    """Canonical kernel basis read off an RREF, one vector per free column f,
-    in order: 1 at f, 0 at every other free column, and the negated RREF
-    entry at each pivot column.  Rows past the pivots are never read."""
-    pivot_set = set(pivots)
+def kernel_from_rref(rows: Sequence[Row], cols: int) -> Basis:
+    """Canonical kernel basis read off the nonzero RREF rows from
+    ``_rref_rows``, one vector per free column f, in order: 1 at f, 0 at
+    every other free column, and the negated RREF entry at each pivot."""
+    pivots = {row[0] for row in rows}
     vectors = []
-    for free in range(reduced.cols):
-        if free in pivot_set:
+    for free in range(cols):
+        if free in pivots:
             continue
-        entries = [ZERO] * reduced.cols
+        entries = [ZERO] * cols
         entries[free] = ONE
-        for k, pivot_col in enumerate(pivots):
-            entries[pivot_col] = -reduced[k, free]
-        vectors.append(ExactMatrix.column(entries))
-    return Basis(reduced.cols, tuple(vectors))
+        for pivot, re, im, d in rows:
+            entries[pivot] = _reduced(-re[free], -im[free], d)
+        vectors.append(ExactMatrix._trusted([[x] for x in entries], 1))
+    return Basis(cols, tuple(vectors))
 
 
 def nullspace_basis(matrix: ExactMatrix) -> Basis:
     """Canonical basis of the kernel (see ``kernel_from_rref``)."""
-    return kernel_from_rref(*rref(matrix))
+    return kernel_from_rref(_rref_rows(map(_pack, matrix._data)), matrix.cols)
 
 
 def solve(matrix: ExactMatrix, rhs: ExactMatrix) -> Optional[ExactMatrix]:
@@ -321,7 +380,7 @@ def solve(matrix: ExactMatrix, rhs: ExactMatrix) -> Optional[ExactMatrix]:
     entries = [ZERO] * matrix.cols
     for k, pivot_col in enumerate(pivots):
         entries[pivot_col] = reduced[k, matrix.cols]
-    return ExactMatrix.column(entries)
+    return ExactMatrix._trusted([[x] for x in entries], 1)
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
@@ -357,9 +416,9 @@ def complete_basis(partial: Basis) -> ExactMatrix:
 
 
 def krylov_run(matrix: ExactMatrix, vector: ExactMatrix) -> Tuple[Polynomial, Echelon]:
-    """``krylov_annihilator`` and an echelon whose rows, cut to their first n
-    entries, span the cyclic subspace; the other n + 1 entries of a row are
-    its coefficients over the powers."""
+    """``krylov_annihilator`` and an echelon whose packed rows, cut to their
+    first n entries, span the cyclic subspace; the other n + 1 entries of a
+    row are its coefficients over the powers."""
     if not matrix.is_square():
         raise DimensionMismatch("krylov_annihilator needs a square matrix")
     if vector.cols != 1 or vector.rows != matrix.rows:
@@ -367,16 +426,18 @@ def krylov_run(matrix: ExactMatrix, vector: ExactMatrix) -> Tuple[Polynomial, Ec
     if vector.is_zero():
         raise ZeroVector("krylov_annihilator of the zero vector")
     n = matrix.rows
+    # A v is the row v^T A^T, and A^T in row-major order is A by columns.
+    transposed = _pack([x for column in zip(*matrix._data) for x in column])
     echelon = Echelon()
-    power = vector
+    re, im, d = _pack(vector.column_entries())
     for degree in range(n + 1):
-        tag = [ONE if k == degree else ZERO for k in range(n + 1)]
-        reduced = echelon.reduce(list(power.column_entries()) + tag)
-        if not any(reduced[:n]):
+        tag = [0] * degree + [d] + [0] * (n - degree)
+        x_re, x_im, x_d = echelon.reduce(re + tag, im + [0] * (n + 1), d)
+        if not (any(x_re[:n]) or any(x_im[:n])):
             # 0 = sum of c_k * A^k v with c_degree = 1: the annihilator itself.
-            return Polynomial(reduced[n:]), echelon
-        echelon.insert(reduced)
-        power = matrix * power
+            return Polynomial(_unpack(x_re[n:], x_im[n:], x_d)), echelon
+        echelon.add(x_re, x_im, x_d)
+        re, im, d = _primitive(*_product([(re, im, d)], transposed, n)[0])
     raise AssertionError("n+1 Krylov vectors cannot stay independent")
 
 

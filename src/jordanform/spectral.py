@@ -29,9 +29,11 @@ from .matrices import (
     Basis,
     Echelon,
     ExactMatrix,
+    _pack,
+    _product,
+    _rref_rows,
     kernel_from_rref,
     krylov_run,
-    rref,
     shift_by,
 )
 from .polynomials import Polynomial, poly_gcd, poly_lcm
@@ -67,10 +69,10 @@ def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
     result = Polynomial([ONE])
     for index in range(n):
         start = ExactMatrix.basis_vector(n, index)
-        if len(span.rows) < n and span.insert(start.column_entries()):
+        if len(span.packed) < n and span.insert(start.column_entries()):
             annihilator, cyclic = krylov_run(matrix, start)
-            for _, row in cyclic.rows:
-                span.insert(row[:n])
+            for _, re, im, d in cyclic.packed:
+                span.add(re[:n], im[:n], d)
             result = poly_lcm(result, annihilator)
     return result
 
@@ -237,20 +239,20 @@ def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational) -> StageLadd
 
     With N = A - lambda*I and R_k the nonzero RREF rows of N^k, ker N^(k+1)
     is ker(R_k * N): no power of N is formed, and the same kernel has the
-    same RREF, hence the same basis.  It never runs past k = n.
+    same RREF, hence the same basis.  R_k stays in packed int rows from one
+    stage to the next.  It never runs past k = n.
     """
     shifted = shift_by(matrix, eigenvalue)
-    reduced, pivots = rref(shifted)
-    first = kernel_from_rref(reduced, pivots)
-    if first.dimension == 0:
-        raise NotAnEigenvalue(
-            f"{format_scalar(eigenvalue)} has a trivial eigenspace"
-        )
-    bases = [first]
     n = matrix.rows
+    rows = _rref_rows(map(_pack, shifted._data))
+    first = kernel_from_rref(rows, n)
+    if first.dimension == 0:
+        raise NotAnEigenvalue(f"{format_scalar(eigenvalue)} has a trivial eigenspace")
+    bases = [first]
+    right = _pack([x for row in shifted._data for x in row])
     while bases[-1].dimension < n and len(bases) < n:
-        reduced, pivots = rref(reduced.submatrix(0, len(pivots), 0, n) * shifted)
-        basis = kernel_from_rref(reduced, pivots)
+        rows = _rref_rows(_product([row[1:] for row in rows], right, n))
+        basis = kernel_from_rref(rows, n)
         if basis.dimension == bases[-1].dimension:
             break
         bases.append(basis)

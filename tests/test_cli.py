@@ -393,6 +393,19 @@ def test_spectrum_flag_prefix_takes_a_negative_list(tmp_path, capsys, flag, valu
     assert capsys.readouterr() == joined
 
 
+@pytest.mark.parametrize(
+    "flag, value, rest",
+    [("--structure", "-1:2,2;1:1", ["--seed", "5"]), ("--struct", "-1:2", [])],
+)
+def test_structure_may_start_with_a_negative_value(capsys, flag, value, rest):
+    # argparse reads "-1:2" as an option; it must work as --structure=-1:2 does.
+    assert run(["gen", f"--structure={value}", *rest]) == EXIT_OK
+    joined = capsys.readouterr()
+    assert run(["gen", flag, value, *rest]) == EXIT_OK
+    assert capsys.readouterr() == joined
+    assert joined.err == ""
+
+
 def test_spectrum_flag_without_a_value(dense3_path, capsys):
     assert run(["verify", dense3_path, "--spectrum"]) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -1,9 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from jordanform import (
     Basis,
+    GaussianRational,
     DependentInput,
     DimensionMismatch,
     ExactMatrix,
@@ -19,6 +22,7 @@ from jordanform import (
     rref,
     solve,
 )
+from jordanform.matrices import Echelon
 
 from conftest import (
     DENSE3, ROTATION2, SHEAR2, UPPER3, col, gr, mat, rand_matrix, rand_ranked_matrix
@@ -91,9 +95,24 @@ def reference_rref(rows):
     return data, pivots
 
 
+def big_shared_factor_matrix(rng, rows, cols):
+    """20-digit entries whose numerators share one factor and whose
+    denominators share another, so that elimination has content to remove."""
+    top, bottom = rng.randint(10**19, 10**20), rng.randint(10**19, 10**20)
+
+    def part():
+        return Fraction(top * rng.randint(-9, 9), bottom * rng.randint(1, 9))
+
+    def entry():
+        return GaussianRational(part(), part() if rng.random() < 0.5 else 0)
+
+    return ExactMatrix([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
 def test_rref_matches_an_independent_gauss_jordan_seeded():
     rng = random.Random(61)
     zero = gr(0)
+    inputs = []
     for trial in range(120):
         rows, cols = [(7, 3), (3, 7), (5, 5), (6, 4)][trial % 4]  # tall, wide, square
         if trial % 3:  # rank deficient: a product through a thin inner dimension
@@ -105,12 +124,96 @@ def test_rref_matches_an_independent_gauss_jordan_seeded():
             table = [list(m.row(i)) for i in range(m.rows)]
             table.insert(rows // 2, [zero] * cols)
             m = ExactMatrix(table)
+        inputs.append(m)
+    for trial in range(40):
+        rows, cols = [(6, 3), (3, 6), (5, 5), (4, 4)][trial % 4]
+        m = big_shared_factor_matrix(rng, rows, cols)
+        if trial % 2:  # rank deficient, its rows sums of multiples of two rows
+            weights = rand_matrix(rng, rows, 2, bound=3)
+            m = weights * big_shared_factor_matrix(rng, 2, cols)
+        inputs.append(m)
+    for m in inputs:
         reduced, pivots = rref(m)
         expected, expected_pivots = reference_rref(
             [[(x.re, x.im) for x in m.row(i)] for i in range(m.rows)]
         )
         assert pivots == expected_pivots
         assert [[(x.re, x.im) for x in reduced.row(i)] for i in range(m.rows)] == expected
+        # Equal scalars have equal parts: every entry is in canonical form.
+        assert [list(reduced.row(i)) for i in range(m.rows)] == [
+            [GaussianRational(*pair) for pair in row] for row in expected
+        ]
+        # The elimination rows stay primitive with a unit pivot.
+        echelon = Echelon()
+        for i in range(m.rows):
+            echelon.insert(m.row(i))
+        for pivot, re, im, d in echelon.packed:
+            assert (re[pivot], im[pivot]) == (d, 0)
+            assert math.gcd(d, *re, *im) == 1
+
+
+def reference_matmul(left, right, width):
+    """Schoolbook product of two tables of (re, im) pairs of Fractions, the
+    right one with ``width`` columns, independent of the package."""
+    columns = [[row[j] for row in right] for j in range(width)]
+    return [
+        [
+            (
+                sum((a[0] * b[0] - a[1] * b[1] for a, b in zip(row, column)), Fraction(0)),
+                sum((a[0] * b[1] + a[1] * b[0] for a, b in zip(row, column)), Fraction(0)),
+            )
+            for column in columns
+        ]
+        for row in left
+    ]
+
+
+def rand_mixed_scalar(rng):
+    """Zero, a small rational with a mixed denominator, a pure imaginary, a
+    Gaussian rational, or one with 20-digit numerators and denominators."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return gr(0)
+    if kind == 4:
+        def big():
+            return Fraction(rng.randint(-10**20, 10**20), rng.randint(10**19, 10**20))
+        return GaussianRational(big(), big())
+    small = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    other = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return GaussianRational(*[(small, 0), (0, small), (small, other)][kind - 1])
+
+
+def test_matmul_matches_an_independent_product_seeded():
+    rng = random.Random(67)
+    shapes = [(2, 0, 3), (0, 2, 3), (1, 1, 1), (3, 1, 4)]
+    shapes += [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)) for _ in range(80)]
+    for rows, inner, cols in shapes:
+        # ExactMatrix([]) is 0x0, so the shapes without rows come from zeros().
+        left_rows = [[rand_mixed_scalar(rng) for _ in range(inner)] for _ in range(rows)]
+        left = ExactMatrix(left_rows) if rows else ExactMatrix.zeros(0, inner)
+        right_rows = [[rand_mixed_scalar(rng) for _ in range(cols)] for _ in range(inner)]
+        right = ExactMatrix(right_rows) if inner else ExactMatrix.zeros(0, cols)
+        product = left * right
+        left_pairs = [[(x.re, x.im) for x in left.row(i)] for i in range(rows)]
+        expected = reference_matmul(
+            left_pairs, [[(x.re, x.im) for x in right.row(i)] for i in range(inner)], cols
+        )
+        assert (product.rows, product.cols) == (rows, cols)
+        assert [list(product.row(i)) for i in range(rows)] == [
+            [GaussianRational(*pair) for pair in row] for row in expected
+        ]
+        if rows and inner:
+            scalar = rand_mixed_scalar(rng)
+            for factor in (scalar, scalar.re.numerator, scalar.re):
+                c, d = (scalar.re, scalar.im) if factor is scalar else (Fraction(factor), 0)
+                scaled = ExactMatrix(
+                    [GaussianRational(a * c - b * d, a * d + b * c) for a, b in row]
+                    for row in left_pairs
+                )
+                assert left * factor == scaled
+                assert factor * left == scaled
+    assert ExactMatrix.zeros(2, 0) * ExactMatrix.zeros(0, 3) == ExactMatrix.zeros(2, 3)
+    assert (ExactMatrix.zeros(0, 2) * ExactMatrix.zeros(2, 3)).cols == 3
 
 
 # --- null space / column space ----------------------------------------------
