@@ -43,6 +43,7 @@ _EXPORTS = {
     "complete_basis": "matrices",
     "inverse": "matrices",
     "krylov_annihilator": "matrices",
+    "minimal_polynomial": "matrices",
     "nullspace_basis": "matrices",
     "rank": "matrices",
     "rref": "matrices",
@@ -59,7 +60,6 @@ _EXPORTS = {
     "SpectrumEntry": "spectral",
     "StageLadder": "spectral",
     "find_eigenvalue": "spectral",
-    "minimal_polynomial": "spectral",
     "poly_apply": "spectral",
     "poly_roots_exact": "spectral",
     "spectrum": "spectral",

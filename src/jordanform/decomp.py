@@ -49,16 +49,17 @@ class Decomposition(NamedTuple):
 
 
 def _triangularize(
-    matrix: ExactMatrix, candidates: Sequence[GaussianRational]
+    matrix: ExactMatrix, eigenvalues: Sequence[GaussianRational]
 ) -> Tuple[ExactMatrix, ExactMatrix]:
-    # candidates is a validated superset of this block's spectrum, so the
-    # block's eigenvalues are exactly the candidates where A - cI loses
-    # rank; no root discovery is needed below the top level.
+    # eigenvalues is the block's spectrum, a sorted multiset: deflating the
+    # head leaves a block whose spectrum is the tail.
     n = matrix.rows
     if n == 1:
         return ExactMatrix.identity(1), matrix
-    kernels = ((c, nullspace_basis(shift_by(matrix, c))) for c in sorted(candidates))
-    lam, kernel = next((c, k) for c, k in kernels if k.dimension)
+    lam = eigenvalues[0]
+    kernel = nullspace_basis(shift_by(matrix, lam))
+    if not kernel.dimension:
+        raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
     # The step conjugates by B = [v, e_i for i != p], v the eigenvector and p
     # its last nonzero index, in closed form: B^-1 A B is [[lam, head], [0,
     # tail]] with head_j = A[p][j]/v_p and tail[i][j] = A[i][j] - v_i*head_j
@@ -70,7 +71,7 @@ def _triangularize(
     a = [matrix.row(i) for i in range(n)]
     head = [a[p][j] / v[p] for j in rest]
     tail = [[a[i][j] - v[i] * h for j, h in zip(rest, head)] for i in rest]
-    inner_v, inner_u = _triangularize(ExactMatrix._trusted(tail, n - 1), candidates)
+    inner_v, inner_u = _triangularize(ExactMatrix._trusted(tail, n - 1), eigenvalues[1:])
     inner = [inner_v.row(k) for k in range(n - 1)]
     top = [lam, *(ExactMatrix._trusted([head], n - 1) * inner_v).row(0)]
     inner.insert(p, (ZERO,) * (n - 1))
@@ -83,7 +84,8 @@ def _triangularize(
 # caller that runs several stages on one matrix (cli verify) analyses it once.
 
 def _schur(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
-    v, u = _triangularize(matrix, [ladder.eigenvalue for ladder in ladders])
+    eigenvalues = [ladder.eigenvalue for ladder in ladders for _ in ladder.top.vectors]
+    v, u = _triangularize(matrix, eigenvalues)
     blocks = tuple(Block(u[i, i], 1) for i in range(u.rows))
     return Decomposition("schur", v, u, blocks)
 
@@ -144,7 +146,7 @@ def _blocktri(base: Decomposition) -> Decomposition:
     for block in base.blocks:
         end = offset + block.size
         sub = base.M.submatrix(offset, end, offset, end)
-        inner_v, inner_u = _triangularize(sub, [block.eigenvalue])
+        inner_v, inner_u = _triangularize(sub, [block.eigenvalue] * block.size)
         v_parts.append(inner_v)
         u_parts.append(inner_u)
         offset = end
@@ -180,10 +182,11 @@ def jordan_chains(matrix: ExactMatrix, ladder: StageLadder) -> List[JordanChain]
         used = Echelon()
         for vector in ladder.stage_bases[stage - 2].vectors if stage >= 2 else ():
             used.insert(vector.column_entries())
-        for chain in chains_topdown:
-            extension = shifted * chain[-1]
-            chain.append(extension)
-            used.insert(extension.column_entries())
+        if chains_topdown:
+            below = shifted * ExactMatrix.hstack([chain[-1] for chain in chains_topdown])
+            for k, chain in enumerate(chains_topdown):
+                chain.append(below.col(k))
+                used.insert(below.column_entries(k))
         for candidate in ladder.stage_bases[stage - 1].vectors:
             if used.insert(candidate.column_entries()):
                 chains_topdown.append([candidate])

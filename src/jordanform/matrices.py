@@ -9,7 +9,10 @@ Elimination and products run on packed vectors, Gaussian integers over one
 positive denominator: ``(re, im, d)`` with int lists re and im.  A row
 operation is int arithmetic, then one gcd that divides out the content and
 leaves the row primitive, so entries keep their true size; scalars are built
-only for what callers read.
+only for what callers read.  The format stays inside this module, and so do
+the two analyses run on it: kernel ladders, and the minimal polynomial as the
+lcm of the Krylov annihilators of the standard basis vectors (a spanning
+family, so the lcm annihilates the whole space).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from operator import mul
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
-from .polynomials import Polynomial
+from .polynomials import Polynomial, poly_lcm
 from .scalars import ONE, ZERO, GaussianRational, _reduced, format_scalar, parse_scalar
 
 Packed = Tuple[List[int], List[int], int]
@@ -342,7 +345,7 @@ def rank(matrix: ExactMatrix) -> int:
     return sum(map(Echelon().insert, matrix._data))
 
 
-def kernel_from_rref(rows: Sequence[Row], cols: int) -> Basis:
+def _kernel_from_rref(rows: Sequence[Row], cols: int) -> Basis:
     """Canonical kernel basis read off the nonzero RREF rows from
     ``_rref_rows``, one vector per free column f, in order: 1 at f, 0 at
     every other free column, and the negated RREF entry at each pivot."""
@@ -360,8 +363,26 @@ def kernel_from_rref(rows: Sequence[Row], cols: int) -> Basis:
 
 
 def nullspace_basis(matrix: ExactMatrix) -> Basis:
-    """Canonical basis of the kernel (see ``kernel_from_rref``)."""
-    return kernel_from_rref(_rref_rows(map(_pack, matrix._data)), matrix.cols)
+    """Canonical basis of the kernel (see ``_kernel_from_rref``)."""
+    return _kernel_from_rref(_rref_rows(map(_pack, matrix._data)), matrix.cols)
+
+
+def kernel_ladder(matrix: ExactMatrix) -> List[Basis]:
+    """Canonical bases of ker M, ker M^2, ... while the dimension grows, so
+    never past k = n.  ker M^(k+1) is ker(R_k * M), R_k the RREF rows of M^k:
+    no power of M is formed, and the same kernel has the same basis."""
+    if not matrix.is_square():
+        raise DimensionMismatch("kernel ladder of a non-square matrix")
+    n = matrix.rows
+    rows = _rref_rows(map(_pack, matrix._data))
+    bases = [_kernel_from_rref(rows, n)]
+    right = _pack([x for row in matrix._data for x in row])
+    while 0 < bases[-1].dimension < n:
+        rows = _rref_rows(_product([row[1:] for row in rows], right, n))
+        if n - len(rows) == bases[-1].dimension:
+            break
+        bases.append(_kernel_from_rref(rows, n))
+    return bases
 
 
 def solve(matrix: ExactMatrix, rhs: ExactMatrix) -> Optional[ExactMatrix]:
@@ -415,21 +436,13 @@ def complete_basis(partial: Basis) -> ExactMatrix:
     return ExactMatrix.hstack(columns)
 
 
-def krylov_run(matrix: ExactMatrix, vector: ExactMatrix) -> Tuple[Polynomial, Echelon]:
-    """``krylov_annihilator`` and an echelon whose packed rows, cut to their
-    first n entries, span the cyclic subspace; the other n + 1 entries of a
-    row are its coefficients over the powers."""
-    if not matrix.is_square():
-        raise DimensionMismatch("krylov_annihilator needs a square matrix")
-    if vector.cols != 1 or vector.rows != matrix.rows:
-        raise DimensionMismatch("vector shape does not match the matrix")
-    if vector.is_zero():
-        raise ZeroVector("krylov_annihilator of the zero vector")
-    n = matrix.rows
-    # A v is the row v^T A^T, and A^T in row-major order is A by columns.
-    transposed = _pack([x for column in zip(*matrix._data) for x in column])
+def _krylov_run(transposed: Packed, start: Packed) -> Tuple[Polynomial, Echelon]:
+    """The Krylov annihilator of a packed vector v under A, given A^T packed
+    (A v is the row v^T A^T), and an echelon whose rows, cut to their first n
+    entries, span the cyclic subspace; the other n + 1 are power coefficients."""
+    re, im, d = start
+    n = len(re)
     echelon = Echelon()
-    re, im, d = _pack(vector.column_entries())
     for degree in range(n + 1):
         tag = [0] * degree + [d] + [0] * (n - degree)
         x_re, x_im, x_d = echelon.reduce(re + tag, im + [0] * (n + 1), d)
@@ -448,4 +461,31 @@ def krylov_annihilator(matrix: ExactMatrix, vector: ExactMatrix) -> Polynomial:
     and stops at the first power that reduces to zero; since the retained
     powers are independent, the combination found is unique.
     """
-    return krylov_run(matrix, vector)[0]
+    if not matrix.is_square():
+        raise DimensionMismatch("krylov_annihilator needs a square matrix")
+    if vector.cols != 1 or vector.rows != matrix.rows:
+        raise DimensionMismatch("vector shape does not match the matrix")
+    if vector.is_zero():
+        raise ZeroVector("krylov_annihilator of the zero vector")
+    transposed = _pack([x for column in zip(*matrix._data) for x in column])
+    return _krylov_run(transposed, _pack(vector.column_entries()))[0]
+
+
+def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
+    """Least-degree monic annihilator of the whole space: the lcm of the
+    Krylov annihilators of e_0, e_1, ..., skipping each e_i that already lies
+    in the sum of the cyclic subspaces found so far (the lcm annihilates it)."""
+    n = matrix.rows
+    if n == 0 or not matrix.is_square():
+        raise DimensionMismatch(f"minimal polynomial of a {n}x{matrix.cols} matrix")
+    transposed = _pack([x for column in zip(*matrix._data) for x in column])
+    span = Echelon()
+    result = Polynomial([ONE])
+    for index in range(n):
+        start = ([int(i == index) for i in range(n)], [0] * n, 1)
+        if len(span.packed) < n and span.add(*start):
+            annihilator, cyclic = _krylov_run(transposed, start)
+            for _, re, im, d in cyclic.packed:
+                span.add(re[:n], im[:n], d)
+            result = poly_lcm(result, annihilator)
+    return result

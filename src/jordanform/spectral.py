@@ -1,14 +1,13 @@
 """Determinant-free eigenvalue discovery inside Q(i), and the kernel ladders.
 
-The minimal polynomial is assembled as the lcm of the Krylov annihilators
-of the standard basis vectors (a spanning family, so the lcm annihilates
-the whole space), and its roots are extracted exactly by one search over
-Z[i]: the square-free part, cleared to a monic polynomial over the Gaussian
-integers, has its roots modulo a split prime Hensel-lifted and recovered by
-Gaussian rounding, and every candidate is checked exactly.  This finds every
-root in Q(i); a factor without one is reported, never approximated.  Each
-eigenvalue's stage ladder, the nested kernels of (A - lambda*I)^k, confirms
-it, gives its multiplicities, and is all a decomposition stage reads.
+The roots of the minimal polynomial (``matrices.minimal_polynomial``) are
+extracted exactly by one search over Z[i]: the square-free part, cleared to
+a monic polynomial over the Gaussian integers, has its roots modulo a split
+prime Hensel-lifted and recovered by Gaussian rounding, and every candidate
+is checked exactly.  This finds every root in Q(i); a factor without one is
+reported, never approximated.  Each eigenvalue's stage ladder, the nested
+kernels of (A - lambda*I)^k, confirms it, gives its multiplicities, and is
+all a decomposition stage reads.
 """
 
 from __future__ import annotations
@@ -18,25 +17,14 @@ from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
-    DimensionMismatch,
     IncompleteSpectrum,
     InternalInvariantViolation,
     InvalidProvidedEigenvalue,
     NotAnEigenvalue,
     SpectrumNotRepresentable,
 )
-from .matrices import (
-    Basis,
-    Echelon,
-    ExactMatrix,
-    _pack,
-    _product,
-    _rref_rows,
-    kernel_from_rref,
-    krylov_run,
-    shift_by,
-)
-from .polynomials import Polynomial, poly_gcd, poly_lcm
+from .matrices import Basis, ExactMatrix, kernel_ladder, minimal_polynomial, shift_by
+from .polynomials import Polynomial, poly_gcd
 from .scalars import ONE, GaussianRational, format_scalar
 
 
@@ -56,25 +44,6 @@ class Spectrum(NamedTuple):
     """
 
     entries: Tuple[SpectrumEntry, ...]
-
-
-def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
-    """Least-degree monic annihilator of the whole space: the lcm of the
-    Krylov annihilators of e_0, e_1, ..., skipping each e_i that already lies
-    in the sum of the cyclic subspaces found so far (the lcm annihilates it)."""
-    n = matrix.rows
-    if n == 0:
-        raise DimensionMismatch("minimal polynomial of a 0x0 matrix")
-    span = Echelon()
-    result = Polynomial([ONE])
-    for index in range(n):
-        start = ExactMatrix.basis_vector(n, index)
-        if len(span.packed) < n and span.insert(start.column_entries()):
-            annihilator, cyclic = krylov_run(matrix, start)
-            for _, re, im, d in cyclic.packed:
-                span.add(re[:n], im[:n], d)
-            result = poly_lcm(result, annihilator)
-    return result
 
 
 def poly_apply(poly: Polynomial, matrix: ExactMatrix) -> ExactMatrix:
@@ -235,27 +204,11 @@ class StageLadder(NamedTuple):
 
 
 def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational) -> StageLadder:
-    """Kernel ladder of (A - lambda*I)^k, stopping at stabilization.
-
-    With N = A - lambda*I and R_k the nonzero RREF rows of N^k, ker N^(k+1)
-    is ker(R_k * N): no power of N is formed, and the same kernel has the
-    same RREF, hence the same basis.  R_k stays in packed int rows from one
-    stage to the next.  It never runs past k = n.
-    """
-    shifted = shift_by(matrix, eigenvalue)
-    n = matrix.rows
-    rows = _rref_rows(map(_pack, shifted._data))
-    first = kernel_from_rref(rows, n)
-    if first.dimension == 0:
+    """Kernel ladder of (A - lambda*I)^k, stopping at stabilization
+    (``matrices.kernel_ladder``); it never runs past k = n."""
+    bases = kernel_ladder(shift_by(matrix, eigenvalue))
+    if bases[0].dimension == 0:
         raise NotAnEigenvalue(f"{format_scalar(eigenvalue)} has a trivial eigenspace")
-    bases = [first]
-    right = _pack([x for row in shifted._data for x in row])
-    while bases[-1].dimension < n and len(bases) < n:
-        rows = _rref_rows(_product([row[1:] for row in rows], right, n))
-        basis = kernel_from_rref(rows, n)
-        if basis.dimension == bases[-1].dimension:
-            break
-        bases.append(basis)
     return StageLadder(eigenvalue, tuple(bases))
 
 

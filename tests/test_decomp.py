@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+import jordanform.decomp
 from jordanform import (
     ExactMatrix,
+    InternalInvariantViolation,
     NotAnEigenvalue,
     block_diagonalize,
     blockwise_trigonalize,
@@ -13,6 +15,7 @@ from jordanform import (
     is_jordan_matrix,
     jordan_chains,
     jordan_decomposition,
+    parse_structure,
     rank,
     shift_by,
     solve,
@@ -75,6 +78,27 @@ def test_trigonalize_diagonal_is_spectrum(corpus):
             for _ in range(entry.multiplicity)
         )
         assert diagonal == expected
+
+
+def test_trigonalize_deflates_along_the_known_spectrum(monkeypatch):
+    # Each step takes the head of the sorted spectrum, so diag(0, 1, 2)
+    # needs one kernel for 0 and one for 1; the 1x1 tail needs none.
+    kernels = []
+    real_nullspace_basis = jordanform.decomp.nullspace_basis
+
+    def counted_nullspace_basis(matrix):
+        kernels.append(matrix.rows)
+        return real_nullspace_basis(matrix)
+
+    monkeypatch.setattr(jordanform.decomp, "nullspace_basis", counted_nullspace_basis)
+    decomposition = trigonalize(mat([[0, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    assert [str(decomposition.M[i, i]) for i in range(3)] == ["0", "1", "2"]
+    assert kernels == [3, 2]
+
+
+def test_a_schur_step_without_an_eigenvector_is_an_internal_error():
+    with pytest.raises(InternalInvariantViolation, match="^schur: no eigenvector for 5$"):
+        jordanform.decomp._triangularize(mat([[0, 0], [0, 1]]), [gr("5"), gr("1")])
 
 
 # --- stage ladders ----------------------------------------------------------------
@@ -249,6 +273,25 @@ def test_chains_identity():
     assert [c.length for c in chains] == [1, 1]
     assert vec_strs(chains[0].vectors) == [["1", "0"]]
     assert vec_strs(chains[1].vectors) == [["0", "1"]]
+
+
+def test_chains_of_a_stage_are_extended_by_one_product(monkeypatch):
+    matrix, expected = generate_case(parse_structure("0:3,3,3;1:1"), 5, 3)
+    ladder = stage_ladder(matrix, gr("0"))
+    products = []
+    real_mul = ExactMatrix.__mul__
+
+    def counted_mul(self, other):
+        products.append(other.cols if isinstance(other, ExactMatrix) else 0)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted_mul)
+    chains = jordan_chains(matrix, ladder)
+    monkeypatch.undo()
+    assert [chain.length for chain in chains] == [3, 3, 3]
+    # Stages 2 and 1 each extend the three chains with one 3-column product.
+    assert products == [3, 3]
+    assert jordan_decomposition(matrix).M == expected
 
 
 def test_chain_identities(corpus):

@@ -1,5 +1,6 @@
 """What one command-line call imports, and the lazy package namespace."""
 
+import ast
 import json
 import os
 import subprocess
@@ -83,6 +84,25 @@ def test_spectral_runs_without_loading_decomp():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert done.stdout == "1\nFalse\n"
+
+
+def test_the_packed_row_format_stays_inside_matrices():
+    # Only matrices.py knows packed rows: no other module imports its private
+    # helpers or reads Echelon.packed or ExactMatrix._data.  ExactMatrix._trusted,
+    # the package's constructor for tables it built, stays allowed.
+    offences = []
+    for path in sorted((SRC / "jordanform").glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("matrices"):
+                offences += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names if alias.name.startswith("_")
+                ]
+            if isinstance(node, ast.Attribute) and node.attr in ("packed", "_data"):
+                offences.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert offences == []
 
 
 def test_every_public_name_resolves():
