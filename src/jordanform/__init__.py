@@ -48,7 +48,6 @@ _EXPORTS = {
     "rank": "matrices",
     "rref": "matrices",
     "shift_by": "matrices",
-    "solve": "matrices",
     "Polynomial": "polynomials",
     "format_polynomial": "polynomials",
     "poly_gcd": "polynomials",

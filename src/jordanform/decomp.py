@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInvariantViolation
-from .matrices import Echelon, ExactMatrix, inverse, nullspace_basis, shift_by
+from .matrices import Echelon, ExactMatrix, nullspace_basis, shift_by
 from .scalars import ONE, ZERO, GaussianRational, format_scalar
 from .spectral import StageLadder, spectrum_with_ladders
 from .spectral import stage_ladder  # noqa: F401 -- re-exported, as decomp.stage_ladder
@@ -105,14 +105,18 @@ def trigonalize(
 
 
 def _blockdiag(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
-    columns: List[ExactMatrix] = []
-    blocks = []
+    parts, blocks = [], []
     for ladder in ladders:
-        columns.extend(ladder.top.vectors)
-        blocks.append(Block(ladder.eigenvalue, ladder.top.dimension))
-    v = ExactMatrix.hstack(columns)
-    m = inverse(v) * matrix * v
-    return Decomposition("blockdiag", v, m, tuple(blocks))
+        # A canonical kernel vector is 1 at its free column (its last nonzero
+        # entry) and 0 at the others, so span(V_j) has its coordinates there;
+        # it is A-invariant, so M_j is the rows of A*V_j at those free columns.
+        vectors = ladder.top.vectors
+        free = [max(i for i, x in enumerate(v.column_entries()) if x) for v in vectors]
+        rows = ExactMatrix._trusted([matrix.row(f) for f in free], matrix.cols)
+        parts.append(rows * ExactMatrix.hstack(vectors))
+        blocks.append(Block(ladder.eigenvalue, len(vectors)))
+    v = ExactMatrix.hstack([u for ladder in ladders for u in ladder.top.vectors])
+    return Decomposition("blockdiag", v, _block_diagonal(parts), tuple(blocks))
 
 
 def block_diagonalize(
@@ -244,28 +248,17 @@ def jordan_decomposition(
 def is_jordan_matrix(matrix: ExactMatrix) -> Tuple[bool, List[Block]]:
     """Whether the matrix is a Jordan matrix, with the implied block list.
 
-    A Jordan matrix is zero except for its diagonal and a superdiagonal of
-    entries in {0, 1}, where each 1 couples equal diagonal values.
+    A superdiagonal 1 that joins equal diagonal values extends a block,
+    anything else starts a new one; the matrix is accepted iff it is the
+    Jordan matrix of those blocks.
     """
     if not matrix.is_square():
         return False, []
-    n = matrix.rows
-    for i in range(n):
-        for j in range(n):
-            entry = matrix[i, j]
-            if i == j:
-                continue
-            if j == i + 1:
-                if entry.is_zero():
-                    continue
-                if entry != ONE or matrix[i, i] != matrix[j, j]:
-                    return False, []
-            elif not entry.is_zero():
-                return False, []
     blocks: List[Block] = []
-    start = 0
-    for i in range(n):
-        if i + 1 == n or matrix[i, i + 1].is_zero():
-            blocks.append(Block(matrix[start, start], i + 1 - start))
-            start = i + 1
-    return True, blocks
+    for i in range(matrix.rows):
+        lam = matrix[i, i]
+        if i and matrix[i - 1, i] == ONE and blocks[-1].eigenvalue == lam:
+            blocks[-1] = Block(lam, blocks[-1].size + 1)
+        else:
+            blocks.append(Block(lam, 1))
+    return (True, blocks) if matrix == jordan_matrix(blocks) else (False, [])

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
 from .polynomials import Polynomial, poly_lcm
@@ -383,25 +383,6 @@ def kernel_ladder(matrix: ExactMatrix) -> List[Basis]:
             break
         bases.append(_kernel_from_rref(rows, n))
     return bases
-
-
-def solve(matrix: ExactMatrix, rhs: ExactMatrix) -> Optional[ExactMatrix]:
-    """One exact solution of matrix * x = rhs, or None when inconsistent.
-
-    When the system is underdetermined, all free variables are set to zero,
-    which makes the returned representative canonical.
-    """
-    if rhs.cols != 1 or rhs.rows != matrix.rows:
-        raise DimensionMismatch(
-            f"solve needs a {matrix.rows}x1 right-hand side, got {rhs.rows}x{rhs.cols}"
-        )
-    reduced, pivots = rref(ExactMatrix.hstack([matrix, rhs]))
-    if matrix.cols in pivots:
-        return None
-    entries = [ZERO] * matrix.cols
-    for k, pivot_col in enumerate(pivots):
-        entries[pivot_col] = reduced[k, matrix.cols]
-    return ExactMatrix._trusted([[x] for x in entries], 1)
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jordanform import ExactMatrix, GaussianRational, parse_scalar
+from jordanform import Basis, ExactMatrix, GaussianRational, parse_scalar, rank
 
 
 def gr(value) -> GaussianRational:
@@ -24,6 +24,10 @@ def mat(rows) -> ExactMatrix:
 
 def col(entries) -> ExactMatrix:
     return ExactMatrix.column([gr(x) for x in entries])
+
+
+def in_span(basis: Basis, vector: ExactMatrix) -> bool:
+    return rank(ExactMatrix.hstack([*basis.vectors, vector])) == basis.dimension
 
 
 def rand_fraction(rng: random.Random, bound: int = 6) -> Fraction:

@@ -15,17 +15,17 @@ from jordanform import (
     is_jordan_matrix,
     jordan_chains,
     jordan_decomposition,
+    jordan_matrix,
     parse_structure,
     rank,
     shift_by,
-    solve,
     spectrum,
     stage_ladder,
     trigonalize,
 )
 from jordanform.cli import decomposition_to_document
 
-from conftest import DENSE3, ROTATION2, SHEAR2, UPPER3, col, gr, mat
+from conftest import DENSE3, ROTATION2, SHEAR2, UPPER3, col, gr, in_span, mat
 
 
 @pytest.fixture(scope="module")
@@ -119,8 +119,7 @@ def test_ladder_dense3():
     assert ladder.dims() == [1, 2, 3]
     assert vec_strs(ladder.stage_bases[0].vectors) == [["1", "0", "1"]]
     # The second stage contains (1, 2, 0).
-    membership = solve(ladder.stage_bases[1].as_matrix(), col([1, 2, 0]))
-    assert membership is not None
+    assert in_span(ladder.stage_bases[1], col([1, 2, 0]))
 
 
 def test_ladder_identity():
@@ -163,8 +162,11 @@ def test_generalized_eigenspaces_are_invariant(corpus):
     for _structure, matrix, _expected in corpus[::9]:
         for entry in spectrum(matrix).entries:
             top = stage_ladder(matrix, entry.eigenvalue).top
+            free = [max(i for i, x in enumerate(v.column_entries()) if x) for v in top.vectors]
             for u in top.vectors:
-                assert solve(top.as_matrix(), matrix * u) is not None
+                # A*u stays in the span, whose coordinates are its free-column entries.
+                image = matrix * u
+                assert top.as_matrix() * ExactMatrix.column([image[f, 0] for f in free]) == image
 
 
 # --- block diagonalization ----------------------------------------------------------
@@ -213,6 +215,17 @@ def test_blockdiag_zero_outside_blocks(corpus):
                 if not any(i in span and j in span for span in spans):
                     assert decomposition.M[i, j].is_zero()
         assert matrix * decomposition.V == decomposition.V * decomposition.M
+
+
+def test_blockdiag_equals_the_conjugation_by_the_inverse(corpus):
+    structure = parse_structure("1+1i:2,1;1-1i:1;-1:1")
+    gaussian, _ = generate_case(structure, 3, 3)
+    provided = [gr("-1"), gr("1-1i"), gr("1+1i")]
+    cases = [(matrix, None) for _structure, matrix, _expected in corpus]
+    for matrix, eigenvalues in cases + [(gaussian, provided)]:
+        decomposition = block_diagonalize(matrix, eigenvalues)
+        v = decomposition.V
+        assert decomposition.M == inverse(v) * matrix * v
 
 
 # --- blockwise triangularization ------------------------------------------------------
@@ -416,6 +429,14 @@ def test_is_jordan_matrix_rejects_mismatched_coupling():
 def test_is_jordan_matrix_rejects_lower_entries():
     ok, _ = is_jordan_matrix(mat([[1, 0], [1, 1]]))
     assert not ok
+
+
+def test_is_jordan_matrix_round_trips_every_structure():
+    # Adjacent blocks may share an eigenvalue: a 0 on the superdiagonal splits them.
+    for n in range(1, 6):
+        for structure in exhaustive_structures(n):
+            blocks = list(structure.blocks())
+            assert is_jordan_matrix(jordan_matrix(blocks)) == (True, blocks)
 
 
 def test_trace_identity(corpus):

@@ -20,7 +20,6 @@ from jordanform import (
     nullspace_basis,
     rank,
     shift_by,
-    solve,
     stage_ladder,
 )
 from jordanform.matrices import Echelon
@@ -141,14 +140,15 @@ def vec(matrix):
 
 
 def reference_minimal_polynomial(matrix):
-    """The least d with vec(I), vec(A), ..., vec(A^d) dependent."""
+    """The least d with vec(I), vec(A), ..., vec(A^d) dependent.  The kernel
+    of their hstack is then a line whose canonical vector is 1 in the last
+    coordinate: the coefficients of the monic minimal polynomial."""
     powers = [ExactMatrix.identity(matrix.rows)]
     while True:
-        following = powers[-1] * matrix
-        combination = solve(ExactMatrix.hstack([vec(p) for p in powers]), vec(following))
-        if combination is not None:
-            return Polynomial([-combination[k, 0] for k in range(len(powers))] + [gr(1)])
-        powers.append(following)
+        powers.append(powers[-1] * matrix)
+        kernel = nullspace_basis(ExactMatrix.hstack([vec(p) for p in powers]))
+        if kernel.dimension:
+            return Polynomial(kernel.vectors[0].column_entries())
 
 
 @pytest.mark.parametrize("seed", [3, 17])

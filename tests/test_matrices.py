@@ -20,7 +20,6 @@ from jordanform import (
     poly_apply,
     rank,
     rref,
-    solve,
 )
 from jordanform.matrices import Echelon
 
@@ -244,35 +243,20 @@ def test_nullspace_vectors_are_in_the_kernel_seeded():
             assert (m * v).is_zero()
 
 
-# --- solve / inverse ----------------------------------------------------------
-
-def test_solve_identity():
-    assert solve(ExactMatrix.identity(2), col([3, 4])) == col([3, 4])
-
-
-def test_solve_inconsistent():
-    assert solve(mat([[1, 1], [0, 0]]), col([0, 1])) is None
-
-
-def test_solve_zeroes_free_variables():
-    assert solve(mat([[1, 1], [0, 0]]), col([2, 0])) == col([2, 0])
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        solve(ExactMatrix.identity(2), col([1, 2, 3]))
-
-
-def test_solve_property_seeded():
-    rng = random.Random(24)
+def test_nullspace_vectors_are_one_at_their_own_free_column_seeded():
+    # A vector's last nonzero entry is 1, and every other vector is 0 there:
+    # the coordinates of a vector of the span are its entries at these indices.
+    rng = random.Random(23)
     for _ in range(100):
-        m = rand_ranked_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        x0 = rand_ranked_matrix(rng, m.cols, 1)
-        b = m * x0
-        x = solve(m, b)
-        assert x is not None
-        assert m * x == b
+        n = rng.randint(2, 6)
+        basis = nullspace_basis(rand_ranked_matrix(rng, rng.randint(1, n - 1), n))
+        for k, v in enumerate(basis.vectors):
+            free = max(i for i, x in enumerate(v.column_entries()) if x)
+            assert v[free, 0] == gr(1)
+            assert all(u[free, 0].is_zero() for j, u in enumerate(basis.vectors) if j != k)
 
+
+# --- inverse ----------------------------------------------------------------
 
 def test_inverse_of_chain_matrix():
     v = mat([[-2, -1, 1], [0, -4, 0], [-2, 1, 0]])
