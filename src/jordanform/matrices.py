@@ -10,9 +10,10 @@ positive denominator: ``(re, im, d)`` with int lists re and im.  A row
 operation is int arithmetic, then one gcd that divides out the content and
 leaves the row primitive, so entries keep their true size; scalars are built
 only for what callers read.  The format stays inside this module, and so do
-the two analyses run on it: kernel ladders, and the minimal polynomial as the
-lcm of the Krylov annihilators of the standard basis vectors (a spanning
-family, so the lcm annihilates the whole space).
+the analyses run on it: kernel ladders, the factors of the characteristic
+polynomial from one Krylov pass, and the minimal polynomial as the lcm of the
+Krylov annihilators of the standard basis vectors (a spanning family, so the
+lcm annihilates the whole space).
 """
 
 from __future__ import annotations
@@ -316,20 +317,28 @@ class Echelon:
         return self.add(*_pack(entries))
 
 
-def _rref_rows(rows: Iterable[Packed]) -> List[Row]:
-    """The nonzero rows of the RREF of the packed rows, in pivot order.
-
-    The rows go into an ``Echelon``; then, in descending pivot order, each is
-    reduced against the finished rows below it, clearing above every pivot.
-    """
+def _forward_rows(rows: Iterable[Packed]) -> List[Row]:
+    """The packed rows in echelon form (``Echelon``), in insertion order."""
     echelon = Echelon()
     for row in rows:
         echelon.add(*row)
+    return echelon.packed
+
+
+def _back_substitute(rows: List[Row]) -> List[Row]:
+    """The RREF of echelon rows, in pivot order: in descending pivot order,
+    each row is reduced against the finished rows below it, clearing above
+    every pivot."""
     reduced = Echelon()
-    for pivot, re, im, d in sorted(echelon.packed, key=lambda row: -row[0]):
+    for pivot, re, im, d in sorted(rows, key=lambda row: -row[0]):
         reduced.packed.append((pivot, *reduced.reduce(re, im, d)))
     reduced.packed.reverse()
     return reduced.packed
+
+
+def _rref_rows(rows: Iterable[Packed]) -> List[Row]:
+    """The nonzero rows of the RREF of the packed rows, in pivot order."""
+    return _back_substitute(_forward_rows(rows))
 
 
 def rref(matrix: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
@@ -367,10 +376,29 @@ def nullspace_basis(matrix: ExactMatrix) -> Basis:
     return _kernel_from_rref(_rref_rows(map(_pack, matrix._data)), matrix.cols)
 
 
+def _times(rows: Sequence[Row], right: Packed, n: int) -> List[Packed]:
+    """RREF rows times the n x n matrix packed row-major in ``right``.  A row
+    over d is d at its pivot and 0 at the other pivots, so its product is d
+    times the pivot's row of the matrix plus the free columns' share."""
+    re, im, e = right
+    pivots = {row[0] for row in rows}
+    free = [j for j in range(n) if j not in pivots]
+    part = ([a for f in free for a in re[f * n:f * n + n]],
+            [b for f in free for b in im[f * n:f * n + n]], e)
+    cut = [([r_re[f] for f in free], [r_im[f] for f in free], d) for _, r_re, r_im, d in rows]
+    return [
+        ([x + d * a for x, a in zip(x_re, re[p * n:p * n + n])],
+         [y + d * b for y, b in zip(x_im, im[p * n:p * n + n])], de)
+        for (p, _, _, d), (x_re, x_im, de) in zip(rows, _product(cut, part, n))
+    ]
+
+
 def kernel_ladder(matrix: ExactMatrix) -> List[Basis]:
     """Canonical bases of ker M, ker M^2, ... while the dimension grows, so
     never past k = n.  ker M^(k+1) is ker(R_k * M), R_k the RREF rows of M^k:
-    no power of M is formed, and the same kernel has the same basis."""
+    no power of M is formed, and the same kernel has the same basis.  The
+    rank is known after the forward half of the elimination, so the step that
+    finds no growth skips the back substitution."""
     if not matrix.is_square():
         raise DimensionMismatch("kernel ladder of a non-square matrix")
     n = matrix.rows
@@ -378,9 +406,10 @@ def kernel_ladder(matrix: ExactMatrix) -> List[Basis]:
     bases = [_kernel_from_rref(rows, n)]
     right = _pack([x for row in matrix._data for x in row])
     while 0 < bases[-1].dimension < n:
-        rows = _rref_rows(_product([row[1:] for row in rows], right, n))
-        if n - len(rows) == bases[-1].dimension:
+        forward = _forward_rows(_times(rows, right, n))
+        if n - len(forward) == bases[-1].dimension:
             break
+        rows = _back_substitute(forward)
         bases.append(_kernel_from_rref(rows, n))
     return bases
 
@@ -417,22 +446,57 @@ def complete_basis(partial: Basis) -> ExactMatrix:
     return ExactMatrix.hstack(columns)
 
 
-def _krylov_run(transposed: Packed, start: Packed) -> Tuple[Polynomial, Echelon]:
-    """The Krylov annihilator of a packed vector v under A, given A^T packed
-    (A v is the row v^T A^T), and an echelon whose rows, cut to their first n
-    entries, span the cyclic subspace; the other n + 1 are power coefficients."""
+def _krylov_run(
+    transposed: Packed, start: Packed, span: Sequence[Row] = ()
+) -> Tuple[Polynomial, Echelon]:
+    """The annihilator of a packed vector v under A relative to the span of
+    echelon rows: the monic p of least degree with p(A) v in that span (the
+    Krylov annihilator of v for an empty span).  A v is the row v^T A^T,
+    given A^T packed.  Also returns an echelon whose rows, cut to their first
+    n entries, are the span's followed by the run's; the other n + 1 entries
+    are power coefficients, 0 on the span's rows."""
     re, im, d = start
     n = len(re)
+    pad = [0] * (n + 1)
     echelon = Echelon()
+    echelon.packed = [(pivot, y_re + pad, y_im + pad, e) for pivot, y_re, y_im, e in span]
     for degree in range(n + 1):
         tag = [0] * degree + [d] + [0] * (n - degree)
-        x_re, x_im, x_d = echelon.reduce(re + tag, im + [0] * (n + 1), d)
+        x_re, x_im, x_d = echelon.reduce(re + tag, im + pad, d)
         if not (any(x_re[:n]) or any(x_im[:n])):
-            # 0 = sum of c_k * A^k v with c_degree = 1: the annihilator itself.
+            # 0 = sum of c_k * A^k v with c_degree = 1, modulo the span.
             return Polynomial(_unpack(x_re[n:], x_im[n:], x_d)), echelon
         echelon.add(x_re, x_im, x_d)
         re, im, d = _primitive(*_product([(re, im, d)], transposed, n)[0])
     raise AssertionError("n+1 Krylov vectors cannot stay independent")
+
+
+def krylov_factors(matrix: ExactMatrix) -> List[Polynomial]:
+    """Monic polynomials of positive degree whose product is the
+    characteristic polynomial, from one Krylov pass (Keller-Gehrig 1985).
+
+    A run starts at each e_i outside the span found so far, an A-invariant
+    subspace, and stops at the first power that reduces to zero modulo the
+    span and its own earlier powers; its relative annihilator is the
+    characteristic polynomial of A on the quotient, and its powers join the
+    span.  Each of the n + (number of runs) reductions is done once.
+    """
+    n = matrix.rows
+    if n == 0 or not matrix.is_square():
+        raise DimensionMismatch(f"characteristic polynomial of a {n}x{matrix.cols} matrix")
+    transposed = _pack([x for column in zip(*matrix._data) for x in column])
+    span: List[Row] = []
+    factors = []
+    for index in range(n):
+        if len(span) == n:
+            break
+        start = ([int(i == index) for i in range(n)], [0] * n, 1)
+        factor, run = _krylov_run(transposed, start, span)
+        if factor.degree > 0:
+            factors.append(factor)
+            span += [(pivot, *_primitive(re[:n], im[:n], d))
+                     for pivot, re, im, d in run.packed[len(span):]]
+    return factors
 
 
 def krylov_annihilator(matrix: ExactMatrix, vector: ExactMatrix) -> Polynomial:

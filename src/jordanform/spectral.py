@@ -1,13 +1,15 @@
 """Determinant-free eigenvalue discovery inside Q(i), and the kernel ladders.
 
-The roots of the minimal polynomial (``matrices.minimal_polynomial``) are
-extracted exactly by one search over Z[i]: the square-free part, cleared to
-a monic polynomial over the Gaussian integers, has its roots modulo a split
-prime Hensel-lifted and recovered by Gaussian rounding, and every candidate
-is checked exactly.  This finds every root in Q(i); a factor without one is
-reported, never approximated.  Each eigenvalue's stage ladder, the nested
-kernels of (A - lambda*I)^k, confirms it, gives its multiplicities, and is
-all a decomposition stage reads.
+The eigenvalues are the roots of the characteristic polynomial, taken factor
+by factor from one Krylov pass (``matrices.krylov_factors``) and extracted
+exactly by a search over Z[i]: the square-free part, cleared to a monic
+polynomial over the Gaussian integers, has its roots modulo a split prime
+Hensel-lifted and recovered by Gaussian rounding, and every candidate is
+checked exactly.  This finds every root in Q(i); a factor without one is
+reported, never approximated, and the factor reported is the minimal
+polynomial (``matrices.minimal_polynomial``) less the roots found.  Each
+eigenvalue's stage ladder, the nested kernels of (A - lambda*I)^k, confirms
+it, gives its multiplicities, and is all a decomposition stage reads.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from .errors import (
     NotAnEigenvalue,
     SpectrumNotRepresentable,
 )
-from .matrices import Basis, ExactMatrix, kernel_ladder, minimal_polynomial, shift_by
+from .matrices import (
+    Basis,
+    ExactMatrix,
+    kernel_ladder,
+    krylov_factors,
+    minimal_polynomial,
+    shift_by,
+)
 from .polynomials import Polynomial, poly_gcd
 from .scalars import ONE, GaussianRational, format_scalar
 
@@ -141,19 +150,17 @@ def _deflate(work: Polynomial, root: GaussianRational) -> Tuple[Polynomial, int]
     return work, count
 
 
-def poly_roots_exact(
-    poly: Polynomial,
-) -> List[Tuple[GaussianRational, int]]:
-    """All roots of poly inside Q(i), with multiplicities, canonically sorted.
+def _roots_and_rest(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int]], Polynomial]:
+    """The roots of poly inside Q(i), with multiplicities, canonically
+    sorted, and the monic rest of poly once they are divided out.
 
     The procedure: take the square-free part s = work / gcd(work, work') of
     the monic work = poly / lead, clear its denominators by their lcm c, and
     search the monic g(y) = c^(d-1) s(y/c) over Z[i] for its roots beta
     (_gaussian_integer_roots, by Hensel lifting).  Every root of poly in Q(i)
     is some beta/c; each candidate is checked exactly and deflated from work
-    to exhaustion, which counts its multiplicity.  A leftover of positive
-    degree has no root in Q(i) and raises SpectrumNotRepresentable carrying
-    it.
+    to exhaustion, which counts its multiplicity.  What is left of work has
+    no root in Q(i).
     """
     if poly.degree < 1:
         raise ValueError("poly_roots_exact needs degree >= 1")
@@ -175,9 +182,37 @@ def poly_roots_exact(
         work, count = _deflate(work, candidate)
         if count:
             roots.append((candidate, count))
-    if work.degree >= 1:
-        raise SpectrumNotRepresentable(work)
-    return sorted(roots)
+    return sorted(roots), work
+
+
+def poly_roots_exact(poly: Polynomial) -> List[Tuple[GaussianRational, int]]:
+    """All roots of poly inside Q(i), with multiplicities, canonically sorted
+    (see ``_roots_and_rest``).  A rest of positive degree has no root in Q(i)
+    and raises SpectrumNotRepresentable carrying it."""
+    roots, rest = _roots_and_rest(poly)
+    if rest.degree >= 1:
+        raise SpectrumNotRepresentable(rest)
+    return roots
+
+
+def _eigenvalues(matrix: ExactMatrix) -> List[GaussianRational]:
+    """The distinct roots in Q(i) of the characteristic polynomial, sorted:
+    the union of the roots of its Krylov factors.  When a factor keeps a part
+    without roots, the minimal polynomial, less the roots found, is the
+    factor SpectrumNotRepresentable reports."""
+    roots = set()
+    rootless = False
+    for factor in krylov_factors(matrix):
+        found, rest = _roots_and_rest(factor)
+        roots.update(root for root, _ in found)
+        rootless = rootless or rest.degree >= 1
+    eigenvalues = sorted(roots)
+    if rootless:
+        rest = minimal_polynomial(matrix)
+        for root in eigenvalues:
+            rest = _deflate(rest, root)[0]
+        raise SpectrumNotRepresentable(rest)
+    return eigenvalues
 
 
 class StageLadder(NamedTuple):
@@ -226,7 +261,7 @@ def spectrum_with_ladders(
     n = matrix.rows
     found = provided is None
     if found:
-        provided = [root for root, _ in poly_roots_exact(minimal_polynomial(matrix))]
+        provided = _eigenvalues(matrix)
     ladders = []
     for lam in provided:
         if lam in [ladder.eigenvalue for ladder in ladders]:
@@ -236,7 +271,7 @@ def spectrum_with_ladders(
         except NotAnEigenvalue:
             if found:
                 raise InternalInvariantViolation(
-                    f"minimal polynomial root {format_scalar(lam)} is not an eigenvalue"
+                    f"characteristic polynomial root {format_scalar(lam)} is not an eigenvalue"
                 ) from None
             raise InvalidProvidedEigenvalue(
                 f"{format_scalar(lam)} is not an eigenvalue: A - (value)I has full rank"
@@ -260,8 +295,10 @@ def spectrum(
 ) -> Spectrum:
     """The full spectrum with multiplicities, geometric dimensions and stages.
 
-    Without provided eigenvalues, the distinct roots of the minimal
-    polynomial are used.  With them, every candidate is validated
+    Without provided eigenvalues, the distinct roots in Q(i) of the Krylov
+    factors of the characteristic polynomial are used; when a factor keeps a
+    rootless part, SpectrumNotRepresentable carries the minimal polynomial
+    less those roots.  With provided eigenvalues, every candidate is validated
     (A - lambda*I must lose rank), duplicates are rejected, and the
     multiplicities must cover the full dimension.
     """

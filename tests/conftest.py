@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jordanform import Basis, ExactMatrix, GaussianRational, parse_scalar, rank
+from jordanform import Basis, ExactMatrix, GaussianRational, Polynomial, parse_scalar, rank
 
 
 def gr(value) -> GaussianRational:
@@ -28,6 +28,20 @@ def col(entries) -> ExactMatrix:
 
 def in_span(basis: Basis, vector: ExactMatrix) -> bool:
     return rank(ExactMatrix.hstack([*basis.vectors, vector])) == basis.dimension
+
+
+def companion_sum(*polys: Polynomial) -> ExactMatrix:
+    """The block-diagonal sum of the companion matrices of monic polynomials."""
+    n = sum(p.degree for p in polys)
+    rows = [[gr(0)] * n for _ in range(n)]
+    at = 0
+    for p in polys:
+        for i in range(p.degree):
+            if i:
+                rows[at + i][at + i - 1] = gr(1)
+            rows[at + i][at + p.degree - 1] = -p.coefficients[i]
+        at += p.degree
+    return ExactMatrix(rows)
 
 
 def rand_fraction(rng: random.Random, bound: int = 6) -> Fraction:

@@ -7,7 +7,13 @@ import time
 
 import pytest
 
-from jordanform import ExactMatrix, check_decomposition, jordan_decomposition, spectrum
+from jordanform import (
+    ExactMatrix,
+    Polynomial,
+    check_decomposition,
+    jordan_decomposition,
+    spectrum,
+)
 from jordanform import cli
 from jordanform.cli import (
     EXIT_CHECK_FAILED,
@@ -24,7 +30,7 @@ from jordanform.cli import (
     spectrum_to_document,
 )
 
-from conftest import CUBE_COMPANION, DENSE3, ROTATION2
+from conftest import CUBE_COMPANION, DENSE3, ROTATION2, companion_sum
 
 
 def write_doc(tmp_path, name, matrix):
@@ -209,6 +215,20 @@ def test_internal_error_exit_code(dense3_path, monkeypatch, capsys):
     )
 
 
+def test_not_representable_names_the_minimal_polynomials_rest(tmp_path, capsys):
+    # Krylov factors z^2 - 2 and (z^2 - 2)^2: the reported factor is the
+    # minimal polynomial's rest, not the first factor's.
+    sqrt2 = Polynomial([-2, 0, 1])
+    path = write_doc(tmp_path, "sqrt2.json", companion_sum(sqrt2, sqrt2 * sqrt2))
+    assert run(["spectrum", path]) == EXIT_NOT_REPRESENTABLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "jordanform spectrum: SpectrumNotRepresentable: "
+        "no root in Q(i) for the remaining factor z^4 - 4z^2 + 4\n"
+    )
+
+
 def test_wrong_provided_eigenvalue(cube_path, capsys):
     assert run(["jordan", cube_path, "--spectrum", "3/2"]) == EXIT_USAGE
     assert "InvalidProvidedEigenvalue" in capsys.readouterr().err
@@ -267,26 +287,33 @@ def test_verify_subcommand(dense3_path, capsys):
 
 
 def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, capsys):
+    # The eigenvalues come from one Krylov pass; the minimal polynomial is
+    # computed only to name the rootless factor of the exit-2 path.
     import jordanform.decomp
     import jordanform.spectral
 
     calls = []
-    real_minimal_polynomial = jordanform.spectral.minimal_polynomial
     real_analysis = jordanform.spectral.spectrum_with_ladders
 
-    def counted_minimal_polynomial(matrix):
-        calls.append("minimal_polynomial")
-        return real_minimal_polynomial(matrix)
+    def counted(name):
+        real = getattr(jordanform.spectral, name)
+
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(jordanform.spectral, name, spy)
 
     def counted_analysis(matrix, provided=None):
         calls.append("spectrum_with_ladders")
         return real_analysis(matrix, provided)
 
-    monkeypatch.setattr(jordanform.spectral, "minimal_polynomial", counted_minimal_polynomial)
+    counted("krylov_factors")
+    counted("minimal_polynomial")
     for module in (jordanform.spectral, jordanform.decomp, cli):
         monkeypatch.setattr(module, "spectrum_with_ladders", counted_analysis)
     assert run(["verify", dense3_path, "--format", "json"]) == EXIT_OK
-    assert calls == ["spectrum_with_ladders", "minimal_polynomial"]
+    assert calls == ["spectrum_with_ladders", "krylov_factors"]
     assert all(report["passed"] for report in json.loads(capsys.readouterr().out)["reports"])
     calls.clear()
     assert run(["verify", dense3_path, "--spectrum", "3"]) == EXIT_OK
@@ -294,7 +321,7 @@ def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, cap
     assert "jordan: pass" in capsys.readouterr().out
     calls.clear()
     assert run(["verify", cube_path]) == EXIT_NOT_REPRESENTABLE
-    assert calls == ["spectrum_with_ladders", "minimal_polynomial"]
+    assert calls == ["spectrum_with_ladders", "krylov_factors", "minimal_polynomial"]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

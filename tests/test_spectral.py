@@ -19,7 +19,9 @@ from jordanform import (
     spectrum,
 )
 
-from conftest import CUBE_COMPANION, DENSE3, ROTATION2, SHEAR2, UPPER3, gr, mat
+from jordanform.matrices import krylov_factors
+
+from conftest import CUBE_COMPANION, DENSE3, ROTATION2, SHEAR2, UPPER3, companion_sum, gr, mat
 
 
 def roots_as_strs(pairs):
@@ -160,6 +162,8 @@ def test_empty_matrix_is_a_dimension_error():
     with pytest.raises(DimensionMismatch):
         minimal_polynomial(empty)
     with pytest.raises(DimensionMismatch):
+        krylov_factors(empty)
+    with pytest.raises(DimensionMismatch):
         spectrum(empty)
 
 
@@ -197,6 +201,44 @@ def test_spectrum_repeated_conjugate_pair():
     a = mat([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert str(minimal_polynomial(a)) == "z^4 + 2z^2 + 1"
     assert entry_tuples(spectrum(a)) == [("-1i", 2, 1, 2), ("1i", 2, 1, 2)]
+
+
+# --- the rootless residual -------------------------------------------------------
+# The eigenvalues come from the Krylov factors of the characteristic
+# polynomial; the factor SpectrumNotRepresentable names is the minimal
+# polynomial less its roots in Q(i), which no single Krylov factor need equal.
+
+SQRT2 = Polynomial([-2, 0, 1])  # z^2 - 2
+
+
+def rest_of(factor):
+    """What poly_roots_exact leaves of one factor once its roots are out."""
+    with pytest.raises(SpectrumNotRepresentable) as err:
+        poly_roots_exact(factor)
+    return err.value.factor
+
+
+def test_rootless_factor_is_the_minimal_polynomials_rest():
+    matrix = companion_sum(SQRT2, SQRT2 * SQRT2)
+    assert krylov_factors(matrix) == [SQRT2, SQRT2 * SQRT2]
+    with pytest.raises(SpectrumNotRepresentable) as err:
+        spectrum(matrix)
+    assert str(err.value.factor) == "z^4 - 4z^2 + 4"
+    assert err.value.factor == minimal_polynomial(matrix)
+
+
+def test_rootless_factor_joins_the_rests_of_several_factors():
+    # (z-1)^2 (z^2-2) and (z-1)(z^2+2): the factors keep z^2 - 2 and z^2 + 2,
+    # the minimal polynomial less its root 1 keeps their product.
+    first = Polynomial.from_roots(1, 1) * SQRT2
+    second = Polynomial.from_roots(1) * Polynomial([2, 0, 1])
+    matrix = companion_sum(first, second)
+    factors = krylov_factors(matrix)
+    assert factors == [first, second]
+    with pytest.raises(SpectrumNotRepresentable) as err:
+        spectrum(matrix)
+    assert str(err.value.factor) == "z^4 - 4"
+    assert [str(rest_of(factor)) for factor in factors] == ["z^2 - 2", "z^2 + 2"]
 
 
 def test_spectrum_with_provided_matches_automatic():
