@@ -12,60 +12,23 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from .decomp import (
-    Block,
-    Decomposition,
-    _blockdiag,
-    _blocktri,
-    _jordan,
-    _schur,
-    block_diagonalize,
-    blockwise_trigonalize,
-    jordan_decomposition,
-    trigonalize,
-)
+from .decomp import STAGES, Block, Decomposition
 from .errors import (
-    DimensionMismatch,
-    IncompleteSpectrum,
     InternalInvariantViolation,
-    InvalidProvidedEigenvalue,
-    InvalidStructure,
-    NotAnEigenvalue,
+    JordanFormError,
     ParseError,
-    SingularMatrix,
     SpectrumNotRepresentable,
     UsageError,
-    ZeroVector,
 )
 from .matrices import ExactMatrix
 from .scalars import GaussianRational, format_scalar, parse_scalar
-from .spectral import Spectrum, SpectrumEntry, spectrum, spectrum_with_ladders
+from .spectral import Spectrum, spectrum_with_ladders
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_REPRESENTABLE = 2
 EXIT_CHECK_FAILED = 3
 EXIT_INTERNAL = 4
-
-_DECOMPOSERS = {
-    "schur": trigonalize,
-    "blockdiag": block_diagonalize,
-    "blocktri": blockwise_trigonalize,
-    "jordan": jordan_decomposition,
-}
-
-_USAGE_ERRORS = (
-    ParseError,
-    UsageError,
-    InvalidProvidedEigenvalue,
-    IncompleteSpectrum,
-    InvalidStructure,
-    NotAnEigenvalue,
-    DimensionMismatch,
-    SingularMatrix,
-    ZeroVector,
-    OSError,
-)
 
 
 # --- documents -------------------------------------------------------------
@@ -79,7 +42,7 @@ def document_to_matrix(doc) -> ExactMatrix:
         raise ParseError('a matrix document needs the keys "n" and "entries"')
     n = doc["n"]
     entries = doc["entries"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ParseError(f"matrix size must be a positive integer, got {n!r}")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseError(f"expected {n} rows of entries")
@@ -103,21 +66,6 @@ def spectrum_to_document(spect: Spectrum) -> dict:
             for entry in spect.entries
         ]
     }
-
-
-def document_to_spectrum(doc) -> Spectrum:
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise ParseError('a spectrum document needs the key "entries"')
-    entries = tuple(
-        SpectrumEntry(
-            parse_scalar(item["lambda"]),
-            int(item["multiplicity"]),
-            int(item["geometric"]),
-            int(item["max_stage"]),
-        )
-        for item in doc["entries"]
-    )
-    return Spectrum(entries)
 
 
 def decomposition_to_document(decomposition: Decomposition) -> dict:
@@ -149,16 +97,16 @@ def document_to_decomposition(doc) -> Decomposition:
 
 # --- pretty rendering ------------------------------------------------------
 
-def pretty_matrix(matrix: ExactMatrix, indent: str = "  ") -> str:
+def pretty_matrix(matrix: ExactMatrix) -> str:
     cells = matrix.entries_str()
     if not cells:
-        return indent + "(empty)"
+        return "  (empty)"
     widths = [
         max(len(cells[i][j]) for i in range(matrix.rows))
         for j in range(matrix.cols)
     ]
     lines = [
-        indent + "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
+        "  " + "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
         for row in cells
     ]
     return "\n".join(lines)
@@ -246,7 +194,7 @@ def _build_parser() -> _Parser:
         return cmd
 
     add_matrix_command("spectrum", "eigenvalues with multiplicities", check_flag=False)
-    for kind in _DECOMPOSERS:
+    for kind in STAGES:
         add_matrix_command(kind, f"compute the {kind} decomposition")
     add_matrix_command("verify", "run all decompositions and their checks", check_flag=False)
 
@@ -296,50 +244,38 @@ def _emit(doc: dict, pretty_lines: List[str], fmt: str) -> None:
 
 # --- subcommand handlers ---------------------------------------------------
 
-def _cmd_spectrum(args) -> int:
+def _cmd_matrix(args) -> int:
+    """spectrum, one stage, or verify (every stage and its checks), all read
+    off one analysis of the matrix."""
     matrix = _read_matrix(args.matrix)
-    spect = spectrum(matrix, _parse_provided(args.provided))
-    _emit(spectrum_to_document(spect), _pretty_spectrum(spect), args.format)
-    return EXIT_OK
+    spect, ladders = spectrum_with_ladders(matrix, _parse_provided(args.provided))
+    if args.command == "spectrum":
+        _emit(spectrum_to_document(spect), _pretty_spectrum(spect), args.format)
+        return EXIT_OK
+    if args.command in STAGES:
+        decomposition = STAGES[args.command](matrix, ladders)
+        doc = decomposition_to_document(decomposition)
+        pretty = _pretty_decomposition(decomposition)
+        passed = True
+        if args.check:
+            from .verify import check_decomposition
 
-
-def _cmd_decompose(args) -> int:
-    matrix = _read_matrix(args.matrix)
-    decomposition = _DECOMPOSERS[args.command](matrix, _parse_provided(args.provided))
-    doc = decomposition_to_document(decomposition)
-    pretty = _pretty_decomposition(decomposition)
-    code = EXIT_OK
-    if args.check:
+            report = check_decomposition(matrix, decomposition)
+            doc["check"] = _report_document(report)
+            pretty.extend(_pretty_report(report))
+            passed = report.passed
+    else:
         from .verify import check_decomposition
 
-        report = check_decomposition(matrix, decomposition)
-        doc["check"] = _report_document(report)
-        pretty.extend(_pretty_report(report))
-        if not report.passed:
-            code = EXIT_CHECK_FAILED
+        doc = {"n": matrix.rows, "reports": []}
+        pretty = []
+        for kind, stage in STAGES.items():
+            report = check_decomposition(matrix, stage(matrix, ladders))
+            doc["reports"].append({"kind": kind, **_report_document(report)})
+            pretty.append(f"{kind}: {'pass' if report.passed else 'FAIL'}")
+            pretty.extend("  " + line for line in _pretty_report(report))
+        passed = all(report["passed"] for report in doc["reports"])
     _emit(doc, pretty, args.format)
-    return code
-
-
-def _cmd_verify(args) -> int:
-    from .verify import check_decomposition
-
-    matrix = _read_matrix(args.matrix)
-    # One analysis serves all four stages, and blocktri refines blockdiag.
-    ladders = spectrum_with_ladders(matrix, _parse_provided(args.provided))[1]
-    schur = _schur(matrix, ladders)
-    blockdiag = _blockdiag(matrix, ladders)
-    stages = (schur, blockdiag, _blocktri(blockdiag), _jordan(matrix, ladders))
-    doc_reports = []
-    pretty: List[str] = []
-    for decomposition in stages:
-        kind = decomposition.kind
-        report = check_decomposition(matrix, decomposition)
-        doc_reports.append({"kind": kind, **_report_document(report)})
-        pretty.append(f"{kind}: {'pass' if report.passed else 'FAIL'}")
-        pretty.extend("  " + line for line in _pretty_report(report))
-    _emit({"n": matrix.rows, "reports": doc_reports}, pretty, args.format)
-    passed = all(report["passed"] for report in doc_reports)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -383,15 +319,11 @@ def run(argv: Sequence[str]) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    handlers = {
-        "spectrum": _cmd_spectrum,
-        "verify": _cmd_verify,
-        "gen": _cmd_gen,
-    }
-    handler = handlers.get(args.command, _cmd_decompose)
+    handler = _cmd_gen if args.command == "gen" else _cmd_matrix
     try:
         return handler(args)
-    except (SpectrumNotRepresentable, InternalInvariantViolation, *_USAGE_ERRORS) as exc:
+    except (JordanFormError, OSError) as exc:
+        # Every package error without a code of its own is a usage error.
         print(f"jordanform {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, SpectrumNotRepresentable):
             return EXIT_NOT_REPRESENTABLE

@@ -10,7 +10,7 @@ identical inputs always produce identical output matrices.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInvariantViolation
 from .matrices import Echelon, ExactMatrix, nullspace_basis, shift_by
@@ -81,7 +81,8 @@ def _triangularize(
 
 
 # The stages proper take the ladders spectrum_with_ladders returns, so a
-# caller that runs several stages on one matrix (cli verify) analyses it once.
+# caller that runs several stages on one matrix (cli verify) analyses it once;
+# STAGES lists them by kind.
 
 def _schur(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
     eigenvalues = [ladder.eigenvalue for ladder in ladders for _ in ladder.top.vectors]
@@ -143,8 +144,9 @@ def _block_diagonal(mats: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix._trusted(rows, n)
 
 
-def _blocktri(base: Decomposition) -> Decomposition:
-    """Triangularizes each diagonal block of a blockdiag result in place."""
+def _blocktri(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
+    """Triangularizes each diagonal block of the blockdiag result in place."""
+    base = _blockdiag(matrix, ladders)
     v_parts, u_parts = [], []
     offset = 0
     for block in base.blocks:
@@ -167,7 +169,7 @@ def blockwise_trigonalize(
     Every block's spectrum is its single eigenvalue, so the result is upper
     triangular with a constant diagonal inside each block.
     """
-    return _blocktri(block_diagonalize(matrix, eigenvalues))
+    return _blocktri(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 
 
 def jordan_chains(matrix: ExactMatrix, ladder: StageLadder) -> List[JordanChain]:
@@ -243,6 +245,14 @@ def jordan_decomposition(
     order; J carries one Jordan block per chain.
     """
     return _jordan(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
+
+
+STAGES: Dict[str, Callable[[ExactMatrix, Sequence[StageLadder]], Decomposition]] = {
+    "schur": _schur,
+    "blockdiag": _blockdiag,
+    "blocktri": _blocktri,
+    "jordan": _jordan,
+}
 
 
 def is_jordan_matrix(matrix: ExactMatrix) -> Tuple[bool, List[Block]]:

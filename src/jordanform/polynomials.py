@@ -163,7 +163,7 @@ def poly_lcm(first: Polynomial, second: Polynomial) -> Polynomial:
     return (first * second).exact_div(poly_gcd(first, second)).monic()
 
 
-def format_polynomial(poly: Polynomial, variable: str = "z") -> str:
+def format_polynomial(poly: Polynomial) -> str:
     """Human form with terms in descending degree, e.g. ``z^3 - 2``."""
     if poly.is_zero():
         return "0"
@@ -177,7 +177,7 @@ def format_polynomial(poly: Polynomial, variable: str = "z") -> str:
             if coefficient.re != 0 and coefficient.im != 0:
                 text = f"({text})"
         else:
-            power = variable if k == 1 else f"{variable}^{k}"
+            power = "z" if k == 1 else f"z^{k}"
             if coefficient == ONE:
                 text = power
             elif coefficient == -ONE:

@@ -12,9 +12,8 @@ from jordanform import (
     Polynomial,
     check_decomposition,
     jordan_decomposition,
-    spectrum,
 )
-from jordanform import cli
+from jordanform import cli, decomp, errors
 from jordanform.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -24,13 +23,11 @@ from jordanform.cli import (
     decomposition_to_document,
     document_to_decomposition,
     document_to_matrix,
-    document_to_spectrum,
     matrix_to_document,
     run,
-    spectrum_to_document,
 )
 
-from conftest import CUBE_COMPANION, DENSE3, ROTATION2, companion_sum
+from conftest import CUBE_COMPANION, DENSE3, companion_sum
 
 
 def write_doc(tmp_path, name, matrix):
@@ -64,12 +61,6 @@ def test_matrix_document_round_trip():
     assert document_to_matrix(json.loads(json.dumps(doc))) == DENSE3
 
 
-def test_spectrum_document_round_trip():
-    spect = spectrum(ROTATION2)
-    doc = spectrum_to_document(spect)
-    assert document_to_spectrum(json.loads(json.dumps(doc))) == spect
-
-
 def test_decomposition_document_round_trip():
     decomposition = jordan_decomposition(DENSE3)
     doc = decomposition_to_document(decomposition)
@@ -85,6 +76,7 @@ def test_decomposition_document_round_trip():
         {"n": 2, "entries": [["1", "2"]]},
         {"n": 2, "entries": [["1", "2"], ["3"]]},
         {"n": 1, "entries": [["nope"]]},
+        {"n": True, "entries": [["5"]]},
     ],
 )
 def test_bad_matrix_documents_rejected(doc):
@@ -203,16 +195,44 @@ def test_a_factor_past_the_interpreter_digit_limit(tmp_path):
 def test_internal_error_exit_code(dense3_path, monkeypatch, capsys):
     from jordanform import InternalInvariantViolation
 
-    def broken(matrix, provided=None):
+    def broken(matrix, ladders):
         raise InternalInvariantViolation("chain count mismatch")
 
-    monkeypatch.setitem(cli._DECOMPOSERS, "jordan", broken)
+    monkeypatch.setitem(decomp.STAGES, "jordan", broken)
     assert run(["jordan", dense3_path]) == EXIT_INTERNAL == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "jordanform jordan: InternalInvariantViolation: chain count mismatch\n"
     )
+
+
+PACKAGE_ERRORS = [
+    error for error in vars(errors).values()
+    if isinstance(error, type) and issubclass(error, errors.JordanFormError)
+]
+
+
+@pytest.mark.parametrize("error", [*PACKAGE_ERRORS, OSError], ids=lambda error: error.__name__)
+def test_every_error_type_exits_with_its_code(dense3_path, monkeypatch, capsys, error):
+    # SpectrumNotRepresentable and InternalInvariantViolation have their own
+    # codes; every other package error, and a file that cannot be read, is a
+    # usage error.
+    if error is errors.SpectrumNotRepresentable:
+        exc = error(Polynomial([-2, 0, 0, 1]))
+        message = "no root in Q(i) for the remaining factor z^3 - 2"
+    else:
+        exc, message = error("stage failed"), "stage failed"
+
+    def broken(matrix, ladders):
+        raise exc
+
+    monkeypatch.setitem(decomp.STAGES, "jordan", broken)
+    codes = {errors.SpectrumNotRepresentable: 2, errors.InternalInvariantViolation: 4}
+    assert run(["jordan", dense3_path]) == codes.get(error, EXIT_USAGE)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"jordanform jordan: {error.__name__}: {message}\n"
 
 
 def test_not_representable_names_the_minimal_polynomials_rest(tmp_path, capsys):

@@ -253,7 +253,20 @@ def test_check_detects_singular_v():
         jordan_decomposition(ExactMatrix.identity(2)).blocks,
     )
     report = check_decomposition(ExactMatrix.identity(2), singular)
-    assert any(r.name == "invertible" and not r.passed for r in report.results)
+    assert ("invertible", False, "V not invertible: matrix of rank 1 < 2") in report.results
+
+
+def test_check_detects_non_square_v():
+    wide = Decomposition(
+        "jordan",
+        mat([[1, 0, 0], [0, 1, 0]]),
+        ExactMatrix.identity(2),
+        jordan_decomposition(ExactMatrix.identity(2)).blocks,
+    )
+    report = check_decomposition(ExactMatrix.identity(2), wide)
+    assert (
+        "invertible", False, "V not invertible: inverse of a non-square matrix"
+    ) in report.results
 
 
 def test_check_passes_on_every_pipeline_output():
