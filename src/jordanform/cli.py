@@ -81,17 +81,26 @@ def decomposition_to_document(decomposition: Decomposition) -> dict:
 
 
 def document_to_decomposition(doc) -> Decomposition:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ParseError('a decomposition document needs the key "kind"')
-    blocks = tuple(
-        Block(parse_scalar(item["lambda"]), int(item["size"]))
-        for item in doc["blocks"]
-    )
+    for key in ("kind", "V", "M", "blocks"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ParseError(f'a decomposition document needs the key "{key}"')
+    if doc["kind"] not in STAGES:
+        raise ParseError(f'"kind" must be one of {", ".join(STAGES)}, got {doc["kind"]!r}')
+    if not isinstance(doc["blocks"], list):
+        raise ParseError(f'"blocks" must be a list, got {doc["blocks"]!r}')
+    blocks = []
+    for item in doc["blocks"]:
+        if not isinstance(item, dict) or "lambda" not in item or "size" not in item:
+            raise ParseError(f'each of "blocks" needs the keys "lambda" and "size", got {item!r}')
+        size = item["size"]
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ParseError(f'block "size" must be a positive integer, got {size!r}')
+        blocks.append(Block(parse_scalar(item["lambda"]), size))
     return Decomposition(
         doc["kind"],
         document_to_matrix(doc["V"]),
         document_to_matrix(doc["M"]),
-        blocks,
+        tuple(blocks),
     )
 
 

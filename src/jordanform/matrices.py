@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
 from .polynomials import Polynomial, poly_lcm
@@ -393,19 +393,20 @@ def _times(rows: Sequence[Row], right: Packed, n: int) -> List[Packed]:
     ]
 
 
-def kernel_ladder(matrix: ExactMatrix) -> List[Basis]:
-    """Canonical bases of ker M, ker M^2, ... while the dimension grows, so
-    never past k = n.  ker M^(k+1) is ker(R_k * M), R_k the RREF rows of M^k:
-    no power of M is formed, and the same kernel has the same basis.  The
-    rank is known after the forward half of the elimination, so the step that
-    finds no growth skips the back substitution."""
+def kernel_ladder(matrix: ExactMatrix, top: Optional[int] = None) -> List[Basis]:
+    """Canonical bases of ker M, ker M^2, ... while the dimension grows and
+    is below top (default n), so never past k = n.  ker M^(k+1) is
+    ker(R_k * M), R_k the RREF rows of M^k: no power of M is formed, and the
+    same kernel has the same basis.  The step that finds no growth stops
+    after the forward half of the elimination; a top where the kernels
+    stabilize (an eigenvalue's multiplicity) saves that step too."""
     if not matrix.is_square():
         raise DimensionMismatch("kernel ladder of a non-square matrix")
     n = matrix.rows
     rows = _rref_rows(map(_pack, matrix._data))
     bases = [_kernel_from_rref(rows, n)]
     right = _pack([x for row in matrix._data for x in row])
-    while 0 < bases[-1].dimension < n:
+    while 0 < bases[-1].dimension < (n if top is None else top):
         forward = _forward_rows(_times(rows, right, n))
         if n - len(forward) == bases[-1].dimension:
             break

@@ -7,16 +7,19 @@ polynomial over the Gaussian integers, has its roots modulo a split prime
 Hensel-lifted and recovered by Gaussian rounding, and every candidate is
 checked exactly.  This finds every root in Q(i); a factor without one is
 reported, never approximated, and the factor reported is the minimal
-polynomial (``matrices.minimal_polynomial``) less the roots found.  Each
-eigenvalue's stage ladder, the nested kernels of (A - lambda*I)^k, confirms
-it, gives its multiplicities, and is all a decomposition stage reads.
+polynomial (``matrices.minimal_polynomial``) less the roots found.  The
+factors also give each eigenvalue's algebraic multiplicity m, which bounds
+its stage ladder, the nested kernels of (A - lambda*I)^k: the ladder stops
+at dimension m, and ``spectrum`` builds none for m = 1.  The ladders are all
+a decomposition stage reads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     IncompleteSpectrum,
@@ -34,7 +37,7 @@ from .matrices import (
     shift_by,
 )
 from .polynomials import Polynomial, poly_gcd
-from .scalars import ONE, GaussianRational, format_scalar
+from .scalars import GaussianRational, format_scalar
 
 
 class SpectrumEntry(NamedTuple):
@@ -142,11 +145,14 @@ def _gaussian_integer_roots(g: Sequence[Tuple[int, int]]) -> List[Tuple[int, int
 
 
 def _deflate(work: Polynomial, root: GaussianRational) -> Tuple[Polynomial, int]:
-    """Divide (z - root) out of work as often as it goes; returns the count."""
+    """Divide (z - root) out of work as often as it goes; returns the count.
+    Each try is one synthetic division, whose last carry is work(root)."""
     count = 0
-    while work.degree >= 1 and work(root).is_zero():
-        work = work.exact_div(Polynomial([-root, ONE]))
-        count += 1
+    while work.degree >= 1:
+        carries = list(accumulate(reversed(work.coefficients), lambda c, a: c * root + a))
+        if not carries[-1].is_zero():
+            break
+        work, count = Polynomial(carries[-2::-1]), count + 1
     return work, count
 
 
@@ -195,21 +201,29 @@ def poly_roots_exact(poly: Polynomial) -> List[Tuple[GaussianRational, int]]:
     return roots
 
 
-def _eigenvalues(matrix: ExactMatrix) -> List[GaussianRational]:
-    """The distinct roots in Q(i) of the characteristic polynomial, sorted:
-    the union of the roots of its Krylov factors.  When a factor keeps a part
-    without roots, the minimal polynomial, less the roots found, is the
-    factor SpectrumNotRepresentable reports."""
-    roots = set()
+def _eigenvalues(matrix: ExactMatrix) -> List[Tuple[GaussianRational, int]]:
+    """The distinct roots in Q(i) of the characteristic polynomial, sorted,
+    each with its multiplicity, summed over the Krylov factors.  Each factor
+    first loses the roots already found; only a rest of degree 2 or more is
+    searched, as z + c is the root -c.  When a factor keeps a part without
+    roots, the minimal polynomial, less the roots found, is the factor
+    SpectrumNotRepresentable reports."""
+    counts: Dict[GaussianRational, int] = {}
     rootless = False
     for factor in krylov_factors(matrix):
-        found, rest = _roots_and_rest(factor)
-        roots.update(root for root, _ in found)
-        rootless = rootless or rest.degree >= 1
-    eigenvalues = sorted(roots)
+        for root in counts:
+            factor, count = _deflate(factor, root)
+            counts[root] += count
+        if factor.degree == 1:
+            counts[-factor.coefficients[0]] = 1
+        elif factor.degree > 1:
+            found, rest = _roots_and_rest(factor)
+            counts.update(found)
+            rootless = rootless or rest.degree >= 1
+    eigenvalues = sorted(counts.items())
     if rootless:
         rest = minimal_polynomial(matrix)
-        for root in eigenvalues:
+        for root, _ in eigenvalues:
             rest = _deflate(rest, root)[0]
         raise SpectrumNotRepresentable(rest)
     return eigenvalues
@@ -238,13 +252,35 @@ class StageLadder(NamedTuple):
         return [basis.dimension for basis in self.stage_bases]
 
 
-def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational) -> StageLadder:
+def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational,
+                 multiplicity: Optional[int] = None) -> StageLadder:
     """Kernel ladder of (A - lambda*I)^k, stopping at stabilization
-    (``matrices.kernel_ladder``); it never runs past k = n."""
-    bases = kernel_ladder(shift_by(matrix, eigenvalue))
+    (``matrices.kernel_ladder``), or on reaching dimension multiplicity when
+    given, which saves the step that finds no growth; never past k = n."""
+    bases = kernel_ladder(shift_by(matrix, eigenvalue), multiplicity)
     if bases[0].dimension == 0:
         raise NotAnEigenvalue(f"{format_scalar(eigenvalue)} has a trivial eigenspace")
     return StageLadder(eigenvalue, tuple(bases))
+
+
+def _checked_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational,
+                    multiplicity: Optional[int]) -> StageLadder:
+    """stage_ladder, where a trivial eigenspace is a fault for a found
+    eigenvalue (multiplicity known) and a bad input for a provided one."""
+    try:
+        return stage_ladder(matrix, eigenvalue, multiplicity)
+    except NotAnEigenvalue:
+        if multiplicity is not None:
+            raise InternalInvariantViolation(
+                f"characteristic polynomial root {format_scalar(eigenvalue)} is not an eigenvalue"
+            ) from None
+        raise InvalidProvidedEigenvalue(
+            f"{format_scalar(eigenvalue)} is not an eigenvalue: A - (value)I has full rank"
+        ) from None
+
+
+def _entry(eigenvalue: GaussianRational, dims: Sequence[int]) -> SpectrumEntry:
+    return SpectrumEntry(eigenvalue, dims[-1], dims[0], len(dims))
 
 
 def spectrum_with_ladders(
@@ -259,28 +295,14 @@ def spectrum_with_ladders(
     if not matrix.is_square():
         raise InvalidProvidedEigenvalue("spectrum of a non-square matrix")
     n = matrix.rows
-    found = provided is None
-    if found:
-        provided = _eigenvalues(matrix)
+    pairs = _eigenvalues(matrix) if provided is None else [(lam, None) for lam in provided]
     ladders = []
-    for lam in provided:
+    for lam, multiplicity in pairs:
         if lam in [ladder.eigenvalue for ladder in ladders]:
             raise InvalidProvidedEigenvalue(f"duplicate eigenvalue {format_scalar(lam)}")
-        try:
-            ladders.append(stage_ladder(matrix, lam))
-        except NotAnEigenvalue:
-            if found:
-                raise InternalInvariantViolation(
-                    f"characteristic polynomial root {format_scalar(lam)} is not an eigenvalue"
-                ) from None
-            raise InvalidProvidedEigenvalue(
-                f"{format_scalar(lam)} is not an eigenvalue: A - (value)I has full rank"
-            ) from None
+        ladders.append(_checked_ladder(matrix, lam, multiplicity))
     ladders.sort(key=lambda ladder: ladder.eigenvalue)
-    entries = []
-    for ladder in ladders:
-        dims = ladder.dims()
-        entries.append(SpectrumEntry(ladder.eigenvalue, dims[-1], dims[0], len(dims)))
+    entries = [_entry(ladder.eigenvalue, ladder.dims()) for ladder in ladders]
     total = sum(entry.multiplicity for entry in entries)
     if total != n:
         raise IncompleteSpectrum(
@@ -296,13 +318,20 @@ def spectrum(
     """The full spectrum with multiplicities, geometric dimensions and stages.
 
     Without provided eigenvalues, the distinct roots in Q(i) of the Krylov
-    factors of the characteristic polynomial are used; when a factor keeps a
-    rootless part, SpectrumNotRepresentable carries the minimal polynomial
-    less those roots.  With provided eigenvalues, every candidate is validated
-    (A - lambda*I must lose rank), duplicates are rejected, and the
-    multiplicities must cover the full dimension.
+    factors of the characteristic polynomial are used, with the
+    multiplicities the factors give; when a factor keeps a rootless part,
+    SpectrumNotRepresentable carries the minimal polynomial less those roots.
+    A simple eigenvalue's entry is (lambda, 1, 1, 1), with no ladder built.
+    With provided eigenvalues, every candidate is validated (A - lambda*I
+    must lose rank), duplicates are rejected, and the multiplicities must
+    cover the full dimension.
     """
-    return spectrum_with_ladders(matrix, provided)[0]
+    if provided is not None or not matrix.is_square():
+        return spectrum_with_ladders(matrix, provided)[0]
+    return Spectrum(tuple(
+        _entry(lam, [1] if m == 1 else _checked_ladder(matrix, lam, m).dims())
+        for lam, m in _eigenvalues(matrix)
+    ))
 
 
 def find_eigenvalue(matrix: ExactMatrix) -> GaussianRational:

@@ -9,7 +9,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from jordanform import Basis, ExactMatrix, GaussianRational, Polynomial, parse_scalar, rank
+from jordanform import (
+    Basis,
+    ExactMatrix,
+    GaussianRational,
+    Polynomial,
+    elementary_conjugator,
+    parse_scalar,
+    rank,
+)
 
 
 def gr(value) -> GaussianRational:
@@ -68,6 +76,27 @@ def rand_ranked_matrix(rng: random.Random, rows: int, cols: int) -> ExactMatrix:
             return ExactMatrix.zeros(rows, cols)
         return rand_matrix(rng, rows, inner) * rand_matrix(rng, inner, cols)
     return rand_matrix(rng, rows, cols)
+
+
+def derogatory(rng: random.Random, n: int) -> ExactMatrix:
+    """lambda*I, or one random block twice on the diagonal (plus a scalar
+    when n is odd), conjugated half of the time."""
+    if rng.random() < 0.4:
+        core = ExactMatrix.identity(n) * GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
+    else:
+        half = rand_matrix(rng, n // 2, n // 2, 3)
+        rows = [[GaussianRational(0)] * n for _ in range(n)]
+        for at in (0, n // 2):
+            for i in range(n // 2):
+                for j in range(n // 2):
+                    rows[at + i][at + j] = half[i, j]
+        if n % 2:
+            rows[n - 1][n - 1] = GaussianRational(rng.randint(-3, 3))
+        core = ExactMatrix(rows)
+    if rng.random() < 0.5:
+        return core
+    s, s_inv = elementary_conjugator(n, rng.randrange(1000), 2)
+    return s * core * s_inv
 
 
 # Recurring matrices.

@@ -1,22 +1,23 @@
 """The Krylov factors of the characteristic polynomial against oracles that
-share none of this package's elimination: sympy's charpoly on seeded random
-Q(i) matrices, and the planted eigenvalues of generated cases."""
+share none of this package's elimination: sympy's charpoly and eigenvalues
+on seeded random Q(i) matrices, and the planted eigenvalues of generated
+cases."""
 
 import random
 
 import pytest
 
 from jordanform import (
-    ExactMatrix,
     GaussianRational,
     Polynomial,
-    elementary_conjugator,
+    SpectrumNotRepresentable,
     exhaustive_structures,
     generate_case,
 )
 from jordanform.matrices import krylov_factors
+from jordanform.spectral import _eigenvalues
 
-from conftest import rand_matrix
+from conftest import derogatory, rand_matrix
 
 
 def product(factors):
@@ -25,27 +26,6 @@ def product(factors):
         assert factor.degree > 0 and factor.leading == GaussianRational(1)
         out = out * factor
     return out
-
-
-def derogatory(rng, n):
-    """lambda*I, or one random block twice on the diagonal (plus a scalar
-    when n is odd), conjugated half of the time."""
-    if rng.random() < 0.4:
-        core = ExactMatrix.identity(n) * GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
-    else:
-        half = rand_matrix(rng, n // 2, n // 2, 3)
-        rows = [[GaussianRational(0)] * n for _ in range(n)]
-        for at in (0, n // 2):
-            for i in range(n // 2):
-                for j in range(n // 2):
-                    rows[at + i][at + j] = half[i, j]
-        if n % 2:
-            rows[n - 1][n - 1] = GaussianRational(rng.randint(-3, 3))
-        core = ExactMatrix(rows)
-    if rng.random() < 0.5:
-        return core
-    s, s_inv = elementary_conjugator(n, rng.randrange(1000), 2)
-    return s * core * s_inv
 
 
 def seeded_matrices():
@@ -57,25 +37,48 @@ def seeded_matrices():
     return matrices
 
 
+def number(sympy, x):
+    return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
+        x.im.numerator, x.im.denominator
+    )
+
+
+def sympy_matrix(sympy, matrix):
+    return sympy.Matrix(
+        [[number(sympy, matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)]
+    )
+
+
 def test_factors_multiply_to_sympys_charpoly():
     sympy = pytest.importorskip("sympy")
     z = sympy.Symbol("z")
-
-    def number(x):
-        return sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(
-            x.im.numerator, x.im.denominator
-        )
-
     derogatory_seen = 0
     for matrix in seeded_matrices():
         factors = krylov_factors(matrix)
         derogatory_seen += len(factors) > 1
-        ours = sum(number(c) * z**k for k, c in enumerate(product(factors).coefficients))
-        theirs = sympy.Matrix(
-            [[number(matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)]
-        ).charpoly(z).as_expr()
+        ours = sum(number(sympy, c) * z**k for k, c in enumerate(product(factors).coefficients))
+        theirs = sympy_matrix(sympy, matrix).charpoly(z).as_expr()
         assert sympy.expand(ours - theirs) == 0
     assert derogatory_seen >= 10
+
+
+def test_multiplicities_are_sympys_eigenvals():
+    """Where the Krylov factors split over Q(i), the eigenvalues and
+    multiplicities read off them are sympy's.  (Where they do not, the
+    factors are still sympy's charpoly, above, and poly_roots_exact's rests
+    are checked against sympy's factorisation in test_roots_oracle.py;
+    factoring every charpoly here over Q(i) would take seconds.)"""
+    sympy = pytest.importorskip("sympy")
+    split = 0
+    for matrix in seeded_matrices():
+        try:
+            eigenvalues = _eigenvalues(matrix)
+        except SpectrumNotRepresentable:
+            continue
+        split += 1
+        ours = {number(sympy, lam): m for lam, m in eigenvalues}
+        assert ours == sympy_matrix(sympy, matrix).eigenvals()
+    assert split >= 15
 
 
 def test_factors_multiply_to_the_planted_eigenvalues():

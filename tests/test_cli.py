@@ -86,6 +86,38 @@ def test_bad_matrix_documents_rejected(doc):
         document_to_matrix(doc)
 
 
+def _decomposition_doc(**changes):
+    doc = decomposition_to_document(jordan_decomposition(DENSE3))
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ([], "kind"),
+        ({"kind": "jordan"}, "V"),
+        (_decomposition_doc(blocks=None), "blocks"),
+        (_decomposition_doc(kind="lu"), "kind"),
+        (_decomposition_doc(blocks="x"), "blocks"),
+        (_decomposition_doc(blocks=["x"]), "size"),
+        (_decomposition_doc(blocks=[{"lambda": "3"}]), "size"),
+        (_decomposition_doc(blocks=[{"size": 3}]), "lambda"),
+        (_decomposition_doc(blocks=[{"lambda": "3", "size": "x"}]), "size"),
+        (_decomposition_doc(blocks=[{"lambda": "3", "size": 1.5}]), "size"),
+        (_decomposition_doc(blocks=[{"lambda": "3", "size": True}]), "size"),
+        (_decomposition_doc(blocks=[{"lambda": "3", "size": 0}]), "size"),
+        (_decomposition_doc(blocks=[{"lambda": 3, "size": 3}]), "scalar"),
+        (_decomposition_doc(V={"n": 3}), "entries"),
+    ],
+)
+def test_bad_decomposition_documents_raise_parse_errors_naming_the_key(doc, key):
+    from jordanform import ParseError
+
+    with pytest.raises(ParseError, match=key):
+        document_to_decomposition(doc)
+
+
 # --- subcommands --------------------------------------------------------------------
 
 def test_jordan_json_output(dense3_path, capsys):

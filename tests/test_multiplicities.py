@@ -1,0 +1,145 @@
+"""The algebraic multiplicities read off the Krylov factors, and the work they
+bound: spectrum() against spectrum_with_ladders, ladders that stop at the
+multiplicity against ladders that run to stabilization, and counts of the
+ladders and eliminations the found path runs."""
+
+import functools
+import random
+
+from jordanform import (
+    ExactMatrix,
+    JordanFormError,
+    Polynomial,
+    SpectrumNotRepresentable,
+    elementary_conjugator,
+    exhaustive_structures,
+    generate_case,
+    parse_structure,
+)
+from jordanform import matrices, spectral
+from jordanform.spectral import (
+    _deflate,
+    _eigenvalues,
+    spectrum,
+    spectrum_with_ladders,
+    stage_ladder,
+)
+
+from conftest import derogatory, gr, rand_matrix, rand_scalar
+
+
+@functools.lru_cache(maxsize=None)
+def corpus():
+    """Every exhaustive structure with n <= 5 as a generated case, then 300
+    seeded random Q(i) matrices with n <= 6: a third derogatory, a third
+    dense (mostly without a spectrum in Q(i)) and a third conjugated
+    triangular ones over a palette with repeated and Gaussian values."""
+    out = [
+        generate_case(structure, seed, 3)[0]
+        for seed, structure in enumerate(
+            s for n in range(1, 6) for s in exhaustive_structures(n)
+        )
+    ]
+    rng = random.Random(15)
+    palette = [gr(x) for x in ("0", "1", "-1", "1/2", "1i", "-1i", "1+1i")]
+    for k in range(300):
+        n = rng.randint(1, 6)
+        if k % 3 == 0:
+            out.append(derogatory(rng, max(n, 2)))
+        elif k % 3 == 1:
+            out.append(rand_matrix(rng, n, n, 3))
+        else:
+            rows = [
+                [palette[rng.randrange(len(palette))] if i == j
+                 else rand_scalar(rng, 2) if j > i else gr(0) for j in range(n)]
+                for i in range(n)
+            ]
+            s, s_inv = elementary_conjugator(n, rng.randrange(1000), 2)
+            out.append(s * ExactMatrix(rows) * s_inv)
+    return tuple(out)
+
+
+def outcome(fn, matrix):
+    try:
+        return fn(matrix)
+    except JordanFormError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def bases_text(ladder):
+    return [[v.entries_str() for v in basis.vectors] for basis in ladder.stage_bases]
+
+
+def test_spectrum_is_what_spectrum_with_ladders_reads():
+    errors = 0
+    for matrix in corpus():
+        got = outcome(spectrum, matrix)
+        assert got == outcome(lambda m: spectrum_with_ladders(m)[0], matrix)
+        errors += isinstance(got, tuple) and got[0] == "SpectrumNotRepresentable"
+    assert 50 <= errors <= 200
+
+
+def test_ladders_that_stop_at_the_multiplicity_have_the_same_bases():
+    eigenvalues = 0
+    for matrix in corpus():
+        try:
+            pairs = _eigenvalues(matrix)
+        except SpectrumNotRepresentable:
+            continue
+        assert sum(m for _, m in pairs) == matrix.rows
+        for lam, m in pairs:
+            bounded = stage_ladder(matrix, lam, m)
+            assert bounded.top.dimension == m
+            assert bases_text(bounded) == bases_text(stage_ladder(matrix, lam))
+            eigenvalues += 1
+    assert eigenvalues >= 400
+
+
+def test_spectrum_builds_no_ladder_for_a_simple_eigenvalue(monkeypatch):
+    built = []
+    kernel_ladder = spectral.kernel_ladder
+
+    def counted(matrix, top=None):
+        built.append(top)
+        return kernel_ladder(matrix, top)
+
+    monkeypatch.setattr(spectral, "kernel_ladder", counted)
+    simple, _ = generate_case(parse_structure("2:1;1i:1;-1i:1;1/2:1"), 5, 3)
+    assert [entry[1:] for entry in spectrum(simple).entries] == [(1, 1, 1)] * 4
+    assert built == []
+    mixed, _ = generate_case(parse_structure("1:2,2,1;0:1"), 5, 3)
+    assert [entry[1:] for entry in spectrum(mixed).entries] == [(1, 1, 1), (5, 3, 2)]
+    assert built == [5]
+
+
+def test_the_found_path_runs_one_forward_elimination_per_stage(monkeypatch):
+    """No elimination only confirms that a ladder stopped growing."""
+    calls = []
+    forward_rows = matrices._forward_rows
+
+    def counted(rows):
+        calls.append(1)
+        return forward_rows(rows)
+
+    monkeypatch.setattr(matrices, "_forward_rows", counted)
+    for text in ("0:3,1;2:1", "-1:2,2;1:1", "1:2,2,1;0:1", "1i:2;-1i:2;1/2:1"):
+        matrix, _ = generate_case(parse_structure(text), 5, 3)
+        calls.clear()
+        spect, _ = spectrum_with_ladders(matrix)
+        assert len(calls) == sum(entry.max_stage for entry in spect.entries)
+
+
+def test_deflate_is_repeated_exact_division():
+    rng = random.Random(44)
+    for _ in range(60):
+        roots = [rand_scalar(rng, 3) for _ in range(rng.randint(1, 3))]
+        planted = [root for root in roots for _ in range(rng.randint(1, 3))]
+        rest = Polynomial([rand_scalar(rng) for _ in range(rng.randint(1, 3))])
+        poly = Polynomial.from_roots(*planted) * rest
+        for root in roots + [rand_scalar(rng, 3)]:
+            expected, count = poly, 0
+            while expected.degree >= 1 and expected(root).is_zero():
+                expected = expected.exact_div(Polynomial([-root, 1]))
+                count += 1
+            assert _deflate(poly, root) == (expected, count)
+            assert count >= planted.count(root) or rest.is_zero()
