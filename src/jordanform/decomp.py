@@ -16,7 +16,6 @@ from .errors import InternalInvariantViolation
 from .matrices import Echelon, ExactMatrix, nullspace_basis, shift_by
 from .scalars import ONE, ZERO, GaussianRational, format_scalar
 from .spectral import StageLadder, spectrum_with_ladders
-from .spectral import stage_ladder  # noqa: F401 -- re-exported, as decomp.stage_ladder
 
 
 class Block(NamedTuple):

@@ -11,7 +11,8 @@ polynomial (``matrices.minimal_polynomial``) less the roots found.  The
 factors also give each eigenvalue's algebraic multiplicity m, which bounds
 its stage ladder, the nested kernels of (A - lambda*I)^k: the ladder stops
 at dimension m, and ``spectrum`` builds none for m = 1.  The ladders are all
-a decomposition stage reads.
+a decomposition stage reads.  Provided eigenvalues replace only the search:
+each must be a root of the same factors, which give its multiplicity.
 """
 
 from __future__ import annotations
@@ -201,16 +202,37 @@ def poly_roots_exact(poly: Polynomial) -> List[Tuple[GaussianRational, int]]:
     return roots
 
 
-def _eigenvalues(matrix: ExactMatrix) -> List[Tuple[GaussianRational, int]]:
+def _eigenvalues(
+    matrix: ExactMatrix, provided: Optional[Sequence[GaussianRational]] = None
+) -> List[Tuple[GaussianRational, int]]:
     """The distinct roots in Q(i) of the characteristic polynomial, sorted,
-    each with its multiplicity, summed over the Krylov factors.  Each factor
-    first loses the roots already found; only a rest of degree 2 or more is
-    searched, as z + c is the root -c.  When a factor keeps a part without
-    roots, the minimal polynomial, less the roots found, is the factor
+    each with its multiplicity, summed over the Krylov factors.  Provided
+    roots are divided out in their given order and nothing is searched: a
+    repeat, or one that divides no factor, is rejected, and their
+    multiplicities must sum to n.  Otherwise each factor first loses the
+    roots already found; only a rest of degree 2 or more is searched, as
+    z + c is the root -c.  When a factor keeps a part without roots, the
+    minimal polynomial, less the roots found, is the factor
     SpectrumNotRepresentable reports."""
+    factors = krylov_factors(matrix)
     counts: Dict[GaussianRational, int] = {}
+    if provided is not None:
+        for lam in provided:
+            if lam in counts:
+                raise InvalidProvidedEigenvalue(f"duplicate eigenvalue {format_scalar(lam)}")
+            counts[lam] = sum(_deflate(factor, lam)[1] for factor in factors)
+            if not counts[lam]:
+                raise InvalidProvidedEigenvalue(
+                    f"{format_scalar(lam)} is not an eigenvalue: A - (value)I has full rank"
+                )
+        total = sum(counts.values())
+        if total != matrix.rows:
+            raise IncompleteSpectrum(
+                f"eigenvalue multiplicities cover {total} of {matrix.rows} dimensions"
+            )
+        return sorted(counts.items())
     rootless = False
-    for factor in krylov_factors(matrix):
+    for factor in factors:
         for root in counts:
             factor, count = _deflate(factor, root)
             counts[root] += count
@@ -256,27 +278,17 @@ def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational,
                  multiplicity: Optional[int] = None) -> StageLadder:
     """Kernel ladder of (A - lambda*I)^k, stopping at stabilization
     (``matrices.kernel_ladder``), or on reaching dimension multiplicity when
-    given, which saves the step that finds no growth; never past k = n."""
+    given, which saves the step that finds no growth; never past k = n.  A
+    trivial kernel is NotAnEigenvalue, or, with a multiplicity, which only
+    an eigenvalue has, an InternalInvariantViolation."""
     bases = kernel_ladder(shift_by(matrix, eigenvalue), multiplicity)
     if bases[0].dimension == 0:
-        raise NotAnEigenvalue(f"{format_scalar(eigenvalue)} has a trivial eigenspace")
-    return StageLadder(eigenvalue, tuple(bases))
-
-
-def _checked_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational,
-                    multiplicity: Optional[int]) -> StageLadder:
-    """stage_ladder, where a trivial eigenspace is a fault for a found
-    eigenvalue (multiplicity known) and a bad input for a provided one."""
-    try:
-        return stage_ladder(matrix, eigenvalue, multiplicity)
-    except NotAnEigenvalue:
         if multiplicity is not None:
             raise InternalInvariantViolation(
                 f"characteristic polynomial root {format_scalar(eigenvalue)} is not an eigenvalue"
-            ) from None
-        raise InvalidProvidedEigenvalue(
-            f"{format_scalar(eigenvalue)} is not an eigenvalue: A - (value)I has full rank"
-        ) from None
+            )
+        raise NotAnEigenvalue(f"{format_scalar(eigenvalue)} has a trivial eigenspace")
+    return StageLadder(eigenvalue, tuple(bases))
 
 
 def _entry(eigenvalue: GaussianRational, dims: Sequence[int]) -> SpectrumEntry:
@@ -292,23 +304,8 @@ def spectrum_with_ladders(
     The ladders are all the decomposition stages read, so a caller that runs
     several stages on one matrix analyses it once.
     """
-    if not matrix.is_square():
-        raise InvalidProvidedEigenvalue("spectrum of a non-square matrix")
-    n = matrix.rows
-    pairs = _eigenvalues(matrix) if provided is None else [(lam, None) for lam in provided]
-    ladders = []
-    for lam, multiplicity in pairs:
-        if lam in [ladder.eigenvalue for ladder in ladders]:
-            raise InvalidProvidedEigenvalue(f"duplicate eigenvalue {format_scalar(lam)}")
-        ladders.append(_checked_ladder(matrix, lam, multiplicity))
-    ladders.sort(key=lambda ladder: ladder.eigenvalue)
-    entries = [_entry(ladder.eigenvalue, ladder.dims()) for ladder in ladders]
-    total = sum(entry.multiplicity for entry in entries)
-    if total != n:
-        raise IncompleteSpectrum(
-            f"eigenvalue multiplicities cover {total} of {n} dimensions"
-        )
-    return Spectrum(tuple(entries)), tuple(ladders)
+    ladders = tuple(stage_ladder(matrix, lam, m) for lam, m in _eigenvalues(matrix, provided))
+    return Spectrum(tuple(_entry(ladder.eigenvalue, ladder.dims()) for ladder in ladders)), ladders
 
 
 def spectrum(
@@ -317,25 +314,21 @@ def spectrum(
 ) -> Spectrum:
     """The full spectrum with multiplicities, geometric dimensions and stages.
 
-    Without provided eigenvalues, the distinct roots in Q(i) of the Krylov
-    factors of the characteristic polynomial are used, with the
-    multiplicities the factors give; when a factor keeps a rootless part,
-    SpectrumNotRepresentable carries the minimal polynomial less those roots.
-    A simple eigenvalue's entry is (lambda, 1, 1, 1), with no ladder built.
-    With provided eigenvalues, every candidate is validated (A - lambda*I
-    must lose rank), duplicates are rejected, and the multiplicities must
-    cover the full dimension.
+    The eigenvalues are the distinct roots in Q(i) of the Krylov factors of
+    the characteristic polynomial, with the multiplicities the factors give;
+    when a factor keeps a rootless part, SpectrumNotRepresentable carries the
+    minimal polynomial less those roots.  Provided eigenvalues skip only the
+    root search: each must be a root of the same factors, which give its
+    multiplicity; a repeated value is rejected, and the multiplicities must
+    cover the full dimension.  A simple eigenvalue's entry is
+    (lambda, 1, 1, 1), with no ladder built.
     """
-    if provided is not None or not matrix.is_square():
-        return spectrum_with_ladders(matrix, provided)[0]
     return Spectrum(tuple(
-        _entry(lam, [1] if m == 1 else _checked_ladder(matrix, lam, m).dims())
-        for lam, m in _eigenvalues(matrix)
+        _entry(lam, [1] if m == 1 else stage_ladder(matrix, lam, m).dims())
+        for lam, m in _eigenvalues(matrix, provided)
     ))
 
 
 def find_eigenvalue(matrix: ExactMatrix) -> GaussianRational:
     """The canonically smallest eigenvalue of the matrix."""
-    if matrix.rows == 0:
-        raise ValueError("find_eigenvalue needs n >= 1")
     return spectrum(matrix).entries[0].eigenvalue

@@ -10,7 +10,7 @@ what the decomposition must recover.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .decomp import Block, Decomposition, is_jordan_matrix, jordan_matrix
 from .errors import InvalidStructure, ParseError
@@ -91,60 +91,31 @@ def parse_structure(text: str) -> JordanStructure:
     return JordanStructure(tuple(entries))
 
 
-def _elementary_ops(n: int, seed: int, entry_bound: int) -> List[tuple]:
-    rng = random.Random(seed)
-    ops = []
-    if n < 2:
-        return ops
-    for _ in range(2 * n):
-        target = rng.randrange(n)
-        source = rng.randrange(n - 1)
-        if source >= target:
-            source += 1
-        if rng.randrange(4) == 0:
-            ops.append(("swap", target, source))
-        else:
-            magnitude = rng.randrange(1, entry_bound + 1)
-            if rng.randrange(2):
-                magnitude = -magnitude
-            ops.append(("add", target, source, magnitude))
-    return ops
-
-
-def _apply_ops(n: int, ops: Sequence[tuple]) -> ExactMatrix:
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for op in ops:
-        if op[0] == "swap":
-            _, a, b = op
-            rows[a], rows[b] = rows[b], rows[a]
-        else:
-            _, target, source, factor = op
-            rows[target] = [
-                x + factor * y for x, y in zip(rows[target], rows[source])
-            ]
-    return ExactMatrix(rows)
-
-
-def _invert_op(op: tuple) -> tuple:
-    if op[0] == "swap":
-        return op
-    kind, target, source, factor = op
-    return (kind, target, source, -factor)
-
-
 def elementary_conjugator(
     n: int, seed: int, entry_bound: int = 3
 ) -> Tuple[ExactMatrix, ExactMatrix]:
     """A seeded integer matrix S with its exact inverse.
 
     S is a product of elementary row operations, so invertibility is
-    structural: the inverse is the reversed product of the inverted
-    operations, no elimination involved.
+    structural: each row operation on S is undone on S^-1 by the inverse
+    column operation, no elimination involved.
     """
-    ops = _elementary_ops(n, seed, entry_bound)
-    s = _apply_ops(n, ops)
-    s_inv = _apply_ops(n, [_invert_op(op) for op in reversed(ops)])
-    return s, s_inv
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    columns = [row[:] for row in rows]  # of S^-1
+    for _ in range(2 * n if n > 1 else 0):
+        target = rng.randrange(n)
+        source = rng.randrange(n - 1)
+        if source >= target:
+            source += 1
+        if rng.randrange(4) == 0:
+            rows[target], rows[source] = rows[source], rows[target]
+            columns[target], columns[source] = columns[source], columns[target]
+        else:
+            factor = rng.randrange(1, entry_bound + 1) * (-1 if rng.randrange(2) else 1)
+            rows[target] = [x + factor * y for x, y in zip(rows[target], rows[source])]
+            columns[source] = [x - factor * y for x, y in zip(columns[source], columns[target])]
+    return ExactMatrix(rows), ExactMatrix([list(row) for row in zip(*columns)])
 
 
 def generate_case(

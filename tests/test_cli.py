@@ -340,7 +340,9 @@ def test_verify_subcommand(dense3_path, capsys):
 
 def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, capsys):
     # The eigenvalues come from one Krylov pass; the minimal polynomial is
-    # computed only to name the rootless factor of the exit-2 path.
+    # computed only to name the rootless factor of the exit-2 path.  Provided
+    # eigenvalues take their multiplicities from the same pass and skip only
+    # the root search.
     import jordanform.decomp
     import jordanform.spectral
 
@@ -361,19 +363,22 @@ def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, cap
         return real_analysis(matrix, provided)
 
     counted("krylov_factors")
+    counted("_roots_and_rest")
     counted("minimal_polynomial")
     for module in (jordanform.spectral, jordanform.decomp, cli):
         monkeypatch.setattr(module, "spectrum_with_ladders", counted_analysis)
     assert run(["verify", dense3_path, "--format", "json"]) == EXIT_OK
-    assert calls == ["spectrum_with_ladders", "krylov_factors"]
+    assert calls == ["spectrum_with_ladders", "krylov_factors", "_roots_and_rest"]
     assert all(report["passed"] for report in json.loads(capsys.readouterr().out)["reports"])
     calls.clear()
     assert run(["verify", dense3_path, "--spectrum", "3"]) == EXIT_OK
-    assert calls == ["spectrum_with_ladders"]
+    assert calls == ["spectrum_with_ladders", "krylov_factors"]
     assert "jordan: pass" in capsys.readouterr().out
     calls.clear()
     assert run(["verify", cube_path]) == EXIT_NOT_REPRESENTABLE
-    assert calls == ["spectrum_with_ladders", "krylov_factors", "minimal_polynomial"]
+    assert calls == [
+        "spectrum_with_ladders", "krylov_factors", "_roots_and_rest", "minimal_polynomial"
+    ]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -396,6 +401,13 @@ def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, cap
             "1",
             "IncompleteSpectrum: eigenvalue multiplicities cover 2 of 3 dimensions",
         ),
+        # With two faults, the first in list order is reported.
+        (
+            DENSE3,
+            "7,3,3",
+            "InvalidProvidedEigenvalue: 7 is not an eigenvalue: A - (value)I has full rank",
+        ),
+        (DENSE3, "3,3,7", "InvalidProvidedEigenvalue: duplicate eigenvalue 3"),
     ],
 )
 def test_verify_rejects_a_bad_spectrum_list(tmp_path, capsys, matrix, provided, message):

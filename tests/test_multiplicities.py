@@ -1,7 +1,7 @@
 """The algebraic multiplicities read off the Krylov factors, and the work they
 bound: spectrum() against spectrum_with_ladders, ladders that stop at the
 multiplicity against ladders that run to stabilization, and counts of the
-ladders and eliminations the found path runs."""
+ladders and eliminations the found and provided paths run."""
 
 import functools
 import random
@@ -113,7 +113,9 @@ def test_spectrum_builds_no_ladder_for_a_simple_eigenvalue(monkeypatch):
 
 
 def test_the_found_path_runs_one_forward_elimination_per_stage(monkeypatch):
-    """No elimination only confirms that a ladder stopped growing."""
+    """No elimination only confirms that a ladder stopped growing, also when
+    the eigenvalues are provided: their multiplicities come from the same
+    Krylov factors."""
     calls = []
     forward_rows = matrices._forward_rows
 
@@ -126,7 +128,27 @@ def test_the_found_path_runs_one_forward_elimination_per_stage(monkeypatch):
         matrix, _ = generate_case(parse_structure(text), 5, 3)
         calls.clear()
         spect, _ = spectrum_with_ladders(matrix)
-        assert len(calls) == sum(entry.max_stage for entry in spect.entries)
+        stages = sum(entry.max_stage for entry in spect.entries)
+        assert len(calls) == stages
+        calls.clear()
+        assert spectrum_with_ladders(matrix, [e.eigenvalue for e in spect.entries])[0] == spect
+        assert len(calls) == stages
+
+
+def test_provided_eigenvalues_in_reversed_order_give_the_found_ladders():
+    cases = 0
+    for structure in (s for n in range(1, 6) for s in exhaustive_structures(n)):
+        matrix, _ = generate_case(structure, 5, 3)
+        spect, ladders = spectrum_with_ladders(matrix)
+        provided = [entry.eigenvalue for entry in reversed(spect.entries)]
+        again, provided_ladders = spectrum_with_ladders(matrix, provided)
+        assert again == spect
+        assert spectrum(matrix, provided) == spect
+        assert [bases_text(ladder) for ladder in provided_ladders] == [
+            bases_text(ladder) for ladder in ladders
+        ]
+        cases += 1
+    assert cases == 51
 
 
 def test_deflate_is_repeated_exact_division():

@@ -5,9 +5,19 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+from fractions import Fraction  # noqa: E402
+
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from jordanform import ExactMatrix, SpectrumNotRepresentable, inverse, spectrum  # noqa: E402
+from jordanform import (  # noqa: E402
+    ExactMatrix,
+    GaussianRational,
+    SpectrumNotRepresentable,
+    format_scalar,
+    inverse,
+    parse_scalar,
+    spectrum,
+)
 
 from conftest import gr  # noqa: E402
 
@@ -41,3 +51,38 @@ def test_spectrum_is_similarity_invariant(pair):
     SpectrumNotRepresentable carries, is the same for S*A*S^-1 as for A."""
     a, s = pair
     assert spectrum_or_factor(s * a * inverse(s)) == spectrum_or_factor(a)
+
+
+# Numerators and denominators far beyond 64 bits, and zero parts often.
+BIG = 10**40
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+def canonical_literal(re, im):
+    """The canonical text of re + im*i, from Fraction's own lowest terms:
+    a real part only when nonzero or alone, then a signed imaginary part."""
+    if not im:
+        return str(re)
+    imag = f"{im}i"
+    if not re:
+        return imag
+    return f"{re}+{imag}" if im > 0 else f"{re}{imag}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(RATIONALS, RATIONALS)
+def test_format_then_parse_gives_the_scalar_back(re, im):
+    value = GaussianRational(re, im)
+    assert parse_scalar(format_scalar(value)) == value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(RATIONALS, RATIONALS)
+def test_parse_then_format_gives_a_canonical_literal_back(re, im):
+    text = canonical_literal(re, im)
+    value = parse_scalar(text)
+    assert (value.re, value.im) == (re, im)
+    assert format_scalar(value) == text

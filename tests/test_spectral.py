@@ -20,6 +20,7 @@ from jordanform import (
 )
 
 from jordanform.matrices import krylov_factors
+from jordanform.spectral import spectrum_with_ladders
 
 from conftest import CUBE_COMPANION, DENSE3, ROTATION2, SHEAR2, UPPER3, companion_sum, gr, mat
 
@@ -158,6 +159,8 @@ def test_minimal_polynomial_annihilates_and_is_minimal():
 
 
 def test_empty_matrix_is_a_dimension_error():
+    # Provided eigenvalues are checked against the Krylov factors too, so an
+    # empty list gives no empty spectrum.
     empty = ExactMatrix.zeros(0, 0)
     with pytest.raises(DimensionMismatch):
         minimal_polynomial(empty)
@@ -165,6 +168,19 @@ def test_empty_matrix_is_a_dimension_error():
         krylov_factors(empty)
     with pytest.raises(DimensionMismatch):
         spectrum(empty)
+    with pytest.raises(DimensionMismatch):
+        spectrum_with_ladders(empty, [])
+    with pytest.raises(DimensionMismatch):
+        find_eigenvalue(empty)
+
+
+@pytest.mark.parametrize("provided", [None, [], [gr("1")]])
+def test_non_square_spectrum_is_a_dimension_error(provided):
+    wide = mat([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(DimensionMismatch):
+        spectrum(wide, provided)
+    with pytest.raises(DimensionMismatch):
+        spectrum_with_ladders(wide, provided)
 
 
 # --- spectrum ---------------------------------------------------------------------
