@@ -22,7 +22,7 @@ from .errors import (
 )
 from .matrices import ExactMatrix
 from .scalars import GaussianRational, format_scalar, parse_scalar
-from .spectral import Spectrum, spectrum_with_ladders
+from .spectral import Spectrum, spectrum, spectrum_with_ladders
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -254,13 +254,15 @@ def _emit(doc: dict, pretty_lines: List[str], fmt: str) -> None:
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_matrix(args) -> int:
-    """spectrum, one stage, or verify (every stage and its checks), all read
-    off one analysis of the matrix."""
+    """spectrum, one stage, or verify (every stage and its checks); the
+    stages all read off one analysis of the matrix."""
     matrix = _read_matrix(args.matrix)
-    spect, ladders = spectrum_with_ladders(matrix, _parse_provided(args.provided))
+    provided = _parse_provided(args.provided)
     if args.command == "spectrum":
+        spect = spectrum(matrix, provided)
         _emit(spectrum_to_document(spect), _pretty_spectrum(spect), args.format)
         return EXIT_OK
+    ladders = spectrum_with_ladders(matrix, provided)[1]
     if args.command in STAGES:
         decomposition = STAGES[args.command](matrix, ladders)
         doc = decomposition_to_document(decomposition)

@@ -259,11 +259,6 @@ class Basis(NamedTuple):
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def as_matrix(self) -> ExactMatrix:
-        if not self.vectors:
-            return ExactMatrix.zeros(self.ambient_dim, 0)
-        return ExactMatrix.hstack(self.vectors)
-
 
 class Echelon:
     """A reduced basis of a growing subspace, built one vector at a time.

@@ -31,13 +31,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def from_roots(cls, *roots) -> "Polynomial":
-        result = cls([ONE])
-        for root in roots:
-            result = result * cls([-_scalar(root), ONE])
-        return result
-
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1

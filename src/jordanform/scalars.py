@@ -177,10 +177,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _make(self._a, -self._b, self._d)
 
-    def norm_sq(self) -> Fraction:
-        """re**2 + im**2, an exact nonnegative rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     def is_zero(self) -> bool:
         return not self._a and not self._b
 

@@ -11,8 +11,9 @@ polynomial (``matrices.minimal_polynomial``) less the roots found.  The
 factors also give each eigenvalue's algebraic multiplicity m, which bounds
 its stage ladder, the nested kernels of (A - lambda*I)^k: the ladder stops
 at dimension m, and ``spectrum`` builds none for m = 1.  The ladders are all
-a decomposition stage reads.  Provided eigenvalues replace only the search:
-each must be a root of the same factors, which give its multiplicity.
+a decomposition stage reads.  Provided eigenvalues only seed the search:
+they are divided out of the same factors first, so a complete list leaves
+nothing to search, and a rootless rest is reported with or without a list.
 """
 
 from __future__ import annotations
@@ -157,17 +158,17 @@ def _deflate(work: Polynomial, root: GaussianRational) -> Tuple[Polynomial, int]
     return work, count
 
 
-def _roots_and_rest(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int]], Polynomial]:
+def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int]], Polynomial]:
     """The roots of poly inside Q(i), with multiplicities, canonically
-    sorted, and the monic rest of poly once they are divided out.
+    sorted, and the monic rest of poly once they are divided out, which has
+    no root in Q(i): the constant 1 when poly splits over Q(i).
 
     The procedure: take the square-free part s = work / gcd(work, work') of
     the monic work = poly / lead, clear its denominators by their lcm c, and
     search the monic g(y) = c^(d-1) s(y/c) over Z[i] for its roots beta
     (_gaussian_integer_roots, by Hensel lifting).  Every root of poly in Q(i)
     is some beta/c; each candidate is checked exactly and deflated from work
-    to exhaustion, which counts its multiplicity.  What is left of work has
-    no root in Q(i).
+    to exhaustion, which counts its multiplicity.
     """
     if poly.degree < 1:
         raise ValueError("poly_roots_exact needs degree >= 1")
@@ -192,56 +193,42 @@ def _roots_and_rest(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int]
     return sorted(roots), work
 
 
-def poly_roots_exact(poly: Polynomial) -> List[Tuple[GaussianRational, int]]:
-    """All roots of poly inside Q(i), with multiplicities, canonically sorted
-    (see ``_roots_and_rest``).  A rest of positive degree has no root in Q(i)
-    and raises SpectrumNotRepresentable carrying it."""
-    roots, rest = _roots_and_rest(poly)
-    if rest.degree >= 1:
-        raise SpectrumNotRepresentable(rest)
-    return roots
-
-
 def _eigenvalues(
     matrix: ExactMatrix, provided: Optional[Sequence[GaussianRational]] = None
 ) -> List[Tuple[GaussianRational, int]]:
     """The distinct roots in Q(i) of the characteristic polynomial, sorted,
-    each with its multiplicity, summed over the Krylov factors.  Provided
-    roots are divided out in their given order and nothing is searched: a
-    repeat, or one that divides no factor, is rejected, and their
-    multiplicities must sum to n.  Otherwise each factor first loses the
-    roots already found; only a rest of degree 2 or more is searched, as
-    z + c is the root -c.  When a factor keeps a part without roots, the
-    minimal polynomial, less the roots found, is the factor
-    SpectrumNotRepresentable reports."""
-    factors = krylov_factors(matrix)
-    counts: Dict[GaussianRational, int] = {}
-    if provided is not None:
-        for lam in provided:
-            if lam in counts:
-                raise InvalidProvidedEigenvalue(f"duplicate eigenvalue {format_scalar(lam)}")
-            counts[lam] = sum(_deflate(factor, lam)[1] for factor in factors)
-            if not counts[lam]:
-                raise InvalidProvidedEigenvalue(
-                    f"{format_scalar(lam)} is not an eigenvalue: A - (value)I has full rank"
-                )
-        total = sum(counts.values())
-        if total != matrix.rows:
-            raise IncompleteSpectrum(
-                f"eigenvalue multiplicities cover {total} of {matrix.rows} dimensions"
-            )
-        return sorted(counts.items())
+    each with its multiplicity, summed over the Krylov factors.  Each factor
+    first loses the provided roots, in their given order, then the roots
+    already found; only what is left is searched, and only when its degree
+    is 2 or more, as z + c is the root -c.  Walking the provided list in its
+    given order, a repeat, or a value that divides no factor, is rejected;
+    then a root found but not provided is IncompleteSpectrum.  When a factor
+    keeps a part without roots, the minimal polynomial, less the roots, is
+    the factor SpectrumNotRepresentable reports."""
+    counts: Dict[GaussianRational, int] = dict.fromkeys(provided or (), 0)
     rootless = False
-    for factor in factors:
+    for factor in krylov_factors(matrix):
         for root in counts:
             factor, count = _deflate(factor, root)
             counts[root] += count
         if factor.degree == 1:
             counts[-factor.coefficients[0]] = 1
         elif factor.degree > 1:
-            found, rest = _roots_and_rest(factor)
+            found, rest = poly_roots_exact(factor)
             counts.update(found)
             rootless = rootless or rest.degree >= 1
+    for k, lam in enumerate(provided or ()):
+        if provided.index(lam) < k:
+            raise InvalidProvidedEigenvalue(f"duplicate eigenvalue {format_scalar(lam)}")
+        if not counts[lam]:
+            raise InvalidProvidedEigenvalue(
+                f"{format_scalar(lam)} is not an eigenvalue: A - (value)I has full rank"
+            )
+    if provided is not None and len(counts) > len(provided):
+        total = sum(counts[lam] for lam in provided)
+        raise IncompleteSpectrum(
+            f"eigenvalue multiplicities cover {total} of {matrix.rows} dimensions"
+        )
     eigenvalues = sorted(counts.items())
     if rootless:
         rest = minimal_polynomial(matrix)
@@ -317,11 +304,11 @@ def spectrum(
     The eigenvalues are the distinct roots in Q(i) of the Krylov factors of
     the characteristic polynomial, with the multiplicities the factors give;
     when a factor keeps a rootless part, SpectrumNotRepresentable carries the
-    minimal polynomial less those roots.  Provided eigenvalues skip only the
-    root search: each must be a root of the same factors, which give its
-    multiplicity; a repeated value is rejected, and the multiplicities must
-    cover the full dimension.  A simple eigenvalue's entry is
-    (lambda, 1, 1, 1), with no ladder built.
+    minimal polynomial less those roots.  Provided eigenvalues are divided
+    out of the same factors before the search: each must be a root of them,
+    which gives its multiplicity; a repeated value is rejected, and a root
+    in Q(i) left out of the list is IncompleteSpectrum.  A simple
+    eigenvalue's entry is (lambda, 1, 1, 1), with no ladder built.
     """
     return Spectrum(tuple(
         _entry(lam, [1] if m == 1 else stage_ladder(matrix, lam, m).dims())

@@ -10,6 +10,7 @@ what the decomposition must recover.
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 from typing import Dict, List, NamedTuple, Tuple
 
 from .decomp import Block, Decomposition, is_jordan_matrix, jordan_matrix
@@ -167,29 +168,14 @@ def exhaustive_structures(n: int) -> List[JordanStructure]:
         (p for total in range(1, n + 1) for p in _partitions(total)),
         key=_group_order_key,
     )
-    structures = []
-
-    def grow(remaining: int, slots: int, start: int, groups: List[Tuple[int, ...]]):
-        if slots == 0:
-            if remaining == 0:
-                structures.append(
-                    JordanStructure(
-                        tuple(
-                            (PALETTE[j], group) for j, group in enumerate(groups)
-                        )
-                    )
-                )
-            return
-        for index in range(start, len(pool)):
-            candidate = pool[index]
-            weight = sum(candidate)
-            if weight > remaining - (slots - 1):
-                continue
-            grow(remaining - weight, slots - 1, index, groups + [candidate])
-
-    for count in range(1, min(n, len(PALETTE)) + 1):
-        grow(n, count, 0, [])
-    return structures
+    return [
+        JordanStructure(tuple(zip(PALETTE, groups)))
+        for count in range(1, min(n, len(PALETTE)) + 1)
+        for groups in combinations_with_replacement(
+            [p for p in pool if sum(p) <= n - count + 1], count
+        )
+        if sum(map(sum, groups)) == n
+    ]
 
 
 class CheckResult(NamedTuple):

@@ -34,6 +34,26 @@ def col(entries) -> ExactMatrix:
     return ExactMatrix.column([gr(x) for x in entries])
 
 
+def from_roots(*roots) -> Polynomial:
+    """The monic polynomial with the given roots, repeats counted."""
+    result = Polynomial([1])
+    for root in roots:
+        result = result * Polynomial([-root, 1])
+    return result
+
+
+def norm_sq(x: GaussianRational) -> Fraction:
+    """re**2 + im**2, an exact nonnegative rational."""
+    return x.re * x.re + x.im * x.im
+
+
+def as_matrix(basis: Basis) -> ExactMatrix:
+    """The basis vectors side by side, n x 0 for the empty basis."""
+    if not basis.vectors:
+        return ExactMatrix.zeros(basis.ambient_dim, 0)
+    return ExactMatrix.hstack(basis.vectors)
+
+
 def in_span(basis: Basis, vector: ExactMatrix) -> bool:
     return rank(ExactMatrix.hstack([*basis.vectors, vector])) == basis.dimension
 

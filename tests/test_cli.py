@@ -281,6 +281,64 @@ def test_not_representable_names_the_minimal_polynomials_rest(tmp_path, capsys):
     )
 
 
+# diag(1) + companion(z^2 - 2), diag(1, 2) + companion(z^2 - 2) and
+# diag(1) + companion(z^3 - 2): eigenvalues in Q(i) and a rootless part.
+SQRT2_WITH_ONE = ExactMatrix.from_rows([[1, 0, 0], [0, 0, 2], [0, 1, 0]])
+SQRT2_WITH_ONE_TWO = companion_sum(
+    Polynomial([-1, 1]), Polynomial([-2, 1]), Polynomial([-2, 0, 1])
+)
+CUBE_WITH_ONE = companion_sum(Polynomial([-1, 1]), Polynomial([-2, 0, 0, 1]))
+
+
+@pytest.mark.parametrize(
+    "command, matrix, provided, factor",
+    [
+        ("spectrum", SQRT2_WITH_ONE, "1", "z^2 - 2"),
+        ("jordan", SQRT2_WITH_ONE_TWO, "1,2", "z^2 - 2"),
+        ("verify", CUBE_WITH_ONE, "1", "z^3 - 2"),
+    ],
+)
+def test_a_complete_list_names_the_rootless_factor(
+    tmp_path, capsys, command, matrix, provided, factor
+):
+    # With every eigenvalue in Q(i) provided, the exit code and stderr line
+    # are those of the same call without the list.
+    path = write_doc(tmp_path, "matrix.json", matrix)
+    assert run([command, path]) == EXIT_NOT_REPRESENTABLE
+    found = capsys.readouterr()
+    assert found.err == (
+        f"jordanform {command}: SpectrumNotRepresentable: "
+        f"no root in Q(i) for the remaining factor {factor}\n"
+    )
+    assert run([command, path, f"--spectrum={provided}"]) == EXIT_NOT_REPRESENTABLE
+    assert capsys.readouterr() == found
+
+
+def test_spectrum_command_builds_no_ladder_for_a_simple_eigenvalue(monkeypatch, capsys):
+    # Like spectrum(), the spectrum command reads a simple eigenvalue's entry
+    # off its multiplicity; a stage still needs every ladder.
+    import jordanform.spectral
+
+    built = []
+    kernel_ladder = jordanform.spectral.kernel_ladder
+
+    def counted(matrix, top=None):
+        built.append(top)
+        return kernel_ladder(matrix, top)
+
+    monkeypatch.setattr(jordanform.spectral, "kernel_ladder", counted)
+    assert run(["gen", "--structure", "2:1;1i:1;-1i:1;1/2:1", "--seed", "5"]) == EXIT_OK
+    payload = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert run(["spectrum", "-", "--format", "json"]) == EXIT_OK
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert [(e["multiplicity"], e["geometric"], e["max_stage"]) for e in entries] == [(1, 1, 1)] * 4
+    assert built == []
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert run(["jordan", "-"]) == EXIT_OK
+    assert built == [1, 1, 1, 1]
+
+
 def test_wrong_provided_eigenvalue(cube_path, capsys):
     assert run(["jordan", cube_path, "--spectrum", "3/2"]) == EXIT_USAGE
     assert "InvalidProvidedEigenvalue" in capsys.readouterr().err
@@ -363,12 +421,12 @@ def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, cap
         return real_analysis(matrix, provided)
 
     counted("krylov_factors")
-    counted("_roots_and_rest")
+    counted("poly_roots_exact")
     counted("minimal_polynomial")
     for module in (jordanform.spectral, jordanform.decomp, cli):
         monkeypatch.setattr(module, "spectrum_with_ladders", counted_analysis)
     assert run(["verify", dense3_path, "--format", "json"]) == EXIT_OK
-    assert calls == ["spectrum_with_ladders", "krylov_factors", "_roots_and_rest"]
+    assert calls == ["spectrum_with_ladders", "krylov_factors", "poly_roots_exact"]
     assert all(report["passed"] for report in json.loads(capsys.readouterr().out)["reports"])
     calls.clear()
     assert run(["verify", dense3_path, "--spectrum", "3"]) == EXIT_OK
@@ -377,7 +435,7 @@ def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, cap
     calls.clear()
     assert run(["verify", cube_path]) == EXIT_NOT_REPRESENTABLE
     assert calls == [
-        "spectrum_with_ladders", "krylov_factors", "_roots_and_rest", "minimal_polynomial"
+        "spectrum_with_ladders", "krylov_factors", "poly_roots_exact", "minimal_polynomial"
     ]
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -408,6 +466,12 @@ def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, cap
             "InvalidProvidedEigenvalue: 7 is not an eigenvalue: A - (value)I has full rank",
         ),
         (DENSE3, "3,3,7", "InvalidProvidedEigenvalue: duplicate eigenvalue 3"),
+        # A missing root in Q(i) wins over the rootless part.
+        (
+            SQRT2_WITH_ONE_TWO,
+            "1",
+            "IncompleteSpectrum: eigenvalue multiplicities cover 1 of 4 dimensions",
+        ),
     ],
 )
 def test_verify_rejects_a_bad_spectrum_list(tmp_path, capsys, matrix, provided, message):

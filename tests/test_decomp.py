@@ -25,7 +25,7 @@ from jordanform import (
 )
 from jordanform.cli import decomposition_to_document
 
-from conftest import DENSE3, ROTATION2, SHEAR2, UPPER3, col, gr, in_span, mat
+from conftest import DENSE3, ROTATION2, SHEAR2, UPPER3, as_matrix, col, gr, in_span, mat
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +166,7 @@ def test_generalized_eigenspaces_are_invariant(corpus):
             for u in top.vectors:
                 # A*u stays in the span, whose coordinates are its free-column entries.
                 image = matrix * u
-                assert top.as_matrix() * ExactMatrix.column([image[f, 0] for f in free]) == image
+                assert as_matrix(top) * ExactMatrix.column([image[f, 0] for f in free]) == image
 
 
 # --- block diagonalization ----------------------------------------------------------

@@ -24,7 +24,7 @@ from jordanform import (
 )
 from jordanform.matrices import Echelon
 
-from conftest import gr, rand_matrix, rand_scalar
+from conftest import from_roots, gr, rand_matrix, rand_scalar
 
 
 def entries(values):
@@ -178,7 +178,7 @@ def test_minimal_polynomial_matches_references(seed):
         degrees = {}
         for block in blocks:
             degrees[block.eigenvalue] = max(degrees.get(block.eigenvalue, 0), block.size)
-        planted = Polynomial.from_roots(*[lam for lam, d in degrees.items() for _ in range(d)])
+        planted = from_roots(*[lam for lam, d in degrees.items() for _ in range(d)])
         assert minimal_polynomial(matrix) == planted
         assert reference_minimal_polynomial(matrix) == planted
     for matrix in random_cases(seed, 30):

@@ -14,7 +14,9 @@ from jordanform import (
     elementary_conjugator,
     exhaustive_structures,
     generate_case,
+    minimal_polynomial,
     parse_structure,
+    poly_roots_exact,
 )
 from jordanform import matrices, spectral
 from jordanform.spectral import (
@@ -25,7 +27,7 @@ from jordanform.spectral import (
     stage_ladder,
 )
 
-from conftest import derogatory, gr, rand_matrix, rand_scalar
+from conftest import derogatory, from_roots, gr, rand_matrix, rand_scalar
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,6 +79,21 @@ def test_spectrum_is_what_spectrum_with_ladders_reads():
         assert got == outcome(lambda m: spectrum_with_ladders(m)[0], matrix)
         errors += isinstance(got, tuple) and got[0] == "SpectrumNotRepresentable"
     assert 50 <= errors <= 200
+
+
+def test_a_list_of_the_roots_in_q_i_names_the_same_rootless_factor():
+    # The eigenvalues in Q(i) are the roots of the minimal polynomial; a list
+    # of all of them, in either order, leaves the rootless part to report.
+    rootless = 0
+    for matrix in corpus():
+        expected = outcome(spectrum, matrix)
+        if expected[0] != "SpectrumNotRepresentable":
+            continue
+        roots = [root for root, _ in poly_roots_exact(minimal_polynomial(matrix))[0]]
+        for provided in (roots, roots[::-1]):
+            assert outcome(lambda m: spectrum(m, provided), matrix) == expected
+        rootless += 1
+    assert rootless >= 50
 
 
 def test_ladders_that_stop_at_the_multiplicity_have_the_same_bases():
@@ -157,7 +174,7 @@ def test_deflate_is_repeated_exact_division():
         roots = [rand_scalar(rng, 3) for _ in range(rng.randint(1, 3))]
         planted = [root for root in roots for _ in range(rng.randint(1, 3))]
         rest = Polynomial([rand_scalar(rng) for _ in range(rng.randint(1, 3))])
-        poly = Polynomial.from_roots(*planted) * rest
+        poly = from_roots(*planted) * rest
         for root in roots + [rand_scalar(rng, 3)]:
             expected, count = poly, 0
             while expected.degree >= 1 and expected(root).is_zero():

@@ -4,7 +4,7 @@ import pytest
 
 from jordanform import Polynomial, format_polynomial, poly_gcd, poly_lcm
 
-from conftest import gr, rand_scalar
+from conftest import from_roots, gr, rand_scalar
 
 
 def poly(*ascending):
@@ -23,12 +23,12 @@ def test_trailing_zeros_are_stripped():
 
 
 def test_from_roots():
-    assert Polynomial.from_roots(1, -1) == poly(-1, 0, 1)
-    assert Polynomial.from_roots(1, 1) == poly(1, -2, 1)
+    assert from_roots(1, -1) == poly(-1, 0, 1)
+    assert from_roots(1, 1) == poly(1, -2, 1)
 
 
 def test_evaluation():
-    p = Polynomial.from_roots(2, gr("1i"))
+    p = from_roots(2, gr("1i"))
     assert p(gr("2")).is_zero()
     assert p(gr("1i")).is_zero()
     assert p(gr("0")) == gr("2") * gr("1i")
@@ -61,19 +61,19 @@ def test_divmod_by_zero():
 
 
 def test_exact_div():
-    product = Polynomial.from_roots(1, 2, 3)
-    assert product.exact_div(Polynomial.from_roots(2)) == Polynomial.from_roots(1, 3)
+    product = from_roots(1, 2, 3)
+    assert product.exact_div(from_roots(2)) == from_roots(1, 3)
     with pytest.raises(ValueError):
         product.exact_div(poly(1, 1))
 
 
 def test_gcd_and_lcm():
-    a = Polynomial.from_roots(1, 1, -1)
-    b = Polynomial.from_roots(1, 2)
+    a = from_roots(1, 1, -1)
+    b = from_roots(1, 2)
     g = poly_gcd(a, b)
-    assert g == Polynomial.from_roots(1)
+    assert g == from_roots(1)
     l = poly_lcm(a, b)
-    assert l == Polynomial.from_roots(1, 1, -1, 2)
+    assert l == from_roots(1, 1, -1, 2)
     assert l.leading == gr("1")
 
 

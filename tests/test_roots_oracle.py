@@ -3,7 +3,8 @@ over Q(i), on polynomials built by hypothesis from planted roots.
 
 Both sides get the same planted roots; the package multiplies them out with
 its own Polynomial, sympy with its own arithmetic, and the roots found must
-be exactly the linear factors sympy reports, with their multiplicities.
+be exactly the linear factors sympy reports, with their multiplicities, and
+the rest exactly the product of the others.
 """
 
 from fractions import Fraction
@@ -18,9 +19,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from jordanform import (  # noqa: E402
     GaussianRational,
     Polynomial,
-    SpectrumNotRepresentable,
     poly_roots_exact,
 )
+
+from conftest import from_roots  # noqa: E402
 
 Z = sympy.Symbol("z")
 PART = st.integers(-(2**60), 2**60)
@@ -42,7 +44,7 @@ def planted_case(roots, extra, leading):
         values = [(re, im)] + ([(re, -im)] if conjugate and im else [])
         for a, b in values:
             root = GaussianRational(Fraction(a, den), Fraction(b, den))
-            ours = ours * Polynomial.from_roots(*[root] * mult)
+            ours = ours * from_roots(*[root] * mult)
             value = sympy.Rational(a, den) + sympy.I * sympy.Rational(b, den)
             theirs *= (Z - value) ** mult
     if extra:
@@ -72,10 +74,9 @@ def test_roots_are_the_linear_factors_sympy_finds(roots, extra, leading):
             expected.append((to_scalar(-coefficients[1] / coefficients[0]), mult))
         else:
             leftover *= factor**mult
-    if leftover == 1:
-        assert poly_roots_exact(ours) == sorted(expected)
-        return
-    with pytest.raises(SpectrumNotRepresentable) as err:
-        poly_roots_exact(ours)
+    roots, rest = poly_roots_exact(ours)
+    assert roots == sorted(expected)
+    # The rest is sympy's product of the non-linear factors, made monic: the
+    # constant 1 when every root is in Q(i).
     monic = sympy.Poly(sympy.expand(leftover), Z).monic().all_coeffs()
-    assert err.value.factor == Polynomial([to_scalar(c) for c in reversed(monic)])
+    assert rest == Polynomial([to_scalar(c) for c in reversed(monic)])

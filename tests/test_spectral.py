@@ -22,21 +22,30 @@ from jordanform import (
 from jordanform.matrices import krylov_factors
 from jordanform.spectral import spectrum_with_ladders
 
-from conftest import CUBE_COMPANION, DENSE3, ROTATION2, SHEAR2, UPPER3, companion_sum, gr, mat
+from conftest import (
+    CUBE_COMPANION, DENSE3, ROTATION2, SHEAR2, UPPER3, companion_sum, from_roots, gr, mat,
+)
 
 
 def roots_as_strs(pairs):
     return [(str(root), mult) for root, mult in pairs]
 
 
+def split_roots(poly):
+    """The roots poly_roots_exact finds, once it has left no rootless rest."""
+    roots, rest = poly_roots_exact(poly)
+    assert rest == Polynomial([1])
+    return roots
+
+
 # --- poly_roots_exact ---------------------------------------------------------
 
 def test_double_root():
-    assert roots_as_strs(poly_roots_exact(Polynomial([1, -2, 1]))) == [("1", 2)]
+    assert roots_as_strs(split_roots(Polynomial([1, -2, 1]))) == [("1", 2)]
 
 
 def test_quadratic_with_imaginary_roots():
-    assert roots_as_strs(poly_roots_exact(Polynomial([1, 0, 1]))) == [
+    assert roots_as_strs(split_roots(Polynomial([1, 0, 1]))) == [
         ("-1i", 1),
         ("1i", 1),
     ]
@@ -44,40 +53,40 @@ def test_quadratic_with_imaginary_roots():
 
 def test_unsolvable_cubic():
     cubic = Polynomial([-2, 0, 0, 1])
-    with pytest.raises(SpectrumNotRepresentable) as err:
-        poly_roots_exact(cubic)
-    assert err.value.factor == cubic
-    assert "z^3 - 2" in str(err.value)
+    roots, rest = poly_roots_exact(cubic)
+    assert roots == []
+    assert rest == cubic
+    assert str(rest) == "z^3 - 2"
 
 
 def test_gaussian_pair_from_real_quadratic():
     # z^2 - 2z + 2 = (z - (1+i))(z - (1-i))
-    assert roots_as_strs(poly_roots_exact(Polynomial([2, -2, 1]))) == [
+    assert roots_as_strs(split_roots(Polynomial([2, -2, 1]))) == [
         ("1-1i", 1),
         ("1+1i", 1),
     ]
 
 
 def test_repeated_gaussian_root():
-    p = Polynomial.from_roots(gr("1i"), gr("1i"))
-    assert roots_as_strs(poly_roots_exact(p)) == [("1i", 2)]
+    p = from_roots(gr("1i"), gr("1i"))
+    assert roots_as_strs(split_roots(p)) == [("1i", 2)]
 
 
 def test_mixed_spectrum_with_nonreal_coefficients():
     roots = [gr("0"), gr("1"), gr("2"), gr("-1"), gr("1i")]
-    p = Polynomial.from_roots(*roots)
-    assert poly_roots_exact(p) == [(r, 1) for r in sorted(roots)]
+    p = from_roots(*roots)
+    assert split_roots(p) == [(r, 1) for r in sorted(roots)]
 
 
 def test_unsolvable_real_quadratic():
-    with pytest.raises(SpectrumNotRepresentable):
-        poly_roots_exact(Polynomial([-2, 0, 1]))  # z^2 - 2
+    z2_minus_2 = Polynomial([-2, 0, 1])
+    assert poly_roots_exact(z2_minus_2) == ([], z2_minus_2)
 
 
 def test_real_quartic_with_two_conjugate_pairs():
     # (z^2+1)(z^2+4): no rational root, every root in Q(i).
     p = Polynomial([1, 0, 1]) * Polynomial([4, 0, 1])
-    assert roots_as_strs(poly_roots_exact(p)) == [
+    assert roots_as_strs(split_roots(p)) == [
         ("-2i", 1),
         ("-1i", 1),
         ("1i", 1),
@@ -88,21 +97,21 @@ def test_real_quartic_with_two_conjugate_pairs():
 def test_repeated_conjugate_pair():
     # (z^2 + 1)^2: no rational candidate, closed through its square-free part.
     p = Polynomial([1, 0, 2, 0, 1])
-    assert roots_as_strs(poly_roots_exact(p)) == [("-1i", 2), ("1i", 2)]
+    assert roots_as_strs(split_roots(p)) == [("-1i", 2), ("1i", 2)]
 
 
 def test_repeated_irrational_pair_reports_the_whole_factor():
     p = Polynomial([-2, 0, 1]) * Polynomial([-2, 0, 1])  # (z^2 - 2)^2
-    with pytest.raises(SpectrumNotRepresentable) as err:
-        poly_roots_exact(p)
-    assert err.value.factor == p
-    assert "z^4 - 4z^2 + 4" in str(err.value)
+    roots, rest = poly_roots_exact(p)
+    assert roots == []
+    assert rest == p
+    assert str(rest) == "z^4 - 4z^2 + 4"
 
 
 def test_two_distinct_conjugate_pairs():
     # (z^2 + 1)(z^2 - 2z + 2): real coefficients, two pairs in Q(i).
     p = Polynomial([2, -2, 3, -2, 1])
-    assert roots_as_strs(poly_roots_exact(p)) == [
+    assert roots_as_strs(split_roots(p)) == [
         ("-1i", 1),
         ("1i", 1),
         ("1-1i", 1),
@@ -112,7 +121,7 @@ def test_two_distinct_conjugate_pairs():
 
 def test_roots_with_zero_roots_and_scaling():
     p = Polynomial([0, 0, -4, 4]) * gr("3/7")  # 3/7 * 4z^2(z - 1)
-    assert roots_as_strs(poly_roots_exact(p)) == [("0", 2), ("1", 1)]
+    assert roots_as_strs(split_roots(p)) == [("0", 2), ("1", 1)]
 
 
 def test_constant_rejected():
@@ -137,11 +146,11 @@ def test_find_eigenvalue_rotation_takes_canonical_smallest():
 # --- minimal polynomial ----------------------------------------------------------
 
 def test_minimal_polynomial_upper3():
-    assert minimal_polynomial(UPPER3) == Polynomial.from_roots(1, 1, 1)
+    assert minimal_polynomial(UPPER3) == from_roots(1, 1, 1)
 
 
 def test_minimal_polynomial_diagonal():
-    assert minimal_polynomial(mat([[2, 0], [0, 5]])) == Polynomial.from_roots(2, 5)
+    assert minimal_polynomial(mat([[2, 0], [0, 5]])) == from_roots(2, 5)
 
 
 def test_minimal_polynomial_annihilates_and_is_minimal():
@@ -153,8 +162,8 @@ def test_minimal_polynomial_annihilates_and_is_minimal():
         minimal = minimal_polynomial(matrix)
         assert poly_apply(minimal, matrix).is_zero()
         # Dividing out any single root must break the annihilation.
-        for root, _ in poly_roots_exact(minimal):
-            shrunk = minimal.exact_div(Polynomial.from_roots(root))
+        for root, _ in split_roots(minimal):
+            shrunk = minimal.exact_div(from_roots(root))
             assert not poly_apply(shrunk, matrix).is_zero()
 
 
@@ -227,13 +236,6 @@ def test_spectrum_repeated_conjugate_pair():
 SQRT2 = Polynomial([-2, 0, 1])  # z^2 - 2
 
 
-def rest_of(factor):
-    """What poly_roots_exact leaves of one factor once its roots are out."""
-    with pytest.raises(SpectrumNotRepresentable) as err:
-        poly_roots_exact(factor)
-    return err.value.factor
-
-
 def test_rootless_factor_is_the_minimal_polynomials_rest():
     matrix = companion_sum(SQRT2, SQRT2 * SQRT2)
     assert krylov_factors(matrix) == [SQRT2, SQRT2 * SQRT2]
@@ -246,15 +248,15 @@ def test_rootless_factor_is_the_minimal_polynomials_rest():
 def test_rootless_factor_joins_the_rests_of_several_factors():
     # (z-1)^2 (z^2-2) and (z-1)(z^2+2): the factors keep z^2 - 2 and z^2 + 2,
     # the minimal polynomial less its root 1 keeps their product.
-    first = Polynomial.from_roots(1, 1) * SQRT2
-    second = Polynomial.from_roots(1) * Polynomial([2, 0, 1])
+    first = from_roots(1, 1) * SQRT2
+    second = from_roots(1) * Polynomial([2, 0, 1])
     matrix = companion_sum(first, second)
     factors = krylov_factors(matrix)
     assert factors == [first, second]
     with pytest.raises(SpectrumNotRepresentable) as err:
         spectrum(matrix)
     assert str(err.value.factor) == "z^4 - 4"
-    assert [str(rest_of(factor)) for factor in factors] == ["z^2 - 2", "z^2 + 2"]
+    assert [str(poly_roots_exact(factor)[1]) for factor in factors] == ["z^2 - 2", "z^2 + 2"]
 
 
 def test_spectrum_with_provided_matches_automatic():

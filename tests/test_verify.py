@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from jordanform import (
     check_decomposition,
     elementary_conjugator,
     exhaustive_structures,
+    format_scalar,
     generate_case,
     jordan_decomposition,
     jordan_matrix,
@@ -172,6 +174,24 @@ def test_structures_match_brute_force_enumeration(n):
         lambdas = [lam for lam, _ in structure.entries]
         assert sorted(set(lambdas)) == sorted(lambdas)
         assert set(lambdas) <= set(PALETTE)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (4, "868e90341f734c76141eaf0d7e3f0decb320c73cc386cc6b0138ddf175d6d3b5"),
+        (5, "16b6461863e5155a375d81db636a793c3daf3ad13e41a8291168ef8aa952fb1f"),
+        (6, "18b4daca6170af9eb6b5102cf60fbf1f78715e532c711ed7dcb593a80a7f8603"),
+    ],
+)
+def test_structures_keep_their_order_and_labels(n, digest):
+    # The list order and each structure's palette labels both follow the
+    # order of the partition pool; the digests pin them exactly.
+    text = "\n".join(
+        ";".join(f"{format_scalar(value)}:{','.join(map(str, lengths))}" for value, lengths in s.entries)
+        for s in exhaustive_structures(n)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_structure_counts():
