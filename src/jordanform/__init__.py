@@ -20,7 +20,6 @@ _EXPORTS = {
     "JordanChain": "decomp",
     "block_diagonalize": "decomp",
     "blockwise_trigonalize": "decomp",
-    "is_jordan_matrix": "decomp",
     "jordan_chains": "decomp",
     "jordan_decomposition": "decomp",
     "jordan_matrix": "decomp",

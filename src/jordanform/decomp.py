@@ -59,16 +59,17 @@ def _triangularize(
     kernel = nullspace_basis(shift_by(matrix, lam))
     if not kernel.dimension:
         raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
-    # The step conjugates by B = [v, e_i for i != p], v the eigenvector and p
-    # its last nonzero index, in closed form: B^-1 A B is [[lam, head], [0,
-    # tail]] with head_j = A[p][j]/v_p and tail[i][j] = A[i][j] - v_i*head_j
-    # (i, j != p).  V = B*diag(1, V') is v in column 0 with row k of V' on
-    # the k-th index other than p, and U's top row is [lam] + head*V'.
+    # The step conjugates by B = [v, e_i for i != p], v the canonical
+    # eigenvector and p its last nonzero index (its free column, so v_p = 1),
+    # in closed form: B^-1 A B is [[lam, head], [0, tail]] with head_j =
+    # A[p][j] and tail[i][j] = A[i][j] - v_i*head_j (i, j != p).  V =
+    # B*diag(1, V') is v in column 0 with row k of V' on the k-th index other
+    # than p, and U's top row is [lam] + head*V'.
     v = kernel.vectors[0].column_entries()
     p = max(i for i, x in enumerate(v) if x)
     rest = [i for i in range(n) if i != p]
     a = [matrix.row(i) for i in range(n)]
-    head = [a[p][j] / v[p] for j in rest]
+    head = [a[p][j] for j in rest]
     tail = [[a[i][j] - v[i] * h for j, h in zip(rest, head)] for i in rest]
     inner_v, inner_u = _triangularize(ExactMatrix._trusted(tail, n - 1), eigenvalues[1:])
     inner = [inner_v.row(k) for k in range(n - 1)]
@@ -252,22 +253,3 @@ STAGES: Dict[str, Callable[[ExactMatrix, Sequence[StageLadder]], Decomposition]]
     "blocktri": _blocktri,
     "jordan": _jordan,
 }
-
-
-def is_jordan_matrix(matrix: ExactMatrix) -> Tuple[bool, List[Block]]:
-    """Whether the matrix is a Jordan matrix, with the implied block list.
-
-    A superdiagonal 1 that joins equal diagonal values extends a block,
-    anything else starts a new one; the matrix is accepted iff it is the
-    Jordan matrix of those blocks.
-    """
-    if not matrix.is_square():
-        return False, []
-    blocks: List[Block] = []
-    for i in range(matrix.rows):
-        lam = matrix[i, i]
-        if i and matrix[i - 1, i] == ONE and blocks[-1].eigenvalue == lam:
-            blocks[-1] = Block(lam, blocks[-1].size + 1)
-        else:
-            blocks.append(Block(lam, 1))
-    return (True, blocks) if matrix == jordan_matrix(blocks) else (False, [])

@@ -5,15 +5,21 @@ check_decomposition re-derives every structural claim a decomposition makes
 generate_case inverts the pipeline: it conjugates a known Jordan matrix
 with an exactly invertible transform, giving an independent oracle for
 what the decomposition must recover.
+
+The shape is read off the declared blocks, whose positive sizes must add up
+to n.  A jordan M must be their Jordan matrix.  A schur or blocktri M is
+upper triangular, each diagonal entry the eigenvalue of the block holding
+it; a blockdiag or blocktri M is zero wherever row and column lie in
+different blocks.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .decomp import Block, Decomposition, is_jordan_matrix, jordan_matrix
+from .decomp import Block, Decomposition, jordan_matrix
 from .errors import InvalidStructure, ParseError
 from .matrices import ExactMatrix, rank, shift_by
 from .scalars import ZERO, GaussianRational, format_scalar, parse_scalar
@@ -195,44 +201,39 @@ class CheckReport(NamedTuple):
         return [result for result in self.results if not result.passed]
 
 
+# What the shape check reports when it passes, by kind.
+_SHAPES = {
+    "schur": "upper triangular",
+    "blockdiag": "zero outside blocks",
+    "blocktri": "triangular blocks with constant diagonals",
+    "jordan": "Jordan matrix matching the declared blocks",
+}
+
+
 def _shape_ok(decomposition: Decomposition) -> Tuple[bool, str]:
-    m = decomposition.M
-    kind = decomposition.kind
-    if kind == "schur":
-        if m.is_upper_triangular():
-            return True, "upper triangular"
-        return False, "nonzero entry below the diagonal"
-    mask_ok = True
-    offset = 0
-    spans = []
-    for block in decomposition.blocks:
-        spans.append((offset, offset + block.size, block.eigenvalue))
-        offset += block.size
-    for i in range(m.rows):
-        for j in range(m.cols):
-            inside = any(r0 <= i < r1 and r0 <= j < r1 for r0, r1, _ in spans)
-            if not inside and not m[i, j].is_zero():
-                mask_ok = False
-    if not mask_ok:
+    kind, _, m, blocks = decomposition
+    if kind not in _SHAPES:
+        return False, f"unknown kind {kind!r}"
+    # owner[i]: the index and eigenvalue of the declared block that holds i.
+    owner = [
+        (k, block.eigenvalue) for k, block in enumerate(blocks) for _ in range(block.size)
+    ]
+    if len(owner) != m.rows or any(block.size < 1 for block in blocks):
+        return False, "declared block sizes do not partition M"
+    if kind == "jordan" and m != jordan_matrix(blocks):
+        return False, "M is not the Jordan matrix of the declared blocks"
+    if kind in ("schur", "blocktri"):
+        if not m.is_upper_triangular():
+            return False, "nonzero entry below the diagonal"
+        if any(m[i, i] != lam for i, (_, lam) in enumerate(owner)):
+            return False, "diagonal entry is not its block's eigenvalue"
+    if kind in ("blockdiag", "blocktri") and any(
+        owner[i][0] != owner[j][0] and not m[i, j].is_zero()
+        for i in range(m.rows)
+        for j in range(m.cols)
+    ):
         return False, "nonzero entry outside the declared blocks"
-    if kind == "blockdiag":
-        return True, "zero outside blocks"
-    if kind == "blocktri":
-        for r0, r1, lam in spans:
-            sub = m.submatrix(r0, r1, r0, r1)
-            if not sub.is_upper_triangular():
-                return False, "block not upper triangular"
-            if any(sub[k, k] != lam for k in range(sub.rows)):
-                return False, "block diagonal is not its eigenvalue"
-        return True, "triangular blocks with constant diagonals"
-    if kind == "jordan":
-        ok, implied = is_jordan_matrix(m)
-        if not ok:
-            return False, "M is not a Jordan matrix"
-        if tuple(implied) != decomposition.blocks:
-            return False, "declared blocks disagree with M"
-        return True, "Jordan matrix matching the declared blocks"
-    return False, f"unknown kind {kind!r}"
+    return True, _SHAPES[kind]
 
 
 def _ladder_dims(matrix: ExactMatrix, eigenvalue: GaussianRational) -> List[int]:
@@ -250,6 +251,23 @@ def _ladder_dims(matrix: ExactMatrix, eigenvalue: GaussianRational) -> List[int]
     return dims
 
 
+def _chain_counts_ok(matrix: ExactMatrix, blocks: Sequence[Block]) -> Tuple[bool, str]:
+    if not matrix.is_square():
+        return False, "A is not square"
+    per_eigenvalue: Dict[GaussianRational, List[int]] = {}
+    for block in blocks:
+        per_eigenvalue.setdefault(block.eigenvalue, []).append(block.size)
+    for eigenvalue, sizes in per_eigenvalue.items():
+        dims = _ladder_dims(matrix, eigenvalue)
+        if len(sizes) != dims[0] or sum(sizes) != dims[-1]:
+            return False, (
+                f"{format_scalar(eigenvalue)}: {len(sizes)} blocks / "
+                f"{sum(sizes)} total vs geometric {dims[0]} / "
+                f"multiplicity {dims[-1]}"
+            )
+    return True, "chain counts match the kernel dimensions"
+
+
 def check_decomposition(
     matrix: ExactMatrix, decomposition: Decomposition
 ) -> CheckReport:
@@ -258,24 +276,19 @@ def check_decomposition(
     Failures never raise; each check contributes exactly one entry to the
     report.
     """
+    kind, v, m, blocks = decomposition
     n = matrix.rows
     results: List[CheckResult] = []
-    shapes_match = (
-        decomposition.V.rows == n
-        and decomposition.V.cols == n
-        and decomposition.M.rows == n
-        and decomposition.M.cols == n
-    )
+    shapes_match = matrix.is_square() and all(x.rows == x.cols == n for x in (v, m))
 
     if shapes_match:
-        similar = matrix * decomposition.V == decomposition.V * decomposition.M
+        similar = matrix * v == v * m
         results.append(
             CheckResult("similarity", similar, "A*V == V*M" if similar else "A*V != V*M")
         )
     else:
-        results.append(CheckResult("similarity", False, "V or M has the wrong shape"))
+        results.append(CheckResult("similarity", False, f"A, V and M are not all {n} x {n}"))
 
-    v = decomposition.V
     v_rank = rank(v) if v.is_square() else None
     if v_rank is None:
         detail = "V not invertible: inverse of a non-square matrix"
@@ -285,24 +298,15 @@ def check_decomposition(
         detail = "V has an exact inverse"
     results.append(CheckResult("invertible", v_rank == v.rows, detail))
 
-    total = sum(block.size for block in decomposition.blocks)
+    total = sum(block.size for block in blocks)
     results.append(
-        CheckResult(
-            "multiplicity-sum",
-            total == n,
-            f"block sizes sum to {total} of {n}",
-        )
+        CheckResult("multiplicity-sum", total == n, f"block sizes sum to {total} of {n}")
     )
 
-    shape_ok, shape_detail = _shape_ok(decomposition) if shapes_match else (
-        False,
-        "wrong shape",
-    )
-    results.append(CheckResult("shape", shape_ok, shape_detail))
+    shape = _shape_ok(decomposition) if shapes_match else (False, "wrong shape")
+    results.append(CheckResult("shape", *shape))
 
-    weighted = ZERO
-    for block in decomposition.blocks:
-        weighted = weighted + block.eigenvalue * block.size
+    weighted = sum((block.eigenvalue * block.size for block in blocks), ZERO)
     trace_ok = matrix.is_square() and matrix.trace() == weighted
     results.append(
         CheckResult(
@@ -314,23 +318,7 @@ def check_decomposition(
         )
     )
 
-    if decomposition.kind == "jordan":
-        per_eigenvalue: Dict[GaussianRational, List[int]] = {}
-        for block in decomposition.blocks:
-            per_eigenvalue.setdefault(block.eigenvalue, []).append(block.size)
-        counts_ok = True
-        detail = "chain counts match the kernel dimensions"
-        for eigenvalue, sizes in per_eigenvalue.items():
-            dims = _ladder_dims(matrix, eigenvalue)
-            geometric = dims[0]
-            if len(sizes) != geometric or sum(sizes) != dims[-1]:
-                counts_ok = False
-                detail = (
-                    f"{format_scalar(eigenvalue)}: {len(sizes)} blocks / "
-                    f"{sum(sizes)} total vs geometric {geometric} / "
-                    f"multiplicity {dims[-1]}"
-                )
-                break
-        results.append(CheckResult("chain-counts", counts_ok, detail))
+    if kind == "jordan":
+        results.append(CheckResult("chain-counts", *_chain_counts_ok(matrix, blocks)))
 
     return CheckReport(tuple(results))

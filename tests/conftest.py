@@ -14,6 +14,7 @@ from jordanform import (
     ExactMatrix,
     GaussianRational,
     Polynomial,
+    check_decomposition,
     elementary_conjugator,
     parse_scalar,
     rank,
@@ -32,6 +33,11 @@ def mat(rows) -> ExactMatrix:
 
 def col(entries) -> ExactMatrix:
     return ExactMatrix.column([gr(x) for x in entries])
+
+
+def shape_check(matrix: ExactMatrix, claim):
+    """The "shape" entry of check_decomposition's report on claim."""
+    return next(r for r in check_decomposition(matrix, claim).results if r.name == "shape")
 
 
 def from_roots(*roots) -> Polynomial:

@@ -4,6 +4,8 @@ import pytest
 
 import jordanform.decomp
 from jordanform import (
+    Block,
+    Decomposition,
     ExactMatrix,
     InternalInvariantViolation,
     NotAnEigenvalue,
@@ -12,7 +14,6 @@ from jordanform import (
     exhaustive_structures,
     generate_case,
     inverse,
-    is_jordan_matrix,
     jordan_chains,
     jordan_decomposition,
     jordan_matrix,
@@ -25,7 +26,18 @@ from jordanform import (
 )
 from jordanform.cli import decomposition_to_document
 
-from conftest import DENSE3, ROTATION2, SHEAR2, UPPER3, as_matrix, col, gr, in_span, mat
+from conftest import (
+    DENSE3,
+    ROTATION2,
+    SHEAR2,
+    UPPER3,
+    as_matrix,
+    col,
+    gr,
+    in_span,
+    mat,
+    shape_check,
+)
 
 
 @pytest.fixture(scope="module")
@@ -401,42 +413,54 @@ def test_jordan_is_deterministic():
     )
 
 
-# --- is_jordan_matrix ---------------------------------------------------------------------
+# --- the jordan shape check ---------------------------------------------------------------
+
+def jordan_shape(m, blocks):
+    """The shape check of a jordan claim about M itself: A = M, V = I."""
+    return shape_check(m, Decomposition("jordan", ExactMatrix.identity(m.rows), m, tuple(blocks)))
+
+
+@pytest.mark.parametrize(
+    "rows, eigenvalues",
+    [
+        pytest.param([[1, 2], [0, 1]], ["1", "1"], id="bad-superdiagonal"),
+        pytest.param([[1, 1], [0, 2]], ["1", "2"], id="mismatched-coupling"),
+        pytest.param([[1, 0], [1, 1]], ["1", "1"], id="lower-entry"),
+    ],
+)
+def test_jordan_shape_rejects_a_non_jordan_matrix(rows, eigenvalues):
+    # The declared blocks are the diagonal read as 1 x 1 blocks.
+    blocks = [Block(gr(x), 1) for x in eigenvalues]
+    assert jordan_shape(mat(rows), blocks) == (
+        "shape", False, "M is not the Jordan matrix of the declared blocks"
+    )
+
 
 def test_is_jordan_matrix_single_block():
-    ok, blocks = is_jordan_matrix(mat([[3, 1, 0], [0, 3, 1], [0, 0, 3]]))
-    assert ok
-    assert [(str(b.eigenvalue), b.size) for b in blocks] == [("3", 3)]
+    m = mat([[3, 1, 0], [0, 3, 1], [0, 0, 3]])
+    assert jordan_shape(m, [Block(gr("3"), 3)]) == (
+        "shape", True, "Jordan matrix matching the declared blocks"
+    )
+    assert jordan_shape(m, [Block(gr("3"), 1)] * 3)[1] is False
 
 
 def test_is_jordan_matrix_identity():
-    ok, blocks = is_jordan_matrix(ExactMatrix.identity(4))
-    assert ok
-    assert [b.size for b in blocks] == [1, 1, 1, 1]
-
-
-def test_is_jordan_matrix_rejects_bad_superdiagonal():
-    ok, blocks = is_jordan_matrix(mat([[1, 2], [0, 1]]))
-    assert not ok
-    assert blocks == []
-
-
-def test_is_jordan_matrix_rejects_mismatched_coupling():
-    ok, _ = is_jordan_matrix(mat([[1, 1], [0, 2]]))
-    assert not ok
-
-
-def test_is_jordan_matrix_rejects_lower_entries():
-    ok, _ = is_jordan_matrix(mat([[1, 0], [1, 1]]))
-    assert not ok
+    one = gr("1")
+    assert jordan_shape(ExactMatrix.identity(4), [Block(one, 1)] * 4) == (
+        "shape", True, "Jordan matrix matching the declared blocks"
+    )
+    merged = [Block(one, 2), Block(one, 1), Block(one, 1)]
+    assert jordan_shape(ExactMatrix.identity(4), merged)[1] is False
 
 
 def test_is_jordan_matrix_round_trips_every_structure():
     # Adjacent blocks may share an eigenvalue: a 0 on the superdiagonal splits them.
     for n in range(1, 6):
         for structure in exhaustive_structures(n):
-            blocks = list(structure.blocks())
-            assert is_jordan_matrix(jordan_matrix(blocks)) == (True, blocks)
+            blocks = structure.blocks()
+            assert jordan_shape(jordan_matrix(blocks), blocks) == (
+                "shape", True, "Jordan matrix matching the declared blocks"
+            ), structure
 
 
 def test_trace_identity(corpus):

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 
 from fractions import Fraction  # noqa: E402
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
 from jordanform import (  # noqa: E402
     ExactMatrix,
@@ -20,6 +20,10 @@ from jordanform import (  # noqa: E402
 )
 
 from conftest import gr  # noqa: E402
+
+# No shrinking: a failure is reported with the example that found it, since
+# shrinking large generated values can take minutes.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 PALETTE = [gr(x) for x in ("0", "0", "1", "-1", "2", "1/2", "1i", "-1i", "1+1i")]
 
@@ -44,7 +48,7 @@ def spectrum_or_factor(matrix):
         return str(exc.factor)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
 @given(matrix_and_conjugator())
 def test_spectrum_is_similarity_invariant(pair):
     """The spectrum, or the minimal polynomial less its roots that a
@@ -72,14 +76,14 @@ def canonical_literal(re, im):
     return f"{re}+{imag}" if im > 0 else f"{re}{imag}"
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
 @given(RATIONALS, RATIONALS)
 def test_format_then_parse_gives_the_scalar_back(re, im):
     value = GaussianRational(re, im)
     assert parse_scalar(format_scalar(value)) == value
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)
 @given(RATIONALS, RATIONALS)
 def test_parse_then_format_gives_a_canonical_literal_back(re, im):
     text = canonical_literal(re, im)

@@ -5,11 +5,14 @@ import random
 import pytest
 
 from jordanform import (
+    Block,
     Decomposition,
     ExactMatrix,
     InvalidStructure,
     JordanStructure,
     ParseError,
+    block_diagonalize,
+    blockwise_trigonalize,
     check_decomposition,
     elementary_conjugator,
     exhaustive_structures,
@@ -18,10 +21,12 @@ from jordanform import (
     jordan_decomposition,
     jordan_matrix,
     parse_structure,
+    trigonalize,
 )
+from jordanform.decomp import STAGES
 from jordanform.verify import PALETTE
 
-from conftest import DENSE3, gr, mat
+from conftest import DENSE3, gr, mat, shape_check
 
 
 # --- JordanStructure ----------------------------------------------------------
@@ -290,8 +295,6 @@ def test_check_detects_non_square_v():
 
 
 def test_check_passes_on_every_pipeline_output():
-    from jordanform import block_diagonalize, blockwise_trigonalize, trigonalize
-
     rng = random.Random(77)
     structures = [s for n in range(1, 5) for s in exhaustive_structures(n)]
     for structure in rng.sample(structures, 8):
@@ -306,8 +309,75 @@ def test_check_passes_on_every_pipeline_output():
             assert report.passed, (structure, decompose.__name__, report.failures())
 
 
-def test_jordan_matrix_assembly():
-    from jordanform import Block
+def test_check_reports_a_non_square_matrix_without_raising():
+    a = mat([[1, 2, 3], [0, 1, 0]])
+    report = check_decomposition(a, jordan_decomposition(mat([[1, 2], [0, 1]])))
+    assert [(r.name, r.passed) for r in report.results] == [
+        ("similarity", False),
+        ("invertible", True),
+        ("multiplicity-sum", True),
+        ("shape", False),
+        ("trace", False),
+        ("chain-counts", False),
+    ]
+    assert report.results[-1].detail == "A is not square"
 
+
+# --- lying claims: a correct result with its blocks changed ---------------------------------
+
+LABELS_SWAPPED = {gr("1"): gr("2"), gr("2"): gr("1")}
+
+
+@pytest.fixture(scope="module")
+def two_eigenvalues():
+    matrix, _ = generate_case(parse_structure("1:2;2:2"), 3, 3)
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "lie",
+    [
+        pytest.param(lambda blocks: blocks[::-1], id="reversed"),
+        pytest.param(
+            lambda blocks: tuple(Block(LABELS_SWAPPED[b.eigenvalue], b.size) for b in blocks),
+            id="labels-swapped",
+        ),
+    ],
+)
+def test_schur_claim_with_other_blocks_fails_shape(two_eigenvalues, lie):
+    truth = trigonalize(two_eigenvalues)
+    claim = truth._replace(blocks=lie(truth.blocks))
+    assert claim.blocks != truth.blocks
+    assert shape_check(two_eigenvalues, claim) == (
+        "shape", False, "diagonal entry is not its block's eigenvalue"
+    )
+
+
+@pytest.mark.parametrize("sizes", [(-1, 3), (0, 2)], ids=["negative", "zero"])
+def test_non_positive_block_size_fails_shape_for_every_kind(sizes):
+    # The sizes sum to n = 2, and the weighted eigenvalues to the trace.
+    m = mat([[1, 1], [0, 1]])
+    blocks = tuple(Block(gr("1"), size) for size in sizes)
+    for kind in STAGES:
+        claim = Decomposition(kind, ExactMatrix.identity(2), m, blocks)
+        assert shape_check(m, claim) == (
+            "shape", False, "declared block sizes do not partition M"
+        ), kind
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="blockdiag shape checks only the zero pattern; ROADMAP item 2 adds the "
+    "nilpotency check that catches swapped labels",
+)
+def test_blockdiag_claim_with_swapped_labels_fails(two_eigenvalues):
+    truth = block_diagonalize(two_eigenvalues)
+    claim = truth._replace(
+        blocks=tuple(Block(LABELS_SWAPPED[b.eigenvalue], b.size) for b in truth.blocks)
+    )
+    assert not check_decomposition(two_eigenvalues, claim).passed
+
+
+def test_jordan_matrix_assembly():
     j = jordan_matrix((Block(gr("2"), 2), Block(gr("5"), 1)))
     assert j == mat([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
