@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InternalInvariantViolation
-from .matrices import Echelon, ExactMatrix, nullspace_basis, shift_by
+from .errors import InternalInvariantViolation, InvalidStructure
+from .matrices import ExactMatrix, kernel_chains, nullspace_basis, shift_by
 from .scalars import ONE, ZERO, GaussianRational, format_scalar
 from .spectral import StageLadder, spectrum_with_ladders
 
@@ -173,32 +173,11 @@ def blockwise_trigonalize(
 
 
 def jordan_chains(matrix: ExactMatrix, ladder: StageLadder) -> List[JordanChain]:
-    """All Jordan chains for one eigenvalue, from its stage ladder.
-
-    Working from the top stage down, every existing chain is first extended
-    by one application of (A - lambda*I); then the canonical basis of the
-    current stage is scanned in order, and a candidate seeds a new chain
-    when it is independent of the previous stage's basis plus all chain
-    vectors already placed at this stage.  Chains therefore come out in
-    decreasing length, in construction order.
-    """
-    shifted = shift_by(matrix, ladder.eigenvalue)
-    chains_topdown: List[List[ExactMatrix]] = []
-    for stage in range(ladder.max_stage, 0, -1):
-        used = Echelon()
-        for vector in ladder.stage_bases[stage - 2].vectors if stage >= 2 else ():
-            used.insert(vector.column_entries())
-        if chains_topdown:
-            below = shifted * ExactMatrix.hstack([chain[-1] for chain in chains_topdown])
-            for k, chain in enumerate(chains_topdown):
-                chain.append(below.col(k))
-                used.insert(below.column_entries(k))
-        for candidate in ladder.stage_bases[stage - 1].vectors:
-            if used.insert(candidate.column_entries()):
-                chains_topdown.append([candidate])
+    """All Jordan chains for one eigenvalue, in decreasing length, seeded
+    from its stage ladder by ``matrices.kernel_chains``."""
     chains = [
-        JordanChain(ladder.eigenvalue, tuple(reversed(vectors)))
-        for vectors in chains_topdown
+        JordanChain(ladder.eigenvalue, tuple(vectors))
+        for vectors in kernel_chains(shift_by(matrix, ladder.eigenvalue), ladder.stage_bases)
     ]
     dims = ladder.dims()
     if len(chains) != dims[0] or sum(c.length for c in chains) != dims[-1]:
@@ -211,6 +190,8 @@ def jordan_chains(matrix: ExactMatrix, ladder: StageLadder) -> List[JordanChain]
 
 def jordan_matrix(blocks: Sequence[Block]) -> ExactMatrix:
     """The Jordan matrix with the given blocks, in the given order."""
+    if any(block.size < 1 for block in blocks):
+        raise InvalidStructure("Jordan block sizes must be at least 1")
     n = sum(block.size for block in blocks)
     rows = [[ZERO] * n for _ in range(n)]
     offset = 0

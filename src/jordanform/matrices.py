@@ -1,26 +1,28 @@
 """Dense exact matrices over Q(i) and the elimination toolkit.
 
 ``Echelon`` is the only elimination: it grows a reduced basis one vector at
-a time for the layers that ask again and again whether a vector is new
-(Krylov runs, basis completion and chain seeding), and ``rref`` is built on
-it.  Kernels are read off the RREF, which is unique, so the same subspace
-always gets byte-identical basis vectors whatever order the rows arrive in.
-Elimination and products run on packed vectors, Gaussian integers over one
-positive denominator: ``(re, im, d)`` with int lists re and im.  A row
-operation is int arithmetic, then one gcd that divides out the content and
-leaves the row primitive, so entries keep their true size; scalars are built
-only for what callers read.  The format stays inside this module, and so do
-the analyses run on it: kernel ladders, the factors of the characteristic
-polynomial from one Krylov pass, and the minimal polynomial as the lcm of the
-Krylov annihilators of the standard basis vectors (a spanning family, so the
-lcm annihilates the whole space).
+a time, and ``rref`` is built on it.  Kernels are read off the RREF, which is
+unique, so the same subspace always gets byte-identical basis vectors
+whatever order the rows arrive in.  Elimination and products run on packed
+vectors, Gaussian integers over one positive denominator: ``(re, im, d)``
+with int lists re and im.  An echelon row carries its support, and a
+reduction step is int arithmetic on that support (after scaling x by the
+row's denominator when it is not 1), with one gcd that divides out the
+content when the denominator grows; entries keep their true size, and
+scalars are built only for what callers read.  The format stays inside this
+module, and so do the analyses run on it: kernel ladders from one
+elimination of [N | I], Jordan chains seeded in quotient coordinates, the
+factors of the characteristic polynomial from one Krylov pass, and the
+minimal polynomial as the lcm of the Krylov annihilators of the standard
+basis vectors (a spanning family, so the lcm annihilates the whole space).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
@@ -28,7 +30,7 @@ from .polynomials import Polynomial, poly_lcm
 from .scalars import ONE, ZERO, GaussianRational, _reduced, format_scalar, parse_scalar
 
 Packed = Tuple[List[int], List[int], int]
-Row = Tuple[int, List[int], List[int], int]  # (pivot, re, im, d)
+Row = Tuple[int, List[int], List[int], int, List[int]]  # (pivot, re, im, d, support)
 
 
 def _entry(value) -> GaussianRational:
@@ -57,7 +59,7 @@ def _primitive(re: List[int], im: List[int], d: int) -> Packed:
 
 
 def _unpack(re: Sequence[int], im: Sequence[int], d: int) -> List[GaussianRational]:
-    return [_reduced(a, b, d) for a, b in zip(re, im)]
+    return [_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, im)]
 
 
 def _product(rows: Iterable[Packed], right: Packed, width: int) -> List[Packed]:
@@ -263,53 +265,69 @@ class Basis(NamedTuple):
 class Echelon:
     """A reduced basis of a growing subspace, built one vector at a time.
 
-    ``packed`` holds (pivot, re, im, d) in insertion order: a primitive
-    packed row that is 1 at its pivot (re[pivot] == d, im[pivot] == 0), its
-    first nonzero entry, and 0 at the pivot of every earlier row.  ``rows``
-    shows the same rows as (pivot, scalars) pairs.
+    ``packed`` holds (pivot, re, im, d, support) in insertion order: a
+    primitive packed row that is 1 at its pivot (re[pivot] == d, im[pivot]
+    == 0), its first nonzero entry, and 0 at the pivot of every earlier row,
+    with its support, the indices of its nonzero entries.  ``rows`` shows
+    the same rows as (pivot, scalars) pairs.
     """
 
-    def __init__(self):
-        self.packed: List[Row] = []
+    def __init__(self, rows: Iterable[Row] = ()):
+        self.packed: List[Row] = list(rows)
 
     @property
     def rows(self) -> List[Tuple[int, List[GaussianRational]]]:
-        return [(pivot, _unpack(re, im, d)) for pivot, re, im, d in self.packed]
+        return [(pivot, _unpack(re, im, d)) for pivot, re, im, d, _ in self.packed]
 
     def reduce(self, re: List[int], im: List[int], d: int) -> Packed:
         """A packed vector less its part along the rows; 0 at every pivot.
         Against a row y over e, x over d becomes (e*x - f*y)/(d*e), f the
-        numerator of x at y's pivot, and then loses its content."""
-        for pivot, y_re, y_im, e in self.packed:
+        numerator of x at y's pivot: only y's support changes beyond the
+        scaling by e, which a row over 1 skips, and x loses its content when
+        its denominator grows.  The result is primitive if x is."""
+        touched = False
+        for pivot, y_re, y_im, e, support in self.packed:
             f_re, f_im = re[pivot], im[pivot]
             if not (f_re or f_im):
                 continue
-            if f_im:
-                re = [a * e - f_re * b + f_im * c for a, b, c in zip(re, y_re, y_im)]
-                im = [a * e - f_re * c - f_im * b for a, b, c in zip(im, y_re, y_im)]
-            else:
-                re = [a * e - f_re * b for a, b in zip(re, y_re)]
-                im = [a * e - f_re * c for a, c in zip(im, y_im)]
-            re, im, d = _primitive(re, im, d * e)
-        return re, im, d
+            if e != 1:
+                re, im, d = [a * e for a in re], [b * e for b in im], d * e
+            elif not touched:
+                re, im = re[:], im[:]
+            touched = True
+            for j in support:
+                b, c = y_re[j], y_im[j]
+                re[j] -= f_re * b - f_im * c
+                im[j] -= f_re * c + f_im * b
+            if e != 1:
+                re, im, d = _primitive(re, im, d)
+        return _primitive(re, im, d) if touched else (re, im, d)
 
     def add(self, re: List[int], im: List[int], d: int) -> bool:
         """Add a packed vector to the span; False, rows untouched, if already in it."""
         re, im, d = self.reduce(re, im, d)
-        for pivot, (f_re, f_im) in enumerate(zip(re, im)):
-            if f_re or f_im:
-                # Over its pivot entry (f_re + f_im*i)/d: times the conjugate over the norm.
-                self.packed.append((pivot, *_primitive(
-                    [a * f_re + b * f_im for a, b in zip(re, im)],
-                    [b * f_re - a * f_im for a, b in zip(re, im)],
-                    f_re * f_re + f_im * f_im,
-                )))
-                return True
-        return False
+        pivot = next((j for j, (a, b) in enumerate(zip(re, im)) if a or b), None)
+        if pivot is None:
+            return False
+        f_re, f_im = re[pivot], im[pivot]
+        if f_im:  # over the pivot entry (f_re + f_im*i)/d: times its conjugate over the norm
+            re, im, d = ([a * f_re + b * f_im for a, b in zip(re, im)],
+                         [b * f_re - a * f_im for a, b in zip(re, im)], f_re * f_re + f_im * f_im)
+        elif f_re < 0:
+            re, im, d = [-a for a in re], [-b for b in im], -f_re
+        else:
+            d = f_re
+        self.packed.append(_row(pivot, *_primitive(re, im, d)))
+        return True
 
     def insert(self, entries: Sequence[GaussianRational]) -> bool:
         """Add a vector of scalars to the span; False if already in it."""
         return self.add(*_pack(entries))
+
+
+def _row(pivot: int, re: List[int], im: List[int], d: int) -> Row:
+    """A packed row with its pivot and its support."""
+    return pivot, re, im, d, list(compress(count(), map(or_, re, im)))
 
 
 def _forward_rows(rows: Iterable[Packed]) -> List[Row]:
@@ -325,8 +343,8 @@ def _back_substitute(rows: List[Row]) -> List[Row]:
     each row is reduced against the finished rows below it, clearing above
     every pivot."""
     reduced = Echelon()
-    for pivot, re, im, d in sorted(rows, key=lambda row: -row[0]):
-        reduced.packed.append((pivot, *reduced.reduce(re, im, d)))
+    for pivot, re, im, d, _ in sorted(rows, key=lambda row: -row[0]):
+        reduced.packed.append(_row(pivot, *reduced.reduce(re, im, d)))
     reduced.packed.reverse()
     return reduced.packed
 
@@ -340,7 +358,7 @@ def rref(matrix: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
     """Reduced row echelon form together with the pivot column indices.
     The RREF is unique, so every basis read off it depends on the row space alone."""
     rows = _rref_rows(map(_pack, matrix._data))
-    table = [_unpack(re, im, d) for _, re, im, d in rows]
+    table = [_unpack(re, im, d) for _, re, im, d, _ in rows]
     table.extend([ZERO] * matrix.cols for _ in range(matrix.rows - len(rows)))
     return ExactMatrix._trusted(table, matrix.cols), [row[0] for row in rows]
 
@@ -349,65 +367,134 @@ def rank(matrix: ExactMatrix) -> int:
     return sum(map(Echelon().insert, matrix._data))
 
 
-def _kernel_from_rref(rows: Sequence[Row], cols: int) -> Basis:
-    """Canonical kernel basis read off the nonzero RREF rows from
-    ``_rref_rows``, one vector per free column f, in order: 1 at f, 0 at
-    every other free column, and the negated RREF entry at each pivot."""
+def _kernel_rows(rows: Sequence[Row], cols: int) -> List[Row]:
+    """The canonical kernel basis of the first cols columns of nonzero RREF
+    rows: per free column f, 1 at f, 0 at the other free columns and the
+    negated RREF entry at each pivot.  f is its last nonzero entry, so the
+    vectors reversed are the RREF rows of the reversed kernel, pivot
+    cols - 1 - f, and come in that form."""
     pivots = {row[0] for row in rows}
-    vectors = []
-    for free in range(cols):
-        if free in pivots:
-            continue
-        entries = [ZERO] * cols
-        entries[free] = ONE
-        for pivot, re, im, d in rows:
-            entries[pivot] = _reduced(-re[free], -im[free], d)
-        vectors.append(ExactMatrix._trusted([[x] for x in entries], 1))
-    return Basis(cols, tuple(vectors))
+    d = lcm(*[row[3] for row in rows])
+    kernel = []
+    for free in range(cols - 1, -1, -1):
+        if free not in pivots:
+            re, im = [0] * cols, [0] * cols
+            re[cols - 1 - free] = d
+            for p, y_re, y_im, e, _ in rows:
+                re[cols - 1 - p], im[cols - 1 - p] = -y_re[free] * (d // e), -y_im[free] * (d // e)
+            kernel.append(_row(cols - 1 - free, *_primitive(re, im, d)))
+    return kernel
+
+
+def _basis(rows: Sequence[Row], cols: int) -> Basis:
+    """The kernel basis that reversed rows (``_kernel_rows``) stand for."""
+    return Basis(cols, tuple(
+        ExactMatrix._trusted([[x] for x in _unpack(re[::-1], im[::-1], d)], 1)
+        for _, re, im, d, _ in reversed(rows)
+    ))
 
 
 def nullspace_basis(matrix: ExactMatrix) -> Basis:
-    """Canonical basis of the kernel (see ``_kernel_from_rref``)."""
-    return _kernel_from_rref(_rref_rows(map(_pack, matrix._data)), matrix.cols)
+    """Canonical basis of the kernel (see ``_kernel_rows``)."""
+    return _basis(_kernel_rows(_rref_rows(map(_pack, matrix._data)), matrix.cols), matrix.cols)
 
 
-def _times(rows: Sequence[Row], right: Packed, n: int) -> List[Packed]:
-    """RREF rows times the n x n matrix packed row-major in ``right``.  A row
-    over d is d at its pivot and 0 at the other pivots, so its product is d
-    times the pivot's row of the matrix plus the free columns' share."""
-    re, im, e = right
-    pivots = {row[0] for row in rows}
-    free = [j for j in range(n) if j not in pivots]
-    part = ([a for f in free for a in re[f * n:f * n + n]],
-            [b for f in free for b in im[f * n:f * n + n]], e)
-    cut = [([r_re[f] for f in free], [r_im[f] for f in free], d) for _, r_re, r_im, d in rows]
-    return [
-        ([x + d * a for x, a in zip(x_re, re[p * n:p * n + n])],
-         [y + d * b for y, b in zip(x_im, im[p * n:p * n + n])], de)
-        for (p, _, _, d), (x_re, x_im, de) in zip(rows, _product(cut, part, n))
-    ]
+def _columns(vectors: Sequence[Tuple[List[int], List[int]]]) -> Packed:
+    """Numerator lists (re, im) as the columns of a matrix packed row-major,
+    so that ``_product`` takes each row's products with them."""
+    return ([a for column in zip(*[re for re, _ in vectors]) for a in column],
+            [b for column in zip(*[im for _, im in vectors]) for b in column], 1)
 
 
 def kernel_ladder(matrix: ExactMatrix, top: Optional[int] = None) -> List[Basis]:
-    """Canonical bases of ker M, ker M^2, ... while the dimension grows and
-    is below top (default n), so never past k = n.  ker M^(k+1) is
-    ker(R_k * M), R_k the RREF rows of M^k: no power of M is formed, and the
-    same kernel has the same basis.  The step that finds no growth stops
-    after the forward half of the elimination; a top where the kernels
-    stabilize (an eigenvalue's multiplicity) saves that step too."""
+    """Canonical bases of ker N, ker N^2, ... for N the matrix, while the
+    dimension grows and is below top (default n), so never past k = n.
+
+    One elimination of [N | I] is the only n-row work: its rows with a pivot
+    below n are the RREF of N (stage 1) with the rows E that make it from N,
+    and the rest are a basis L of the left kernel.  With K the stage-(k-1)
+    vectors followed by the stage-k vectors at the free columns D_k stage k
+    added, N*y = K*c is solvable exactly when L*K*c = 0, by y = E*K*c at the
+    pivots and 0 elsewhere.  The y of the canonical c with free column in D_k
+    add ker N^(k+1) to ker N^k; reduced with the stage-k rows (reversed, as
+    ``_kernel_rows`` gives them) they make its canonical basis.  No such c,
+    or a top where the kernels stop (a multiplicity), ends the ladder."""
     if not matrix.is_square():
         raise DimensionMismatch("kernel ladder of a non-square matrix")
     n = matrix.rows
-    rows = _rref_rows(map(_pack, matrix._data))
-    bases = [_kernel_from_rref(rows, n)]
-    right = _pack([x for row in matrix._data for x in row])
-    while 0 < bases[-1].dimension < (n if top is None else top):
-        forward = _forward_rows(_times(rows, right, n))
-        if n - len(forward) == bases[-1].dimension:
+    forward = _forward_rows((re + [0] * i + [d] + [0] * (n - 1 - i), im + [0] * n, d)
+                            for i, (re, im, d) in enumerate(map(_pack, matrix._data)))
+    rows = _back_substitute([row for row in forward if row[0] < n])
+    stage = _kernel_rows(rows, n)
+    bases = [_basis(stage, n)]
+    if not 0 < len(stage) < (n if top is None else top):
+        return bases
+    # L and E reversed, as the stage rows are.  lift takes K*c to y reversed:
+    # its column n-1-p is the row of E at pivot p, all over one denominator.
+    left = [(re[:n - 1:-1], im[:n - 1:-1], 1) for pivot, re, im, _, _ in forward if pivot >= n]
+    scale = lcm(*[row[3] for row in rows])
+    columns = [([0] * n, [0] * n)] * n
+    for pivot, re, im, e, _ in rows:
+        f = scale // e
+        columns[n - 1 - pivot] = [a * f for a in re[:n - 1:-1]], [b * f for b in im[:n - 1:-1]]
+    lift = _columns(columns)
+    previous: List[Row] = []
+    while 0 < len(stage) < (n if top is None else top):
+        known = {row[0] for row in previous}
+        k_rows = previous + [row for row in stage if row[0] not in known]
+        width, old = len(k_rows), len(previous)
+        system = _product(left, _columns([row[1:3] for row in k_rows]), width)
+        solutions = [(re[::-1], im[::-1], d) for pivot, re, im, d, _
+                     in _kernel_rows(_rref_rows(system), width) if pivot < width - old]
+        if not solutions:
             break
-        rows = _back_substitute(forward)
-        bases.append(_kernel_from_rref(rows, n))
+        span = ([a for row in k_rows for a in row[1]], [b for row in k_rows for b in row[2]], 1)
+        echelon = Echelon(stage)
+        for y in _product(_product(solutions, span, n), lift, n):
+            echelon.add(*y)
+        previous, stage = stage, _back_substitute(echelon.packed)
+        bases.append(_basis(stage, n))
     return bases
+
+
+def kernel_chains(matrix: ExactMatrix, stages: Sequence[Basis]) -> List[List[ExactMatrix]]:
+    """Jordan chains v_1, ..., v_k (N v_1 = 0, N v_(j+1) = v_j) of N = matrix
+    from its kernel ladder ``stages``: from the top stage down, every chain is
+    extended by N, then a stage-k vector seeds a chain when it is independent
+    of ker N^(k-1) and the chain vectors placed.  Canonical vectors end at
+    their free column and stage k-1's free columns F are stage k's less D, so
+    the test runs on x[D] - sum over g in F of x[g] w_g[D] (w_g the stage k-1
+    vectors), which is 0 exactly on ker N^(k-1): the unit vector at f for a
+    stage-k vector at f in D, and -w_f[D] for one at f in F."""
+    n = matrix.rows
+    transposed = _pack([x for column in zip(*matrix._data) for x in column])
+    # Stage k's vectors and free columns; stage 0 is the zero space.
+    entries = [[]] + [[v.column_entries() for v in basis.vectors] for basis in stages]
+    free = [[max(i for i, x in enumerate(v) if x) for v in vectors] for vectors in entries]
+    chains: List[List[Packed]] = []
+    for k in range(len(stages), 0, -1):
+        known, new = free[k - 1], [f for f in free[k] if f not in free[k - 1]]
+        w_re, w_im, e = _pack([v[f] for v in entries[k - 1] for f in new])
+        used = Echelon()
+        if chains:
+            below = [_primitive(*x) for x in _product([c[-1] for c in chains], transposed, n)]
+            shares = [([x[0][g] for g in known], [x[1][g] for g in known], 1) for x in below]
+            for chain, x, (s_re, s_im, _) in zip(
+                chains, below, _product(shares, (w_re, w_im, e), len(new))
+            ):
+                chain.append(x)
+                used.add([x[0][f] * e - a for f, a in zip(new, s_re)],
+                         [x[1][f] * e - b for f, b in zip(new, s_im)], 1)
+        for f, vector in zip(free[k], entries[k]):
+            if f in new:
+                seeds = used.add([int(g == f) for g in new], [0] * len(new), 1)
+            else:
+                i = known.index(f) * len(new)
+                seeds = used.add(w_re[i:i + len(new)], w_im[i:i + len(new)], 1)
+            if seeds:
+                chains.append([_pack(vector)])
+    return [[ExactMatrix._trusted([[x] for x in _unpack(*v)], 1) for v in reversed(chain)]
+            for chain in chains]
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
@@ -454,8 +541,8 @@ def _krylov_run(
     re, im, d = start
     n = len(re)
     pad = [0] * (n + 1)
-    echelon = Echelon()
-    echelon.packed = [(pivot, y_re + pad, y_im + pad, e) for pivot, y_re, y_im, e in span]
+    echelon = Echelon((pivot, y_re + pad, y_im + pad, e, support)
+                      for pivot, y_re, y_im, e, support in span)
     for degree in range(n + 1):
         tag = [0] * degree + [d] + [0] * (n - degree)
         x_re, x_im, x_d = echelon.reduce(re + tag, im + pad, d)
@@ -490,8 +577,8 @@ def krylov_factors(matrix: ExactMatrix) -> List[Polynomial]:
         factor, run = _krylov_run(transposed, start, span)
         if factor.degree > 0:
             factors.append(factor)
-            span += [(pivot, *_primitive(re[:n], im[:n], d))
-                     for pivot, re, im, d in run.packed[len(span):]]
+            span += [_row(pivot, *_primitive(re[:n], im[:n], d))
+                     for pivot, re, im, d, _ in run.packed[len(span):]]
     return factors
 
 
@@ -526,7 +613,7 @@ def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
         start = ([int(i == index) for i in range(n)], [0] * n, 1)
         if len(span.packed) < n and span.add(*start):
             annihilator, cyclic = _krylov_run(transposed, start)
-            for _, re, im, d in cyclic.packed:
+            for _, re, im, d, _ in cyclic.packed:
                 span.add(re[:n], im[:n], d)
             result = poly_lcm(result, annihilator)
     return result

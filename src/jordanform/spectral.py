@@ -10,10 +10,12 @@ reported, never approximated, and the factor reported is the minimal
 polynomial (``matrices.minimal_polynomial``) less the roots found.  The
 factors also give each eigenvalue's algebraic multiplicity m, which bounds
 its stage ladder, the nested kernels of (A - lambda*I)^k: the ladder stops
-at dimension m, and ``spectrum`` builds none for m = 1.  The ladders are all
-a decomposition stage reads.  Provided eigenvalues only seed the search:
-they are divided out of the same factors first, so a complete list leaves
-nothing to search, and a rootless rest is reported with or without a list.
+at dimension m, and ``spectrum`` builds none for m = 1.  A ladder costs one
+n-row elimination whatever its length (``matrices.kernel_ladder``), and the
+ladders are all a decomposition stage reads.  Provided eigenvalues only
+seed the search: they are divided out of the same factors first, so a
+complete list leaves nothing to search, and a rootless rest is reported
+with or without a list.
 """
 
 from __future__ import annotations
@@ -263,9 +265,10 @@ class StageLadder(NamedTuple):
 
 def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational,
                  multiplicity: Optional[int] = None) -> StageLadder:
-    """Kernel ladder of (A - lambda*I)^k, stopping at stabilization
-    (``matrices.kernel_ladder``), or on reaching dimension multiplicity when
-    given, which saves the step that finds no growth; never past k = n.  A
+    """Kernel ladder of (A - lambda*I)^k from one elimination of
+    [A - lambda*I | I] (``matrices.kernel_ladder``), stopping at
+    stabilization, or on reaching dimension multiplicity when given, which
+    saves the step that finds no growth; never past k = n.  A
     trivial kernel is NotAnEigenvalue, or, with a multiplicity, which only
     an eigenvalue has, an InternalInvariantViolation."""
     bases = kernel_ladder(shift_by(matrix, eigenvalue), multiplicity)

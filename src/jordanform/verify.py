@@ -10,7 +10,8 @@ The shape is read off the declared blocks, whose positive sizes must add up
 to n.  A jordan M must be their Jordan matrix.  A schur or blocktri M is
 upper triangular, each diagonal entry the eigenvalue of the block holding
 it; a blockdiag or blocktri M is zero wherever row and column lie in
-different blocks.
+different blocks, and (M_j - lambda_j I)^(s_j) = 0 for each s_j x s_j
+blockdiag block M_j.
 """
 
 from __future__ import annotations
@@ -233,6 +234,16 @@ def _shape_ok(decomposition: Decomposition) -> Tuple[bool, str]:
         for j in range(m.cols)
     ):
         return False, "nonzero entry outside the declared blocks"
+    if kind == "blockdiag":
+        offset = 0
+        for block in blocks:
+            end = offset + block.size
+            power = shift_by(m.submatrix(offset, end, offset, end), block.eigenvalue)
+            for _ in range((block.size - 1).bit_length()):  # to a power >= s_j
+                power = power * power
+            if not power.is_zero():
+                return False, "a block less its eigenvalue is not nilpotent"
+            offset = end
     return True, _SHAPES[kind]
 
 
@@ -299,9 +310,8 @@ def check_decomposition(
     results.append(CheckResult("invertible", v_rank == v.rows, detail))
 
     total = sum(block.size for block in blocks)
-    results.append(
-        CheckResult("multiplicity-sum", total == n, f"block sizes sum to {total} of {n}")
-    )
+    detail = f"block sizes sum to {total} of {n}" if matrix.is_square() else "A is not square"
+    results.append(CheckResult("multiplicity-sum", matrix.is_square() and total == n, detail))
 
     shape = _shape_ok(decomposition) if shapes_match else (False, "wrong shape")
     results.append(CheckResult("shape", *shape))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import jordanform.decomp
+import jordanform.matrices as matrices
 from jordanform import (
     Block,
     Decomposition,
@@ -304,18 +305,19 @@ def test_chains_of_a_stage_are_extended_by_one_product(monkeypatch):
     matrix, expected = generate_case(parse_structure("0:3,3,3;1:1"), 5, 3)
     ladder = stage_ladder(matrix, gr("0"))
     products = []
-    real_mul = ExactMatrix.__mul__
+    real_product = matrices._product
 
-    def counted_mul(self, other):
-        products.append(other.cols if isinstance(other, ExactMatrix) else 0)
-        return real_mul(self, other)
+    def counted_product(rows, right, width):
+        products.append(len(rows))
+        return real_product(rows, right, width)
 
-    monkeypatch.setattr(ExactMatrix, "__mul__", counted_mul)
+    monkeypatch.setattr(matrices, "_product", counted_product)
     chains = jordan_chains(matrix, ladder)
     monkeypatch.undo()
     assert [chain.length for chain in chains] == [3, 3, 3]
-    # Stages 2 and 1 each extend the three chains with one 3-column product.
-    assert products == [3, 3]
+    # Stages 2 and 1 each extend the three chains with one 3-row product by
+    # N, and read the new vectors' quotient coordinates with one more.
+    assert products == [3, 3, 3, 3]
     assert jordan_decomposition(matrix).M == expected
 
 

@@ -22,7 +22,7 @@ from jordanform import (
     shift_by,
     stage_ladder,
 )
-from jordanform.matrices import Echelon
+from jordanform.matrices import Echelon, kernel_ladder
 
 from conftest import from_roots, gr, rand_matrix, rand_scalar
 
@@ -170,6 +170,61 @@ def test_stage_ladder_matches_kernels_of_explicit_powers(seed):
                 power = power * shifted
             if ladder.top.dimension < n:
                 assert nullspace_basis(power).dimension == ladder.top.dimension
+
+
+def ladder_inputs(seed, count):
+    """Matrices not from generate_case: dense ones, products of low rank,
+    strictly upper triangular ones, and sparser strictly upper triangular
+    ones conjugated by a random matrix, with rational or Gaussian entries."""
+    rng = random.Random(seed)
+    out = []
+    for index in range(count):
+        n = rng.randint(1, 6)
+        gaussian = index % 2 == 0
+        scalar = lambda: rand_scalar(rng, 3, gaussian)  # noqa: E731
+        kind = index % 4
+        if kind == 0:
+            rows = [[scalar() for _ in range(n)] for _ in range(n)]
+        elif kind == 1:
+            inner = rng.randint(1, n)
+            left = ExactMatrix([[scalar() for _ in range(inner)] for _ in range(n)])
+            right = ExactMatrix([[scalar() for _ in range(n)] for _ in range(inner)])
+            rows = [list((left * right).row(i)) for i in range(n)]
+        else:
+            density = 0.7 if kind == 2 else 0.3
+            rows = [[scalar() if j > i and rng.random() < density else gr(0) for j in range(n)]
+                    for i in range(n)]
+            p = ExactMatrix([[scalar() for _ in range(n)] for _ in range(n)])
+            if kind == 3 and rank(p) == n:
+                conjugated = p * ExactMatrix(rows) * inverse(p)
+                rows = [list(conjugated.row(i)) for i in range(n)]
+        out.append(ExactMatrix(rows))
+    return out
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_kernel_ladder_stages_are_the_kernels_of_explicit_powers(seed):
+    stages = 0
+    for matrix in ladder_inputs(seed, 80):
+        n = matrix.rows
+        full = kernel_ladder(matrix)
+        power = matrix
+        for basis in full:
+            expected = nullspace_basis(power)
+            assert [v.entries_str() for v in basis.vectors] == [
+                v.entries_str() for v in expected.vectors
+            ]
+            power = power * matrix
+            stages += 1
+        dims = [basis.dimension for basis in full]
+        assert dims == sorted(set(dims)) and len(dims) <= n
+        if 0 < dims[-1] < n:  # stopped because the kernels stabilized
+            assert nullspace_basis(power).dimension == dims[-1]
+        for top in range(1, n + 1):
+            bounded = kernel_ladder(matrix, top)
+            cut = next((k for k, dim in enumerate(dims) if dim >= top), len(dims) - 1)
+            assert [b.vectors for b in bounded] == [b.vectors for b in full[:cut + 1]]
+    assert stages >= 120
 
 
 @pytest.mark.parametrize("seed", [5, 29])

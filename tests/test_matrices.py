@@ -142,13 +142,15 @@ def test_rref_matches_an_independent_gauss_jordan_seeded():
         assert [list(reduced.row(i)) for i in range(m.rows)] == [
             [GaussianRational(*pair) for pair in row] for row in expected
         ]
-        # The elimination rows stay primitive with a unit pivot.
+        # The elimination rows stay primitive with a unit pivot, and carry
+        # the indices of their nonzero entries.
         echelon = Echelon()
         for i in range(m.rows):
             echelon.insert(m.row(i))
-        for pivot, re, im, d in echelon.packed:
+        for pivot, re, im, d, support in echelon.packed:
             assert (re[pivot], im[pivot]) == (d, 0)
             assert math.gcd(d, *re, *im) == 1
+            assert support == [j for j in range(len(re)) if re[j] or im[j]]
 
 
 def reference_matmul(left, right, width):

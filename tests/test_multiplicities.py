@@ -129,27 +129,28 @@ def test_spectrum_builds_no_ladder_for_a_simple_eigenvalue(monkeypatch):
     assert built == [5]
 
 
-def test_the_found_path_runs_one_forward_elimination_per_stage(monkeypatch):
-    """No elimination only confirms that a ladder stopped growing, also when
-    the eigenvalues are provided: their multiplicities come from the same
-    Krylov factors."""
-    calls = []
+def test_each_ladder_runs_one_n_row_elimination_whatever_its_stages(monkeypatch):
+    """A ladder eliminates [N | I] once; its later stages solve systems with
+    fewer rows than n.  So the n-row eliminations count the ladders, found
+    and provided eigenvalues alike, also for chains of length up to 6."""
+    sizes = []
     forward_rows = matrices._forward_rows
 
     def counted(rows):
-        calls.append(1)
+        rows = list(rows)
+        sizes.append(len(rows))
         return forward_rows(rows)
 
     monkeypatch.setattr(matrices, "_forward_rows", counted)
-    for text in ("0:3,1;2:1", "-1:2,2;1:1", "1:2,2,1;0:1", "1i:2;-1i:2;1/2:1"):
+    for text in ("0:3,1;2:1", "-1:2,2;1:1", "1:2,2,1;0:1", "1i:2;-1i:2;1/2:1", "0:6;1:1", "2:5,4"):
         matrix, _ = generate_case(parse_structure(text), 5, 3)
-        calls.clear()
-        spect, _ = spectrum_with_ladders(matrix)
-        stages = sum(entry.max_stage for entry in spect.entries)
-        assert len(calls) == stages
-        calls.clear()
-        assert spectrum_with_ladders(matrix, [e.eigenvalue for e in spect.entries])[0] == spect
-        assert len(calls) == stages
+        n = matrix.rows
+        for provided in (None, [entry[0] for entry in spectrum(matrix).entries]):
+            sizes.clear()
+            spect, _ = spectrum_with_ladders(matrix, provided)
+            assert sizes.count(n) == len(spect.entries)
+            assert all(size < n for size in sizes if size != n)
+            assert len(sizes) == sum(entry.max_stage for entry in spect.entries)
 
 
 def test_provided_eigenvalues_in_reversed_order_give_the_found_ladders():

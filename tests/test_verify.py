@@ -315,12 +315,12 @@ def test_check_reports_a_non_square_matrix_without_raising():
     assert [(r.name, r.passed) for r in report.results] == [
         ("similarity", False),
         ("invertible", True),
-        ("multiplicity-sum", True),
+        ("multiplicity-sum", False),
         ("shape", False),
         ("trace", False),
         ("chain-counts", False),
     ]
-    assert report.results[-1].detail == "A is not square"
+    assert report.results[2].detail == report.results[-1].detail == "A is not square"
 
 
 # --- lying claims: a correct result with its blocks changed ---------------------------------
@@ -365,19 +365,44 @@ def test_non_positive_block_size_fails_shape_for_every_kind(sizes):
         ), kind
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="blockdiag shape checks only the zero pattern; ROADMAP item 2 adds the "
-    "nilpotency check that catches swapped labels",
-)
 def test_blockdiag_claim_with_swapped_labels_fails(two_eigenvalues):
     truth = block_diagonalize(two_eigenvalues)
     claim = truth._replace(
         blocks=tuple(Block(LABELS_SWAPPED[b.eigenvalue], b.size) for b in truth.blocks)
     )
-    assert not check_decomposition(two_eigenvalues, claim).passed
+    report = check_decomposition(two_eigenvalues, claim)
+    assert report.failures() == [
+        ("shape", False, "a block less its eigenvalue is not nilpotent")
+    ]
 
 
 def test_jordan_matrix_assembly():
     j = jordan_matrix((Block(gr("2"), 2), Block(gr("5"), 1)))
     assert j == mat([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
+
+
+@pytest.mark.parametrize("sizes", [(-1, 3), (3, -1), (0, 2)])
+def test_jordan_matrix_rejects_a_block_size_below_one(sizes):
+    # (-1, 3) once gave [[3, 1], [1, 3]] through negative indices, and
+    # (3, -1) a bare IndexError.
+    with pytest.raises(InvalidStructure, match="at least 1"):
+        jordan_matrix([Block(gr("1"), sizes[0]), Block(gr("3"), sizes[1])])
+
+
+def test_blockdiag_shape_rejects_every_relabelling():
+    # Each permutation of the eigenvalue labels over the blocks that moves
+    # one fails shape; the true labels pass.
+    relabelled = 0
+    for structure in (s for n in range(2, 6) for s in exhaustive_structures(n)):
+        matrix, _ = generate_case(structure, 3, 3)
+        truth = block_diagonalize(matrix)
+        labels = [block.eigenvalue for block in truth.blocks]
+        assert shape_check(matrix, truth).passed
+        for order in set(itertools.permutations(labels)):
+            if list(order) != labels:
+                claim = truth._replace(blocks=tuple(
+                    Block(lam, block.size) for lam, block in zip(order, truth.blocks)
+                ))
+                assert not shape_check(matrix, claim).passed
+                relabelled += 1
+    assert relabelled == 253
