@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Matrices travel as JSON documents whose entries are scalar strings in the
-same grammar the library parses, so exactness survives serialization; the
-pretty format is for eyes only and JSON is authoritative.
+same grammar the library parses, so exactness survives serialization.  Every
+command builds one JSON document; ``--format pretty`` renders that document
+and nothing else, so both formats carry the same facts.
 """
 
 from __future__ import annotations
@@ -104,66 +105,58 @@ def document_to_decomposition(doc) -> Decomposition:
     )
 
 
-# --- pretty rendering ------------------------------------------------------
+def _report_document(report) -> dict:
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in report.results]
+    return {"passed": report.passed, "checks": checks}
+
+
+# --- pretty rendering: read off the document alone --------------------------
+
+def _grid(cells: List[List[str]]) -> List[str]:
+    if not cells:
+        return ["  (empty)"]
+    widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
+    return ["  " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells]
+
 
 def pretty_matrix(matrix: ExactMatrix) -> str:
-    cells = matrix.entries_str()
-    if not cells:
-        return "  (empty)"
-    widths = [
-        max(len(cells[i][j]) for i in range(matrix.rows))
-        for j in range(matrix.cols)
-    ]
-    lines = [
-        "  " + "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
-        for row in cells
-    ]
-    return "\n".join(lines)
+    return "\n".join(_grid(matrix.entries_str()))
 
 
-def _blocks_line(blocks: Sequence[Block]) -> str:
-    return "blocks: " + " ".join(
-        f"{format_scalar(block.eigenvalue)}:{block.size}" for block in blocks
-    )
-
-
-def _pretty_decomposition(decomposition: Decomposition) -> List[str]:
-    lines = [f"kind: {decomposition.kind}"]
-    lines.append("V:")
-    lines.append(pretty_matrix(decomposition.V))
-    lines.append("M:")
-    lines.append(pretty_matrix(decomposition.M))
-    lines.append(_blocks_line(decomposition.blocks))
-    if decomposition.kind == "jordan":
-        answer = "yes" if decomposition.is_diagonal_form() else "no"
-        lines.append(f"diagonalizable: {answer}")
-    return lines
-
-
-def _pretty_spectrum(spect: Spectrum) -> List[str]:
+def _check_lines(report: dict) -> List[str]:
     return [
-        f"lambda={format_scalar(e.eigenvalue)} multiplicity={e.multiplicity} "
-        f"geometric={e.geometric_dim} max_stage={e.max_stage}"
-        for e in spect.entries
+        f"check {c['name']}: " + ("pass" if c["passed"] else f"FAIL ({c['detail']})")
+        for c in report["checks"]
     ]
 
 
-def _report_document(report) -> dict:
-    return {
-        "passed": report.passed,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in report.results
-        ],
-    }
+def _pretty(doc: dict) -> List[str]:
+    """The lines of a verify, decomposition, matrix or spectrum document."""
+    if "reports" in doc:
+        lines = []
+        for report in doc["reports"]:
+            lines.append(f"{report['kind']}: {'pass' if report['passed'] else 'FAIL'}")
+            lines += ["  " + line for line in _check_lines(report)]
+        return lines
+    if "kind" in doc:
+        blocks = doc["blocks"]
+        lines = [
+            f"kind: {doc['kind']}",
+            "V:", *_grid(doc["V"]["entries"]),
+            "M:", *_grid(doc["M"]["entries"]),
+            "blocks: " + " ".join(f"{b['lambda']}:{b['size']}" for b in blocks),
+        ]
+        if doc["kind"] == "jordan":
+            diagonal = all(b["size"] == 1 for b in blocks)
+            lines.append(f"diagonalizable: {'yes' if diagonal else 'no'}")
+        return lines + (_check_lines(doc["check"]) if "check" in doc else [])
+    if "n" in doc:
+        return _grid(doc["entries"])
+    return [" ".join(f"{key}={value}" for key, value in e.items()) for e in doc["entries"]]
 
 
-def _pretty_report(report) -> List[str]:
-    return [
-        f"check {result.name}: {'pass' if result.passed else 'FAIL'}"
-        + ("" if result.passed else f" ({result.detail})")
-        for result in report.results
-    ]
+def _emit(doc: dict, fmt: str) -> None:
+    print(json.dumps(doc, indent=2) if fmt == "json" else "\n".join(_pretty(doc)))
 
 
 # --- argument plumbing -----------------------------------------------------
@@ -232,6 +225,8 @@ def _read_matrix(path: str) -> ExactMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON in {path!r} is nested too deeply") from exc
     return document_to_matrix(doc)
 
 
@@ -244,13 +239,6 @@ def _parse_provided(text: Optional[str]) -> Optional[List[GaussianRational]]:
     return [parse_scalar(item) for item in items]
 
 
-def _emit(doc: dict, pretty_lines: List[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print("\n".join(pretty_lines))
-
-
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_matrix(args) -> int:
@@ -259,35 +247,25 @@ def _cmd_matrix(args) -> int:
     matrix = _read_matrix(args.matrix)
     provided = _parse_provided(args.provided)
     if args.command == "spectrum":
-        spect = spectrum(matrix, provided)
-        _emit(spectrum_to_document(spect), _pretty_spectrum(spect), args.format)
+        _emit(spectrum_to_document(spectrum(matrix, provided)), args.format)
         return EXIT_OK
+    from .verify import check_decomposition
+
     ladders = spectrum_with_ladders(matrix, provided)[1]
     if args.command in STAGES:
         decomposition = STAGES[args.command](matrix, ladders)
         doc = decomposition_to_document(decomposition)
-        pretty = _pretty_decomposition(decomposition)
-        passed = True
         if args.check:
-            from .verify import check_decomposition
-
-            report = check_decomposition(matrix, decomposition)
-            doc["check"] = _report_document(report)
-            pretty.extend(_pretty_report(report))
-            passed = report.passed
+            doc["check"] = _report_document(check_decomposition(matrix, decomposition))
+        reports = [doc["check"]] if args.check else []
     else:
-        from .verify import check_decomposition
-
-        doc = {"n": matrix.rows, "reports": []}
-        pretty = []
-        for kind, stage in STAGES.items():
-            report = check_decomposition(matrix, stage(matrix, ladders))
-            doc["reports"].append({"kind": kind, **_report_document(report)})
-            pretty.append(f"{kind}: {'pass' if report.passed else 'FAIL'}")
-            pretty.extend("  " + line for line in _pretty_report(report))
-        passed = all(report["passed"] for report in doc["reports"])
-    _emit(doc, pretty, args.format)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+        reports = [
+            {"kind": kind, **_report_document(check_decomposition(matrix, stage(matrix, ladders)))}
+            for kind, stage in STAGES.items()
+        ]
+        doc = {"n": matrix.rows, "reports": reports}
+    _emit(doc, args.format)
+    return EXIT_OK if all(report["passed"] for report in reports) else EXIT_CHECK_FAILED
 
 
 def _cmd_gen(args) -> int:
@@ -297,7 +275,7 @@ def _cmd_gen(args) -> int:
     matrix, _expected = generate_case(structure, args.seed, args.bound)
     # Default is JSON (unlike the other subcommands) so gen can be piped
     # straight into them.
-    _emit(matrix_to_document(matrix), [pretty_matrix(matrix)], args.format)
+    _emit(matrix_to_document(matrix), args.format)
     return EXIT_OK
 
 

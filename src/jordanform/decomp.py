@@ -43,9 +43,6 @@ class Decomposition(NamedTuple):
     M: ExactMatrix
     blocks: Tuple[Block, ...]
 
-    def is_diagonal_form(self) -> bool:
-        return all(block.size == 1 for block in self.blocks)
-
 
 def _triangularize(
     matrix: ExactMatrix, eigenvalues: Sequence[GaussianRational]

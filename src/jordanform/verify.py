@@ -141,27 +141,6 @@ def generate_case(
     return s * expected * s_inv, expected
 
 
-def _partitions(total: int) -> List[Tuple[int, ...]]:
-    """Partitions of total as descending tuples, in descending lex order."""
-    if total == 0:
-        return [()]
-    out = []
-
-    def grow(remaining: int, bound: int, prefix: Tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(bound, remaining), 0, -1):
-            grow(remaining - part, part, prefix + (part,))
-
-    grow(total, total, ())
-    return out
-
-
-def _group_order_key(partition: Tuple[int, ...]) -> tuple:
-    return (-sum(partition), tuple(-p for p in partition))
-
-
 def exhaustive_structures(n: int) -> List[JordanStructure]:
     """Every block structure of total size n, over the fixed palette.
 
@@ -171,9 +150,13 @@ def exhaustive_structures(n: int) -> List[JordanStructure]:
     """
     if not 1 <= n <= 6:
         raise InvalidStructure("exhaustive_structures supports 1 <= n <= 6")
+    # Every partition of a total up to n (a descending tuple), largest total
+    # first, each total's partitions in descending lex order.
+    parts = range(n, 0, -1)
     pool = sorted(
-        (p for total in range(1, n + 1) for p in _partitions(total)),
-        key=_group_order_key,
+        (p for k in parts for p in combinations_with_replacement(parts, k) if sum(p) <= n),
+        key=lambda p: (sum(p), p),
+        reverse=True,
     )
     return [
         JordanStructure(tuple(zip(PALETTE, groups)))

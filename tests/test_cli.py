@@ -11,7 +11,9 @@ from jordanform import (
     ExactMatrix,
     Polynomial,
     check_decomposition,
+    generate_case,
     jordan_decomposition,
+    parse_structure,
 )
 from jordanform import cli, decomp, errors
 from jordanform.cli import (
@@ -509,6 +511,25 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, monkeypatch, capsys):
     assert all(line.startswith("jordanform spectrum: ParseError: ") for line in lines)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    ["[" * 100000, '{"n": 1, "entries": [[' + "[" * 1000 + '"1"' + "]" * 1000 + "]]}"],
+    ids=["bare", "in-a-matrix"],
+)
+def test_deeply_nested_json_is_a_parse_error(tmp_path, monkeypatch, capsys, payload):
+    path = tmp_path / "deep.json"
+    path.write_text(payload)
+    assert run(["spectrum", str(path)]) == EXIT_USAGE
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert run(["spectrum", "-"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"jordanform spectrum: ParseError: JSON in {str(path)!r} is nested too deeply",
+        "jordanform spectrum: ParseError: JSON in '-' is nested too deeply",
+    ]
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run([]) == EXIT_USAGE
     assert run(["frobnicate"]) == EXIT_USAGE
@@ -581,3 +602,46 @@ def test_check_failure_maps_to_exit_code():
     failing = CheckReport((CheckResult("similarity", False, "A*V != V*M"),))
     assert not failing.passed
     assert EXIT_CHECK_FAILED == 3
+
+
+# What the shape check says when each stage's blocks are listed in reverse.
+REVERSED_SHAPE = {
+    "schur": "diagonal entry is not its block's eigenvalue",
+    "blockdiag": "a block less its eigenvalue is not nilpotent",
+    "blocktri": "diagonal entry is not its block's eigenvalue",
+    "jordan": "M is not the Jordan matrix of the declared blocks",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+@pytest.mark.parametrize("command", ["verify", *decomp.STAGES])
+def test_a_failing_check_is_reported_in_both_formats(tmp_path, monkeypatch, capsys, command, fmt):
+    for kind, stage in list(decomp.STAGES.items()):
+        def reversed_blocks(matrix, ladders, stage=stage):
+            result = stage(matrix, ladders)
+            return result._replace(blocks=result.blocks[::-1])
+
+        monkeypatch.setitem(decomp.STAGES, kind, reversed_blocks)
+    matrix, _expected = generate_case(parse_structure("1:2;2:2"), 3, 3)
+    path = write_doc(tmp_path, "matrix.json", matrix)
+    argv = [command, path, "--format", fmt] + ([] if command == "verify" else ["--check"])
+    assert run(argv) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    kinds = list(decomp.STAGES) if command == "verify" else [command]
+    if fmt == "json":
+        doc = json.loads(out)
+        reports = doc["reports"] if command == "verify" else [{"kind": command, **doc["check"]}]
+        assert [report["kind"] for report in reports] == kinds
+        for report in reports:
+            failed = [check for check in report["checks"] if not check["passed"]]
+            assert report["passed"] is False
+            assert failed == [
+                {"name": "shape", "passed": False, "detail": REVERSED_SHAPE[report["kind"]]}
+            ]
+    else:
+        for kind in kinds:
+            assert f"check shape: FAIL ({REVERSED_SHAPE[kind]})" in out
+            if command == "verify":
+                assert f"{kind}: FAIL\n" in out
+                assert f"  check shape: FAIL ({REVERSED_SHAPE[kind]})" in out
+        assert out.count("FAIL") == (2 * len(kinds) if command == "verify" else 1)

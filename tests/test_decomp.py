@@ -364,7 +364,7 @@ def test_jordan_shear_is_its_own_form():
     decomposition = jordan_decomposition(SHEAR2)
     assert decomposition.M == SHEAR2
     assert any(block.size > 1 for block in decomposition.blocks)
-    assert not decomposition.is_diagonal_form()
+    assert [block.size for block in decomposition.blocks] == [2]
 
 
 def test_jordan_reorders_diagonal_canonically():
@@ -399,7 +399,7 @@ def test_diagonalizable_cases_degenerate_to_diagonal(corpus):
             length == 1 for _, lengths in structure.entries for length in lengths
         ):
             decomposition = jordan_decomposition(matrix)
-            assert decomposition.is_diagonal_form()
+            assert all(block.size == 1 for block in decomposition.blocks)
             for i in range(matrix.rows):
                 for j in range(matrix.rows):
                     if i != j:
