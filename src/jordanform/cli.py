@@ -51,8 +51,20 @@ def document_to_matrix(doc) -> ExactMatrix:
     for row in entries:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"expected square {n}x{n} entries")
-        rows.append([parse_scalar(str(item)) for item in row])
+        rows.append([_document_entry(item) for item in row])
     return ExactMatrix(rows)
+
+
+def _document_entry(item):
+    """A scalar string, or a JSON integer taken as it is; any other JSON
+    value is a ParseError that quotes it, cut to 40 characters."""
+    if isinstance(item, str):
+        return parse_scalar(item)
+    if isinstance(item, int) and not isinstance(item, bool):
+        return item
+    text = json.dumps(item)
+    text = text if len(text) <= 40 else text[:40] + "..."
+    raise ParseError(f"a matrix entry must be a scalar string or an integer, got {text}")
 
 
 def spectrum_to_document(spect: Spectrum) -> dict:
@@ -204,7 +216,7 @@ def _build_parser() -> _Parser:
     gen.add_argument(
         "--structure",
         required=True,
-        help='block structure, e.g. "3:3" or "0:2,1;1:1"',
+        help='block structure, e.g. "3:3" or "0:2,1;1:1", of total size at most 1000',
     )
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--bound", type=int, default=3)

@@ -82,7 +82,7 @@ def _triangularize(
 # STAGES lists them by kind.
 
 def _schur(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
-    eigenvalues = [ladder.eigenvalue for ladder in ladders for _ in ladder.top.vectors]
+    eigenvalues = [ladder.eigenvalue for ladder in ladders for _ in range(ladder.top.dimension)]
     v, u = _triangularize(matrix, eigenvalues)
     blocks = tuple(Block(u[i, i], 1) for i in range(u.rows))
     return Decomposition("schur", v, u, blocks)

@@ -6,15 +6,18 @@ unique, so the same subspace always gets byte-identical basis vectors
 whatever order the rows arrive in.  Elimination and products run on packed
 vectors, Gaussian integers over one positive denominator: ``(re, im, d)``
 with int lists re and im.  An echelon row carries its support, and a
-reduction step is int arithmetic on that support (after scaling x by the
-row's denominator when it is not 1), with one gcd that divides out the
-content when the denominator grows; entries keep their true size, and
-scalars are built only for what callers read.  The format stays inside this
-module, and so do the analyses run on it: kernel ladders from one
-elimination of [N | I], Jordan chains seeded in quotient coordinates, the
-factors of the characteristic polynomial from one Krylov pass, and the
-minimal polynomial as the lcm of the Krylov annihilators of the standard
-basis vectors (a spanning family, so the lcm annihilates the whole space).
+reduction step is int arithmetic on that support after scaling x by the
+row's denominator over its gcd with the multiplier, so a row whose
+denominator divides the multiplier costs no scaling.  x's content is divided
+out whenever its denominator has grown by a machine word, and once at the
+end, so entries keep near their true size.  Scalars are built only for what
+callers read: a kernel ``Basis`` keeps its packed rows and builds its vectors
+when they are read.  The format stays inside this module, and so do the
+analyses run on it: kernel ladders from one elimination of [N | I], Jordan
+chains seeded in quotient coordinates, the factors of the characteristic
+polynomial from one Krylov pass, and the minimal polynomial as the lcm of
+the Krylov annihilators of the standard basis vectors (a spanning family, so
+the lcm annihilates the whole space).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 from operator import mul, or_
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
 from .polynomials import Polynomial, poly_lcm
@@ -31,6 +34,7 @@ from .scalars import ONE, ZERO, GaussianRational, _reduced, format_scalar, parse
 
 Packed = Tuple[List[int], List[int], int]
 Row = Tuple[int, List[int], List[int], int, List[int]]  # (pivot, re, im, d, support)
+_WORD = 64  # bits a reduced row's denominator may grow by before its content is stripped
 
 
 def _entry(value) -> GaussianRational:
@@ -84,8 +88,8 @@ class ExactMatrix:
 
     Equality is entrywise exact equality, and arithmetic never rounds.
     Products and elimination work on packed rows, Gaussian integers over one
-    denominator kept primitive (content removed) after every step, so the
-    integers stay at the size the exact values need.
+    denominator whose content is removed as it grows, so the integers stay
+    near the size the exact values need.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -246,20 +250,64 @@ def shift_by(matrix: ExactMatrix, scalar: GaussianRational) -> ExactMatrix:
     )
 
 
-class Basis(NamedTuple):
-    """An ordered, linearly independent family of column vectors.
+class Basis:
+    """An ordered, linearly independent family of column vectors; immutable.
 
     Bases produced in this package are canonical: they come out of the RREF
     free-variable construction, so the same subspace always gets
-    byte-identical vectors.
+    byte-identical vectors.  Such a basis keeps the reversed packed rows
+    ``_kernel_rows`` gave, and builds its vectors only when they are read.
     """
 
-    ambient_dim: int
-    vectors: Tuple[ExactMatrix, ...]
+    __slots__ = ("ambient_dim", "_rows", "_vectors")
+    _fields = ("ambient_dim", "vectors")
+
+    def __init__(self, ambient_dim: int, vectors: Iterable[ExactMatrix]):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_vectors", tuple(vectors))
+
+    @classmethod
+    def _of_rows(cls, rows: List[Row], cols: int) -> "Basis":
+        """The basis that reversed rows (``_kernel_rows``) stand for."""
+        basis = cls(cols, ())
+        object.__setattr__(basis, "_rows", rows)
+        object.__setattr__(basis, "_vectors", None)
+        return basis
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Basis is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Basis):
+            return NotImplemented
+        return (self.ambient_dim, self.vectors) == (other.ambient_dim, other.vectors)
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.vectors))
+
+    def __repr__(self):
+        return f"Basis(ambient_dim={self.ambient_dim!r}, vectors={self.vectors!r})"
+
+    @property
+    def vectors(self) -> Tuple[ExactMatrix, ...]:
+        if self._vectors is None:
+            object.__setattr__(self, "_vectors", tuple(
+                ExactMatrix._trusted([[x] for x in _unpack(re[::-1], im[::-1], d)], 1)
+                for _, re, im, d, _ in reversed(self._rows)))
+        return self._vectors
 
     @property
     def dimension(self) -> int:
-        return len(self.vectors)
+        return len(self._vectors if self._rows is None else self._rows)
+
+    def _reversed_rows(self) -> List[Row]:
+        """The vectors reversed, as packed rows in ``_kernel_rows``' order."""
+        if self._rows is not None:
+            return self._rows
+        reversed_vectors = [_pack(v.column_entries()[::-1]) for v in reversed(self._vectors)]
+        return [_row(next(j for j, (a, b) in enumerate(zip(re, im)) if a or b), re, im, d)
+                for re, im, d in reversed_vectors]
 
 
 class Echelon:
@@ -282,14 +330,21 @@ class Echelon:
     def reduce(self, re: List[int], im: List[int], d: int) -> Packed:
         """A packed vector less its part along the rows; 0 at every pivot.
         Against a row y over e, x over d becomes (e*x - f*y)/(d*e), f the
-        numerator of x at y's pivot: only y's support changes beyond the
-        scaling by e, which a row over 1 skips, and x loses its content when
-        its denominator grows.  The result is primitive if x is."""
-        touched = False
+        numerator of x at y's pivot, with e and f first divided by
+        g = gcd(e, f) (exact: (e*x - f*y)/(d*e) = ((e/g)*x - (f/g)*y)/(d*e/g)),
+        so a row whose denominator divides f costs no scaling.  Only y's
+        support changes beyond that scaling.  x loses its content whenever its
+        denominator has grown by a machine word since it last did, and once at
+        the end.  The result is primitive if x is."""
+        touched, limit = False, d << _WORD
         for pivot, y_re, y_im, e, support in self.packed:
             f_re, f_im = re[pivot], im[pivot]
             if not (f_re or f_im):
                 continue
+            if e != 1:
+                g = gcd(e, f_re, f_im)
+                if g != 1:
+                    e, f_re, f_im = e // g, f_re // g, f_im // g
             if e != 1:
                 re, im, d = [a * e for a in re], [b * e for b in im], d * e
             elif not touched:
@@ -299,8 +354,9 @@ class Echelon:
                 b, c = y_re[j], y_im[j]
                 re[j] -= f_re * b - f_im * c
                 im[j] -= f_re * c + f_im * b
-            if e != 1:
+            if d > limit:
                 re, im, d = _primitive(re, im, d)
+                limit = d << _WORD
         return _primitive(re, im, d) if touched else (re, im, d)
 
     def add(self, re: List[int], im: List[int], d: int) -> bool:
@@ -386,17 +442,10 @@ def _kernel_rows(rows: Sequence[Row], cols: int) -> List[Row]:
     return kernel
 
 
-def _basis(rows: Sequence[Row], cols: int) -> Basis:
-    """The kernel basis that reversed rows (``_kernel_rows``) stand for."""
-    return Basis(cols, tuple(
-        ExactMatrix._trusted([[x] for x in _unpack(re[::-1], im[::-1], d)], 1)
-        for _, re, im, d, _ in reversed(rows)
-    ))
-
-
 def nullspace_basis(matrix: ExactMatrix) -> Basis:
     """Canonical basis of the kernel (see ``_kernel_rows``)."""
-    return _basis(_kernel_rows(_rref_rows(map(_pack, matrix._data)), matrix.cols), matrix.cols)
+    rows = _kernel_rows(_rref_rows(map(_pack, matrix._data)), matrix.cols)
+    return Basis._of_rows(rows, matrix.cols)
 
 
 def _columns(vectors: Sequence[Tuple[List[int], List[int]]]) -> Packed:
@@ -426,7 +475,7 @@ def kernel_ladder(matrix: ExactMatrix, top: Optional[int] = None) -> List[Basis]
                             for i, (re, im, d) in enumerate(map(_pack, matrix._data)))
     rows = _back_substitute([row for row in forward if row[0] < n])
     stage = _kernel_rows(rows, n)
-    bases = [_basis(stage, n)]
+    bases = [Basis._of_rows(stage, n)]
     if not 0 < len(stage) < (n if top is None else top):
         return bases
     # L and E reversed, as the stage rows are.  lift takes K*c to y reversed:
@@ -453,7 +502,7 @@ def kernel_ladder(matrix: ExactMatrix, top: Optional[int] = None) -> List[Basis]
         for y in _product(_product(solutions, span, n), lift, n):
             echelon.add(*y)
         previous, stage = stage, _back_substitute(echelon.packed)
-        bases.append(_basis(stage, n))
+        bases.append(Basis._of_rows(stage, n))
     return bases
 
 
@@ -468,13 +517,16 @@ def kernel_chains(matrix: ExactMatrix, stages: Sequence[Basis]) -> List[List[Exa
     stage-k vector at f in D, and -w_f[D] for one at f in F."""
     n = matrix.rows
     transposed = _pack([x for column in zip(*matrix._data) for x in column])
-    # Stage k's vectors and free columns; stage 0 is the zero space.
-    entries = [[]] + [[v.column_entries() for v in basis.vectors] for basis in stages]
-    free = [[max(i for i, x in enumerate(v) if x) for v in vectors] for vectors in entries]
+    # Stage k's vectors reversed, as packed rows in vector order, and their
+    # free columns; stage 0 is the zero space.
+    rows = [[]] + [basis._reversed_rows()[::-1] for basis in stages]
+    free = [[n - 1 - row[0] for row in stage] for stage in rows]
     chains: List[List[Packed]] = []
     for k in range(len(stages), 0, -1):
         known, new = free[k - 1], [f for f in free[k] if f not in free[k - 1]]
-        w_re, w_im, e = _pack([v[f] for v in entries[k - 1] for f in new])
+        e = lcm(*[row[3] for row in rows[k - 1]])
+        w_re = [re[n - 1 - f] * (e // d) for _, re, _, d, _ in rows[k - 1] for f in new]
+        w_im = [im[n - 1 - f] * (e // d) for _, _, im, d, _ in rows[k - 1] for f in new]
         used = Echelon()
         if chains:
             below = [_primitive(*x) for x in _product([c[-1] for c in chains], transposed, n)]
@@ -485,14 +537,14 @@ def kernel_chains(matrix: ExactMatrix, stages: Sequence[Basis]) -> List[List[Exa
                 chain.append(x)
                 used.add([x[0][f] * e - a for f, a in zip(new, s_re)],
                          [x[1][f] * e - b for f, b in zip(new, s_im)], 1)
-        for f, vector in zip(free[k], entries[k]):
+        for f, (_, re, im, d, _) in zip(free[k], rows[k]):
             if f in new:
                 seeds = used.add([int(g == f) for g in new], [0] * len(new), 1)
             else:
                 i = known.index(f) * len(new)
                 seeds = used.add(w_re[i:i + len(new)], w_im[i:i + len(new)], 1)
             if seeds:
-                chains.append([_pack(vector)])
+                chains.append([(re[::-1], im[::-1], d)])
     return [[ExactMatrix._trusted([[x] for x in _unpack(*v)], 1) for v in reversed(chain)]
             for chain in chains]
 

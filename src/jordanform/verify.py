@@ -35,6 +35,10 @@ PALETTE: Tuple[GaussianRational, ...] = (
     GaussianRational(0, 1),
 )
 
+# The largest total size generate_case builds: its cost grows about as n^2.6,
+# and n = 400 already takes seconds.
+MAX_GENERATED_N = 1000
+
 
 class _Structure(NamedTuple):
     entries: Tuple[Tuple[GaussianRational, Tuple[int, ...]], ...]
@@ -132,10 +136,13 @@ def generate_case(
     """Build (A, J_expected) with A = S * J * S^-1, deterministically.
 
     The returned pair is the round-trip oracle: running the Jordan pipeline
-    on A must reproduce J_expected byte for byte.
+    on A must reproduce J_expected byte for byte.  A total size n above
+    MAX_GENERATED_N is an InvalidStructure, raised before anything is built.
     """
     if entry_bound < 1:
         raise InvalidStructure("entry_bound must be >= 1")
+    if structure.n > MAX_GENERATED_N:
+        raise InvalidStructure(f"total size {structure.n} is above the limit {MAX_GENERATED_N}")
     expected = jordan_matrix(structure.blocks())
     s, s_inv = elementary_conjugator(structure.n, seed, entry_bound)
     return s * expected * s_inv, expected

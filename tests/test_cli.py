@@ -88,6 +88,44 @@ def test_bad_matrix_documents_rejected(doc):
         document_to_matrix(doc)
 
 
+def test_an_integer_entry_is_taken_as_it_is():
+    assert document_to_matrix({"n": 1, "entries": [[2]]}) == ExactMatrix([["2"]])
+    assert document_to_matrix({"n": 2, "entries": [[-3, "1/2"], [0, 10**30]]}) == ExactMatrix(
+        [["-3", "1/2"], ["0", str(10**30)]]
+    )
+
+
+DEEP_ENTRY = [[]]
+for _ in range(898):
+    DEEP_ENTRY = [DEEP_ENTRY]
+
+
+@pytest.mark.parametrize(
+    "entry, quoted",
+    [
+        (True, "true"),
+        (False, "false"),
+        (1.5, "1.5"),
+        (None, "null"),
+        ({"a": 1}, '{"a": 1}'),
+        (DEEP_ENTRY, "[" * 40 + "..."),
+    ],
+    ids=["true", "false", "float", "null", "object", "nested-900"],
+)
+def test_an_entry_that_is_neither_a_string_nor_an_integer_is_quoted_as_json(
+    tmp_path, capsys, entry, quoted
+):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"n": 1, "entries": [[entry]]}))
+    assert run(["spectrum", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "jordanform spectrum: ParseError: a matrix entry must be a scalar string or an integer, "
+        f"got {quoted}"
+    ]
+
+
 def _decomposition_doc(**changes):
     doc = decomposition_to_document(jordan_decomposition(DENSE3))
     doc.update(changes)
@@ -388,6 +426,35 @@ def test_gen_output_is_a_matrix_document(capsys):
 def test_gen_malformed_structure(capsys):
     assert run(["gen", "--structure", "nope"]) == EXIT_USAGE
     assert "ParseError" in capsys.readouterr().err
+
+
+def test_gen_refuses_a_structure_above_the_size_bound_before_building(monkeypatch, capsys):
+    from jordanform import verify
+
+    def built(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(verify, "jordan_matrix", built)
+    monkeypatch.setattr(verify, "elementary_conjugator", built)
+    assert run(["gen", "--structure", "0:100000"]) == EXIT_USAGE
+    assert run(["gen", "--structure", f"0:{verify.MAX_GENERATED_N};1:1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "jordanform gen: InvalidStructure: total size 100000 is above the limit 1000",
+        "jordanform gen: InvalidStructure: total size 1001 is above the limit 1000",
+    ]
+    # At the bound itself, generation starts.
+    with pytest.raises(AssertionError, match="a matrix was built"):
+        generate_case(parse_structure(f"0:{verify.MAX_GENERATED_N}"), 0, 3)
+
+
+def test_gen_help_states_the_size_bound(capsys):
+    from jordanform import verify
+
+    assert run(["gen", "--help"]) == EXIT_OK
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"of total size at most {verify.MAX_GENERATED_N}" in help_text
 
 
 def test_verify_subcommand(dense3_path, capsys):

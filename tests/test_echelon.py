@@ -7,10 +7,13 @@ matrix rather than taken from generate_case.
 """
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from jordanform import (
+    Basis,
     Block,
     ExactMatrix,
     Polynomial,
@@ -22,7 +25,8 @@ from jordanform import (
     shift_by,
     stage_ladder,
 )
-from jordanform.matrices import Echelon, kernel_ladder
+from jordanform import matrices
+from jordanform.matrices import Echelon, kernel_chains, kernel_ladder
 
 from conftest import from_roots, gr, rand_matrix, rand_scalar
 
@@ -90,6 +94,91 @@ def test_insert_matches_rank_growth_seeded():
             if not grew:
                 assert snapshot(echelon) == rows
         assert len(echelon.rows) == rank(ExactMatrix.hstack(inserted))
+
+
+# --- Echelon.reduce and add against a Fraction reference ---------------------------
+
+def values(re, im, d):
+    return [(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im)]
+
+
+def reference_reduce(rows, x):
+    """x less f*y for each row y in insertion order, f = x at y's pivot."""
+    for pivot, y_re, y_im, e, _ in rows:
+        f_re, f_im = x[pivot]
+        x = [(a - (f_re * b - f_im * c), z - (f_re * c + f_im * b))
+             for (a, z), (b, c) in zip(x, values(y_re, y_im, e))]
+    return x
+
+
+def is_primitive(re, im, d):
+    return d > 0 and gcd(d, *re, *im) == 1
+
+
+def big_vector(rng, n):
+    """A primitive packed vector, entries and denominator well past 64 bits."""
+    re = [rng.randint(-(1 << 90), 1 << 90) for _ in range(n)]
+    im = [rng.choice((0, rng.randint(-(1 << 90), 1 << 90))) for _ in range(n)]
+    d = rng.randint(1, 1 << 80)
+    g = gcd(d, *re, *im)
+    return [a // g for a in re], [b // g for b in im], d // g
+
+
+def divisible_vector(rng, rows, n):
+    """An integer vector whose numerator at each row's pivot, when reduce
+    reaches that row, is a multiple of the row's denominator: no step scales it."""
+    re = [rng.randint(-99, 99) for _ in range(n)]
+    im = [rng.randint(-99, 99) for _ in range(n)]
+    x_re, x_im = re[:], im[:]  # x as reduce will have it at each row
+    for pivot, y_re, y_im, e, _ in rows:
+        f_re, f_im = rng.randint(-3, 3), rng.randint(-3, 3)
+        re[pivot] += f_re * e - x_re[pivot]
+        im[pivot] += f_im * e - x_im[pivot]
+        x_re = [a - (f_re * b - f_im * c) for a, b, c in zip(x_re, y_re, y_im)]
+        x_im = [a - (f_re * c + f_im * b) for a, b, c in zip(x_im, y_re, y_im)]
+    return re, im, 1
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_reduce_and_add_match_a_fraction_reference(seed, monkeypatch):
+    rng = random.Random(seed)
+    strips = []
+    primitive = matrices._primitive
+    monkeypatch.setattr(matrices, "_primitive", lambda *x: strips.append(x[2]) or primitive(*x))
+    word_steps = unscaled = 0
+    for _ in range(25):
+        n = rng.randint(2, 7)
+        echelon = Echelon()
+        for _ in range(rng.randint(1, n - 1)):
+            echelon.add(*big_vector(rng, n))
+        for _ in range(6):
+            divisible = rng.random() < 0.5
+            x = divisible_vector(rng, echelon.packed, n) if divisible else big_vector(rng, n)
+            expected = reference_reduce(echelon.packed, values(*x))
+            del strips[:]
+            re, im, d = echelon.reduce(*x)
+            assert values(re, im, d) == expected and is_primitive(re, im, d)
+            assert all(expected[row[0]] == (0, 0) for row in echelon.packed)
+            if divisible:
+                assert d == 1 and all(stripped == 1 for stripped in strips)
+                unscaled += len(strips) == 1 and any(row[3] != 1 for row in echelon.packed)
+            else:
+                word_steps += len(strips) > 1
+            before = list(echelon.packed)
+            pivot = next((j for j, value in enumerate(expected) if value != (0, 0)), None)
+            assert echelon.add(*x) == (pivot is not None)
+            if pivot is None:
+                assert echelon.packed == before
+                continue
+            assert echelon.packed[:-1] == before
+            row_pivot, row_re, row_im, row_d, support = echelon.packed[-1]
+            a, b = expected[pivot]
+            u, v = a / (a * a + b * b), -b / (a * a + b * b)  # 1 / x[pivot]
+            assert row_pivot == pivot and is_primitive(row_re, row_im, row_d)
+            assert values(row_re, row_im, row_d) == [(c * u - z * v, c * v + z * u)
+                                                     for c, z in expected]
+            assert support == [j for j, value in enumerate(expected) if value != (0, 0)]
+    assert word_steps > 0 and unscaled > 0
 
 
 # --- seeded Q(i) matrices with planted Jordan structure ----------------------------
@@ -238,3 +327,48 @@ def test_minimal_polynomial_matches_references(seed):
         assert reference_minimal_polynomial(matrix) == planted
     for matrix in random_cases(seed, 30):
         assert minimal_polynomial(matrix) == reference_minimal_polynomial(matrix)
+
+
+@pytest.mark.parametrize("seed", [7, 31])
+def test_kernel_chains_read_packed_and_scalar_bases_alike(seed):
+    chains = 0
+    for matrix in ladder_inputs(seed, 80):
+        ladder = kernel_ladder(matrix)
+        packed = kernel_chains(matrix, ladder)
+        rebuilt = kernel_chains(matrix, [Basis(b.ambient_dim, b.vectors) for b in ladder])
+        assert [[v.entries_str() for v in chain] for chain in rebuilt] == [
+            [v.entries_str() for v in chain] for chain in packed
+        ]
+        chains += len(packed)
+    assert chains >= 100
+
+
+def test_a_ladder_basis_counts_without_building_vectors(monkeypatch):
+    ladder = kernel_ladder(jordan_matrix([Block(gr(0), 3), Block(gr(0), 1)]))
+
+    def unpack(*args):
+        raise AssertionError("vectors were built")
+
+    monkeypatch.setattr(matrices, "_unpack", unpack)
+    assert [basis.dimension for basis in ladder] == [2, 3, 4]
+    with pytest.raises(AssertionError, match="vectors were built"):
+        ladder[0].vectors
+
+
+def test_bases_compare_by_their_vectors():
+    (matrix, blocks), = [case for case in planted_cases(5, 4) if len(case[1]) > 2][:1]
+    lam = blocks[0].eigenvalue
+    shifted = shift_by(matrix, lam)
+    n = matrix.rows
+    first, second = nullspace_basis(shifted), nullspace_basis(shifted)
+    assert first.dimension >= 2
+    assert first is not second and first == second and hash(first) == hash(second)
+    rebuilt = Basis(first.ambient_dim, first.vectors)
+    assert rebuilt == first and hash(rebuilt) == hash(first) and repr(rebuilt) == repr(first)
+    assert repr(first).startswith(f"Basis(ambient_dim={n}, vectors=(ExactMatrix(")
+    assert Basis(n, first.vectors[:-1]) != first and Basis(n + 1, first.vectors) != first
+    assert first != (first.ambient_dim, first.vectors)
+    assert stage_ladder(matrix, lam) == stage_ladder(matrix, lam)
+    assert stage_ladder(matrix, lam) != stage_ladder(matrix, blocks[-1].eigenvalue)
+    with pytest.raises(AttributeError):
+        first.ambient_dim = 0

@@ -88,7 +88,8 @@ def test_spectral_runs_without_loading_decomp():
 
 def test_the_packed_row_format_stays_inside_matrices():
     # Only matrices.py knows packed rows: no other module imports its private
-    # helpers or reads Echelon.packed or ExactMatrix._data.  ExactMatrix._trusted,
+    # helpers or reads Echelon.packed, ExactMatrix._data or the packed rows of
+    # a Basis (Basis._rows, Basis._reversed_rows).  ExactMatrix._trusted,
     # the package's constructor for tables it built, stays allowed.  Likewise
     # the stages are reached through decomp.STAGES, not by private name.
     offences = []
@@ -103,7 +104,9 @@ def test_the_packed_row_format_stays_inside_matrices():
                     f"{path.name}:{node.lineno} imports {alias.name}"
                     for alias in node.names if alias.name.startswith("_")
                 ]
-            if isinstance(node, ast.Attribute) and node.attr in ("packed", "_data"):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "packed", "_data", "_rows", "_reversed_rows"
+            ):
                 offences.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert offences == []
 
