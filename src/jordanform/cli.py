@@ -117,7 +117,11 @@ def document_to_decomposition(doc) -> Decomposition:
     )
 
 
-def _report_document(report) -> dict:
+def _check_document(matrix: ExactMatrix, decomposition: Decomposition) -> dict:
+    """The checks of a decomposition; only --check and verify load jordanform.verify."""
+    from .verify import check_decomposition
+
+    report = check_decomposition(matrix, decomposition)
     checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in report.results]
     return {"passed": report.passed, "checks": checks}
 
@@ -237,6 +241,8 @@ def _read_matrix(path: str) -> ExactMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError(f"JSON in {path!r} cannot be read: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"JSON in {path!r} is nested too deeply") from exc
     return document_to_matrix(doc)
@@ -261,18 +267,16 @@ def _cmd_matrix(args) -> int:
     if args.command == "spectrum":
         _emit(spectrum_to_document(spectrum(matrix, provided)), args.format)
         return EXIT_OK
-    from .verify import check_decomposition
-
     ladders = spectrum_with_ladders(matrix, provided)[1]
     if args.command in STAGES:
         decomposition = STAGES[args.command](matrix, ladders)
         doc = decomposition_to_document(decomposition)
         if args.check:
-            doc["check"] = _report_document(check_decomposition(matrix, decomposition))
+            doc["check"] = _check_document(matrix, decomposition)
         reports = [doc["check"]] if args.check else []
     else:
         reports = [
-            {"kind": kind, **_report_document(check_decomposition(matrix, stage(matrix, ladders)))}
+            {"kind": kind, **_check_document(matrix, stage(matrix, ladders))}
             for kind, stage in STAGES.items()
         ]
         doc = {"n": matrix.rows, "reports": reports}

@@ -14,10 +14,10 @@ end, so entries keep near their true size.  Scalars are built only for what
 callers read: a kernel ``Basis`` keeps its packed rows and builds its vectors
 when they are read.  The format stays inside this module, and so do the
 analyses run on it: kernel ladders from one elimination of [N | I], Jordan
-chains seeded in quotient coordinates, the factors of the characteristic
-polynomial from one Krylov pass, and the minimal polynomial as the lcm of
-the Krylov annihilators of the standard basis vectors (a spanning family, so
-the lcm annihilates the whole space).
+chains seeded against the ladder's own rows, the factors of the
+characteristic polynomial from one Krylov pass, and the minimal polynomial
+as the lcm of the Krylov annihilators of the standard basis vectors (a
+spanning family, so the lcm annihilates the whole space).
 """
 
 from __future__ import annotations
@@ -128,10 +128,6 @@ class ExactMatrix:
         return cls._trusted([[ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
-    def column(cls, entries: Iterable) -> "ExactMatrix":
-        return cls([[x] for x in entries])
-
-    @classmethod
     def basis_vector(cls, n: int, index: int) -> "ExactMatrix":
         return cls._trusted([[ONE if i == index else ZERO] for i in range(n)], 1)
 
@@ -153,9 +149,6 @@ class ExactMatrix:
 
     def row(self, i: int) -> Tuple[GaussianRational, ...]:
         return self._data[i]
-
-    def col(self, j: int) -> "ExactMatrix":
-        return ExactMatrix._trusted([[row[j]] for row in self._data], 1)
 
     def column_entries(self, j: int = 0) -> Tuple[GaussianRational, ...]:
         return tuple(self._data[i][j] for i in range(self.rows))
@@ -302,7 +295,9 @@ class Basis:
         return len(self._vectors if self._rows is None else self._rows)
 
     def _reversed_rows(self) -> List[Row]:
-        """The vectors reversed, as packed rows in ``_kernel_rows``' order."""
+        """The vectors reversed, as packed rows in ``_kernel_rows``' order.
+        For a canonical basis they form an echelon (``Echelon``): each row is
+        1 at its pivot and 0 at the other rows' pivots."""
         if self._rows is not None:
             return self._rows
         reversed_vectors = [_pack(v.column_entries()[::-1]) for v in reversed(self._vectors)]
@@ -510,40 +505,23 @@ def kernel_chains(matrix: ExactMatrix, stages: Sequence[Basis]) -> List[List[Exa
     """Jordan chains v_1, ..., v_k (N v_1 = 0, N v_(j+1) = v_j) of N = matrix
     from its kernel ladder ``stages``: from the top stage down, every chain is
     extended by N, then a stage-k vector seeds a chain when it is independent
-    of ker N^(k-1) and the chain vectors placed.  Canonical vectors end at
-    their free column and stage k-1's free columns F are stage k's less D, so
-    the test runs on x[D] - sum over g in F of x[g] w_g[D] (w_g the stage k-1
-    vectors), which is 0 exactly on ker N^(k-1): the unit vector at f for a
-    stage-k vector at f in D, and -w_f[D] for one at f in F."""
+    of ker N^(k-1) and the chain vectors placed.  The reversed rows of a
+    canonical basis form an echelon, 1 at each row's pivot and 0 at the other
+    rows' pivots, so one ``Echelon`` per stage, seeded with stage k-1's rows,
+    takes the chain images and then stage k's vectors, all reversed, and a
+    vector it adds is independent."""
     n = matrix.rows
     transposed = _pack([x for column in zip(*matrix._data) for x in column])
-    # Stage k's vectors reversed, as packed rows in vector order, and their
-    # free columns; stage 0 is the zero space.
-    rows = [[]] + [basis._reversed_rows()[::-1] for basis in stages]
-    free = [[n - 1 - row[0] for row in stage] for stage in rows]
     chains: List[List[Packed]] = []
     for k in range(len(stages), 0, -1):
-        known, new = free[k - 1], [f for f in free[k] if f not in free[k - 1]]
-        e = lcm(*[row[3] for row in rows[k - 1]])
-        w_re = [re[n - 1 - f] * (e // d) for _, re, _, d, _ in rows[k - 1] for f in new]
-        w_im = [im[n - 1 - f] * (e // d) for _, _, im, d, _ in rows[k - 1] for f in new]
-        used = Echelon()
+        used = Echelon(stages[k - 2]._reversed_rows() if k > 1 else ())
         if chains:
-            below = [_primitive(*x) for x in _product([c[-1] for c in chains], transposed, n)]
-            shares = [([x[0][g] for g in known], [x[1][g] for g in known], 1) for x in below]
-            for chain, x, (s_re, s_im, _) in zip(
-                chains, below, _product(shares, (w_re, w_im, e), len(new))
-            ):
-                chain.append(x)
-                used.add([x[0][f] * e - a for f, a in zip(new, s_re)],
-                         [x[1][f] * e - b for f, b in zip(new, s_im)], 1)
-        for f, (_, re, im, d, _) in zip(free[k], rows[k]):
-            if f in new:
-                seeds = used.add([int(g == f) for g in new], [0] * len(new), 1)
-            else:
-                i = known.index(f) * len(new)
-                seeds = used.add(w_re[i:i + len(new)], w_im[i:i + len(new)], 1)
-            if seeds:
+            for chain, x in zip(chains, _product([c[-1] for c in chains], transposed, n)):
+                re, im, d = _primitive(*x)
+                chain.append((re, im, d))
+                used.add(re[::-1], im[::-1], d)
+        for _, re, im, d, _ in stages[k - 1]._reversed_rows()[::-1]:
+            if used.add(re, im, d):
                 chains.append([(re[::-1], im[::-1], d)])
     return [[ExactMatrix._trusted([[x] for x in _unpack(*v)], 1) for v in reversed(chain)]
             for chain in chains]

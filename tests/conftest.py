@@ -32,7 +32,7 @@ def mat(rows) -> ExactMatrix:
 
 
 def col(entries) -> ExactMatrix:
-    return ExactMatrix.column([gr(x) for x in entries])
+    return ExactMatrix([[gr(x)] for x in entries])
 
 
 def shape_check(matrix: ExactMatrix, claim):

@@ -175,7 +175,7 @@ def test_criterion_7_complex_path():
         ("1i", 1),
     ]
     for j, entry in enumerate(spectrum(ROTATION2).entries):
-        column = decomposition.V.col(j)
+        column = decomposition.V.submatrix(0, 2, j, j + 1)
         assert not column.is_zero()
         assert ROTATION2 * column == column * entry.eigenvalue
     assert elapsed < GOLDEN_TIME_BUDGET

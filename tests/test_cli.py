@@ -252,6 +252,27 @@ def test_a_literal_past_the_interpreter_digit_limit(tmp_path):
     assert json.loads(done.stdout)["entries"][0]["lambda"] == literal
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_a_json_integer_past_the_interpreter_digit_limit(tmp_path, capsys):
+    # In process the limit holds, and json.loads refuses the integer: a
+    # ParseError with one stderr line.  The CLI lifts the limit and reads it.
+    path = tmp_path / "long.json"
+    path.write_text('{"n": 1, "entries": [[' + "9" * 4999 + "7" + "]]}")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(["jordan", str(path)]) == EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"jordanform jordan: ParseError: JSON in {str(path)!r} ")
+    assert captured.err.count("\n") == 1
+    done = cli_process("jordan", str(path), "--format", "json")
+    assert done.returncode == EXIT_OK, done.stderr[-300:]
+    assert json.loads(done.stdout)["M"]["entries"] == [["9" * 4999 + "7"]]
+
+
 def test_a_factor_past_the_interpreter_digit_limit(tmp_path):
     # a = 10^2200 + 1 in [[a, a], [a, 0]]: the factor z^2 - a*z - a^2 has no
     # root in Q(i), and a^2 = 10^4400 + 2*10^2200 + 1 has 4401 digits.

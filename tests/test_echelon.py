@@ -87,7 +87,7 @@ def test_insert_matches_rank_growth_seeded():
             weights = [rand_scalar(rng, 2) for _ in spanning]
             vector = [sum((w * s[i] for w, s in zip(weights, spanning)), gr(0)) for i in range(n)]
             before = rank(ExactMatrix.hstack(inserted)) if inserted else 0
-            inserted.append(ExactMatrix.column(vector))
+            inserted.append(ExactMatrix([[x] for x in vector]))
             grew = rank(ExactMatrix.hstack(inserted)) > before
             rows = snapshot(echelon)
             assert echelon.insert(vector) == grew
@@ -225,7 +225,7 @@ def random_cases(seed, count):
 
 
 def vec(matrix):
-    return ExactMatrix.column([matrix[i, j] for j in range(matrix.cols) for i in range(matrix.rows)])
+    return ExactMatrix([[matrix[i, j]] for j in range(matrix.cols) for i in range(matrix.rows)])
 
 
 def reference_minimal_polynomial(matrix):

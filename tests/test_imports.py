@@ -23,6 +23,7 @@ from jordanform import (
     jordan_decomposition,
     stage_ladder,
 )
+from jordanform.cli import matrix_to_document
 
 from conftest import DENSE3, gr
 
@@ -67,6 +68,36 @@ def test_cli_import_leaves_out_dataclasses_and_verify(footprint):
 def test_cli_import_loads_every_module_that_binds_a_wrapped_function(footprint):
     assert footprint["binders"]
     assert set(footprint["binders"]) <= set(footprint["added"])
+
+
+# Run one command in a new interpreter, in process through ``cli.run``, and
+# print its exit code and whether it loaded jordanform.verify.
+COMMAND = """
+import contextlib, io, sys
+from jordanform import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, "jordanform.verify" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_verify", [
+    (["spectrum", "{path}"], False),
+    (["jordan", "{path}"], False),
+    (["schur", "{path}"], False),
+    (["jordan", "{path}", "--check"], True),
+    (["verify", "{path}"], True),
+    (["gen", "--structure", "0:2,1"], True),
+])
+def test_only_checks_and_gen_load_verify(argv, loads_verify, tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix_to_document(DENSE3)))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", COMMAND, *[arg.format(path=path) for arg in argv]],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == f"0 {loads_verify}\n"
 
 
 def test_spectral_runs_without_loading_decomp():

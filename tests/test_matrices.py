@@ -318,7 +318,7 @@ def test_complete_basis_is_invertible_seeded():
         assert base.rows == base.cols == m.cols
         assert rank(base) == m.cols
         for j, v in enumerate(partial.vectors):
-            assert base.col(j) == v
+            assert base.submatrix(0, m.cols, j, j + 1) == v
 
 
 # --- krylov annihilator --------------------------------------------------------
