@@ -22,7 +22,6 @@ spanning family, so the lcm annihilates the whole space).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 from operator import mul, or_
@@ -30,21 +29,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
 from .polynomials import Polynomial, poly_lcm
-from .scalars import ONE, ZERO, GaussianRational, _reduced, format_scalar, parse_scalar
+from .scalars import ONE, ZERO, GaussianRational, _coerce, _reduced, format_scalar, parse_scalar
 
 Packed = Tuple[List[int], List[int], int]
 Row = Tuple[int, List[int], List[int], int, List[int]]  # (pivot, re, im, d, support)
 _WORD = 64  # bits a reduced row's denominator may grow by before its content is stripped
-
-
-def _entry(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    if isinstance(value, str):
-        return parse_scalar(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
 
 
 def _pack(entries: Sequence[GaussianRational]) -> Packed:
@@ -95,7 +84,8 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __new__(cls, data: Iterable[Iterable]) -> "ExactMatrix":
-        table = tuple(tuple(_entry(x) for x in row) for row in data)
+        table = tuple(tuple(parse_scalar(x) if isinstance(x, str) else _coerce(x, "matrix entry")
+                            for x in row) for row in data)
         width = len(table[0]) if table else 0
         if any(len(row) != width for row in table):
             raise DimensionMismatch("rows of unequal length")
@@ -104,7 +94,7 @@ class ExactMatrix:
     @classmethod
     def _trusted(cls, table: Sequence[Sequence], cols: int) -> "ExactMatrix":
         """A matrix over a rectangular table of scalars this package built,
-        taken as they are: ``_entry`` coercion is for caller input."""
+        taken as they are: coercion is for caller input."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "rows", len(table))
         object.__setattr__(matrix, "cols", cols)
@@ -193,13 +183,13 @@ class ExactMatrix:
         return ExactMatrix._trusted([[-x for x in row] for row in self._data], self.cols)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            factor = _entry(other)
+        if not isinstance(other, ExactMatrix):
+            factor = _coerce(other)
+            if factor is None:
+                return NotImplemented
             return ExactMatrix._trusted(
                 [[x * factor if x else x for x in row] for row in self._data], self.cols
             )
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -209,9 +199,8 @@ class ExactMatrix:
         return ExactMatrix._trusted([_unpack(*row) for row in products], other.cols)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self * other
-        return NotImplemented
+        factor = _coerce(other)
+        return NotImplemented if factor is None else self * factor
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -297,12 +286,17 @@ class Basis:
     def _reversed_rows(self) -> List[Row]:
         """The vectors reversed, as packed rows in ``_kernel_rows``' order.
         For a canonical basis they form an echelon (``Echelon``): each row is
-        1 at its pivot and 0 at the other rows' pivots."""
+        1 at its pivot and 0 at the other rows' pivots.  A zero vector in a
+        hand-built basis is ZeroVector."""
         if self._rows is not None:
             return self._rows
-        reversed_vectors = [_pack(v.column_entries()[::-1]) for v in reversed(self._vectors)]
-        return [_row(next(j for j, (a, b) in enumerate(zip(re, im)) if a or b), re, im, d)
-                for re, im, d in reversed_vectors]
+        rows = []
+        for re, im, d in (_pack(v.column_entries()[::-1]) for v in reversed(self._vectors)):
+            pivot = next((j for j, (a, b) in enumerate(zip(re, im)) if a or b), None)
+            if pivot is None:
+                raise ZeroVector("the basis holds the zero vector")
+            rows.append(_row(pivot, re, im, d))
+        return rows
 
 
 class Echelon:

@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
-from .scalars import ONE, ZERO, GaussianRational, format_scalar
-
-
-def _scalar(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a polynomial coefficient")
+from .scalars import ONE, ZERO, GaussianRational, _coerce, format_scalar
 
 
 class Polynomial:
@@ -23,7 +14,7 @@ class Polynomial:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable = ()):
-        coeffs = [_scalar(c) for c in coefficients]
+        coeffs = [_coerce(c, "polynomial coefficient") for c in coefficients]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
@@ -79,11 +70,11 @@ class Polynomial:
         return Polynomial([-c for c in self.coefficients])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            factor = _scalar(other)
-            return Polynomial([c * factor for c in self.coefficients])
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            factor = _coerce(other)
+            if factor is None:
+                return NotImplemented
+            return Polynomial([c * factor for c in self.coefficients])
         if self.is_zero() or other.is_zero():
             return Polynomial()
         out = [ZERO] * (len(self.coefficients) + len(other.coefficients) - 1)
@@ -167,7 +158,7 @@ def format_polynomial(poly: Polynomial) -> str:
             continue
         if k == 0:
             text = format_scalar(coefficient)
-            if coefficient.re != 0 and coefficient.im != 0:
+            if coefficient._a and coefficient._b:
                 text = f"({text})"
         else:
             power = "z" if k == 1 else f"z^{k}"
@@ -175,7 +166,7 @@ def format_polynomial(poly: Polynomial) -> str:
                 text = power
             elif coefficient == -ONE:
                 text = f"-{power}"
-            elif coefficient.re != 0 and coefficient.im != 0:
+            elif coefficient._a and coefficient._b:
                 text = f"({format_scalar(coefficient)}){power}"
             else:
                 text = f"{format_scalar(coefficient)}{power}"

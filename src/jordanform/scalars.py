@@ -3,7 +3,12 @@
 A Gaussian rational is stored as three Python integers (a + b*i)/d in
 canonical form, d > 0 and gcd(a, b, d) = 1, so all field operations are
 exact and equal values have equal parts; nothing in this package ever
-rounds.
+rounds.  It is the only number type inside the package: ``_coerce`` is the
+one place an outside value (an int, a ``Fraction`` or a Gaussian rational)
+becomes a scalar.  ``fractions`` is met only at the public edge: a
+constructor part that is not an int, and the ``re`` and ``im`` parts, load
+it on first use, and a caller's ``Fraction`` is looked for only once it is
+loaded, as one cannot exist before.
 """
 
 from __future__ import annotations
@@ -11,12 +16,13 @@ from __future__ import annotations
 import math
 import operator
 import re
-from fractions import Fraction
-from typing import Optional, Tuple, Union
+import sys
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .errors import ParseError, ZeroDenominator
 
-RationalLike = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _RATIONAL = r"-?\d+(?:/\d+)?"
 _REAL_RE = re.compile(_RATIONAL)
@@ -25,12 +31,6 @@ _PAIR_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})i")
 
 _gcd = math.gcd
 _new = object.__new__
-
-
-def _fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating-point values are not exact; use int or Fraction")
-    return Fraction(value)
 
 
 def _order(test):
@@ -61,21 +61,27 @@ class GaussianRational:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        re, im = _fraction(re), _fraction(im)
-        q, s = re.denominator, im.denominator
-        # Over the lcm of two reduced denominators the parts stay coprime.
-        d = q if q == s else q * s // _gcd(q, s)
-        self._a = re.numerator * (d // q)
-        self._b = im.numerator * (d // s)
-        self._d = d
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        d = 1
+        if type(re) is not int or type(im) is not int:
+            from fractions import Fraction
+            if isinstance(re, float) or isinstance(im, float):
+                raise TypeError("floating-point values are not exact; use int or Fraction")
+            re, im = Fraction(re), Fraction(im)
+            q, s = re.denominator, im.denominator
+            # Over the lcm of two reduced denominators the parts stay coprime.
+            d = q if q == s else q * s // _gcd(q, s)
+            re, im = re.numerator * (d // q), im.numerator * (d // s)
+        self._a, self._b, self._d = re, im, d
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._b, self._d)
 
     def __add__(self, other):
@@ -135,21 +141,6 @@ class GaussianRational:
             return NotImplemented
         return other / self
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return (ONE / self) ** (-exponent)
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __neg__(self):
         return _make(-self._a, -self._b, self._d)
 
@@ -203,20 +194,25 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _make(a, b, d)
 
 
-def _coerce(value) -> Optional[GaussianRational]:
-    if type(value) is GaussianRational:
+def _coerce(value, role: Optional[str] = None) -> Optional[GaussianRational]:
+    """An outside value as a scalar: a GaussianRational as it is, an int (bool
+    and other int subclasses become plain ints) or a Fraction as a real one.
+    Anything else is None, or, when ``role`` names what the value is for, a
+    TypeError that says so."""
+    if isinstance(value, GaussianRational):
         return value
-    if type(value) is int:
-        return _make(value, 0, 1)
-    if isinstance(value, (int, Fraction)):
-        value = Fraction(value)  # bool and other int subclasses become plain ints
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return _make(value.numerator, 0, value.denominator)
-    return None
+    if role is None:
+        return None
+    raise TypeError(f"cannot use {type(value).__name__} as a {role}")
 
 
 ZERO = _make(0, 0, 1)
 ONE = _make(1, 0, 1)
-I = _make(0, 1, 1)
 
 
 def _parse_rational(token: str, original: str) -> Tuple[int, int]:

@@ -21,7 +21,6 @@ with or without a list.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -41,7 +40,7 @@ from .matrices import (
     shift_by,
 )
 from .polynomials import Polynomial, poly_gcd
-from .scalars import GaussianRational, format_scalar
+from .scalars import GaussianRational, _reduced, format_scalar
 
 
 class SpectrumEntry(NamedTuple):
@@ -177,18 +176,15 @@ def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int
     work = poly.monic()
     derivative = Polynomial([k * c for k, c in enumerate(work.coefficients)][1:])
     core = work // poly_gcd(work, derivative)
-    scale = math.lcm(
-        *(x.re.denominator for x in core.coefficients),
-        *(x.im.denominator for x in core.coefficients),
-    )
+    scale = math.lcm(*(x._d for x in core.coefficients))
     g = []
     for k, x in enumerate(core.coefficients[:-1]):
         factor = scale ** (core.degree - k)  # c for clearing, c^(d-1-k) for g
-        g.append(((x.re * factor).numerator, (x.im * factor).numerator))
+        g.append((x._a * factor // x._d, x._b * factor // x._d))
     g.append((1, 0))
     roots: List[Tuple[GaussianRational, int]] = []
     for re, im in _gaussian_integer_roots(g):
-        candidate = GaussianRational(Fraction(re, scale), Fraction(im, scale))
+        candidate = _reduced(re, im, scale)
         work, count = _deflate(work, candidate)
         if count:
             roots.append((candidate, count))

@@ -1,15 +1,19 @@
 import json
+from functools import partial
 
 import pytest
 
 import jordanform.decomp
 import jordanform.matrices as matrices
 from jordanform import (
+    Basis,
     Block,
     Decomposition,
     ExactMatrix,
     InternalInvariantViolation,
     NotAnEigenvalue,
+    StageLadder,
+    ZeroVector,
     block_diagonalize,
     blockwise_trigonalize,
     exhaustive_structures,
@@ -299,6 +303,16 @@ def test_chains_identity():
     assert [c.length for c in chains] == [1, 1]
     assert vec_strs(chains[0].vectors) == [["1", "0"]]
     assert vec_strs(chains[1].vectors) == [["0", "1"]]
+
+
+def test_chains_from_a_basis_with_the_zero_vector_raise_zero_vector():
+    good = stage_ladder(DENSE3, gr("3"))
+    bad = StageLadder(gr("3"), (Basis(3, [col([0, 0, 0])]),) + good.stage_bases[1:])
+    with pytest.raises(ZeroVector):
+        jordan_chains(DENSE3, bad)
+    # A bare StopIteration here would end map early and drop the third result.
+    with pytest.raises(ZeroVector):
+        list(map(partial(jordan_chains, DENSE3), [good, bad, good]))
 
 
 def test_chains_of_a_stage_are_extended_by_one_product(monkeypatch):

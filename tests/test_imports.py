@@ -65,6 +65,51 @@ def test_cli_import_leaves_out_dataclasses_and_verify(footprint):
     assert "jordanform.verify" not in added
 
 
+NUMBER_MODULES = {"fractions", "decimal", "numbers"}
+
+# Run spectrum, jordan and verify in one new interpreter, in process through
+# ``cli.run``, and print their exit codes and the number modules loaded.
+NUMBERS = """
+import contextlib, io, sys
+from jordanform import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run([command, sys.argv[1]]) for command in ("spectrum", "jordan", "verify")]
+print(codes, sorted(m for m in ("fractions", "decimal", "numbers") if m in sys.modules))
+"""
+
+
+def test_matrix_commands_leave_out_the_standard_number_modules(tmp_path):
+    # Neither importing the CLI nor running it loads them.  The matrix has a
+    # JSON integer entry, a rational entry, and the Krylov factor z^2 + 1 (e_2
+    # and e_3 rotate into each other), so root finding searches a factor of
+    # degree 2.
+    path = tmp_path / "matrix.json"
+    path.write_text('{"n": 3, "entries": [[2, "1/2", "0"], ["0", "0", "-1"], ["0", "1", "0"]]}')
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMBERS, str(path)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "[0, 0, 0] []\n"
+
+
+def test_only_scalars_imports_fractions():
+    # GaussianRational is the package's one number type: only scalars.py
+    # imports fractions, for the Fractions that cross the public API.
+    importers = set()
+    for path in sorted((SRC / "jordanform").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] in NUMBER_MODULES for name in names):
+                importers.add(path.name)
+    assert importers == {"scalars.py"}
+
+
 def test_cli_import_loads_every_module_that_binds_a_wrapped_function(footprint):
     assert footprint["binders"]
     assert set(footprint["binders"]) <= set(footprint["added"])

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from jordanform import (
+    ExactMatrix,
     GaussianRational,
     ParseError,
+    Polynomial,
     ZeroDenominator,
     format_scalar,
     parse_scalar,
@@ -134,11 +136,53 @@ def test_conjugate_and_norm():
     assert v * v.conjugate() == GaussianRational(25)
 
 
-def test_power():
-    i = gr("1i")
-    assert i ** 2 == gr("-1")
-    assert i ** 0 == gr("1")
-    assert gr("2") ** -2 == gr("1/4")
+# --- the public edge: Fractions in and out, floats refused -------------------
+
+def test_constructor_parts_may_be_fractions_and_strings():
+    assert GaussianRational(Fraction(1, 2), "1/3") == gr("1/2+1/3i")
+    assert GaussianRational(Fraction(4, 2), Fraction(0)) == gr("2")
+
+
+def test_parts_read_back_as_fractions():
+    value = gr("-4/6+3/9i")
+    assert (value.re, value.im) == (Fraction(-2, 3), Fraction(1, 3))
+    assert type(value.re) is Fraction and type(value.im) is Fraction
+    assert GaussianRational(value.re, value.im) == value
+
+
+def test_fractions_as_entries_coefficients_and_factors():
+    half = Fraction(1, 2)
+    assert gr("1i") + half == half + gr("1i") == gr("1/2+1i")
+    assert gr("1/2") == half and gr("1/3") < half
+    assert ExactMatrix([[half, 1], [0, "1i"]]) == ExactMatrix([["1/2", "1"], ["0", "1i"]])
+    assert Polynomial([half, 1]) == Polynomial([gr("1/2"), gr("1")])
+    assert Polynomial([1, 2]) * half == half * Polynomial([1, 2]) == Polynomial([half, 1])
+    matrix = ExactMatrix([[1, "1i"], [2, 3]])
+    halved = ExactMatrix([["1/2", "1/2i"], ["1", "3/2"]])
+    assert matrix * half == halved
+    assert half * matrix == halved
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GaussianRational(0.5), "floating-point values are not exact; use int or Fraction"),
+    (lambda: GaussianRational(1, 0.5), "floating-point values are not exact; use int or Fraction"),
+    (lambda: ExactMatrix([[1, 0.5]]), "cannot use float as a matrix entry"),
+    (lambda: Polynomial([1, 0.5]), "cannot use float as a polynomial coefficient"),
+])
+def test_floats_are_refused_with_the_role_they_were_for(build, message):
+    with pytest.raises(TypeError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("combine", [
+    lambda x: x + 0.5, lambda x: 0.5 * x, lambda x: x < 0.5,
+    lambda x: Polynomial([x]) * 0.5, lambda x: ExactMatrix([[x]]) * 0.5,
+    lambda x: 0.5 * ExactMatrix([[x]]),
+])
+def test_floats_do_not_combine_with_exact_values(combine):
+    with pytest.raises(TypeError):
+        combine(gr("1"))
 
 
 # --- differential test against a plain (Fraction, Fraction) reference ---------
