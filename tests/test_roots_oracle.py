@@ -14,7 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from jordanform import (  # noqa: E402
     GaussianRational,
@@ -29,9 +29,13 @@ PART = st.integers(-(2**60), 2**60)
 
 # (re numerator, im numerator, denominator, multiplicity, add the conjugate)
 ROOT = st.tuples(PART, PART, st.integers(1, 3), st.integers(1, 3), st.booleans())
-# (degree, c) for a factor z^degree - c irreducible over Q(i): z^3 - c is
-# Eisenstein at the prime c, and sqrt(p) is not in Q(i) for a prime p.
-EXTRA = st.sampled_from([None, (3, 2), (3, 7), (2, 3), (2, 11)])
+# (degree, re, im, power) for (z^degree - c)^power with c = re + im*i and
+# z^degree - c irreducible over Q(i): z^3 - c is Eisenstein at the prime c,
+# sqrt(p) is not in Q(i) for a prime p, and neither is sqrt(-i) =
+# (1 - i)/sqrt(2).  Squared, the square-free step meets a gcd with no root.
+EXTRA = st.sampled_from([
+    None, (3, 2, 0, 1), (3, 7, 0, 1), (2, 3, 0, 1), (2, 11, 0, 1), (2, 3, 0, 2), (2, 0, -1, 2),
+])
 LEADING = st.sampled_from([(1, 0), (3, 0), (-2, 5), (0, 1), (7, -7)])
 
 
@@ -48,9 +52,10 @@ def planted_case(roots, extra, leading):
             value = sympy.Rational(a, den) + sympy.I * sympy.Rational(b, den)
             theirs *= (Z - value) ** mult
     if extra:
-        degree, constant = extra
-        ours = ours * Polynomial([-constant] + [0] * (degree - 1) + [1])
-        theirs *= Z**degree - constant
+        degree, re, im, power = extra
+        for _ in range(power):
+            ours = ours * Polynomial([GaussianRational(-re, -im)] + [0] * (degree - 1) + [1])
+        theirs *= (Z**degree - re - sympy.I * im) ** power
     return ours, theirs
 
 
@@ -71,6 +76,8 @@ def to_scalar(value):
     phases=(Phase.explicit, Phase.reuse, Phase.generate),
 )
 @given(st.lists(ROOT, min_size=1, max_size=3), EXTRA, LEADING)
+@example([(5, 0, 1, 2, False)], (2, 3, 0, 2), (1, 0))
+@example([(1, 2, 3, 1, True)], (2, 0, -1, 2), (-2, 5))
 def test_roots_are_the_linear_factors_sympy_finds(roots, extra, leading):
     ours, theirs = planted_case(roots, extra, leading)
     _, factors = sympy.factor_list(sympy.expand(theirs), Z, gaussian=True)
