@@ -155,7 +155,15 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self._a, self._b, self._d))
+        a, b, d = self._a, self._b, self._d
+        if b:
+            return hash((a, b, d))
+        # A real value hashes as the int or Fraction it equals: Python's
+        # rational hash, |a| times the inverse of d modulo the hash modulus.
+        modulus = sys.hash_info.modulus
+        value = hash(hash(abs(a)) * pow(d, -1, modulus)) if d % modulus else sys.hash_info.inf
+        value = value if a >= 0 else -value
+        return -2 if value == -1 else value
 
     __lt__ = _order(operator.lt)
     __le__ = _order(operator.le)

@@ -1,21 +1,22 @@
 """Determinant-free eigenvalue discovery inside Q(i), and the kernel ladders.
 
-The eigenvalues are the roots of the characteristic polynomial, taken factor
-by factor from one Krylov pass (``matrices.krylov_factors``) and extracted
-exactly by a search over Z[i]: the square-free part, cleared to a monic
-polynomial over the Gaussian integers, has its roots modulo a split prime
-Hensel-lifted and recovered by Gaussian rounding, and every candidate is
-checked exactly.  This finds every root in Q(i); a factor without one is
-reported, never approximated, and the factor reported is the minimal
-polynomial (``matrices.minimal_polynomial``) less the roots found.  The
-factors also give each eigenvalue's algebraic multiplicity m, which bounds
-its stage ladder, the nested kernels of (A - lambda*I)^k: the ladder stops
-at dimension m, and ``spectrum`` builds none for m = 1.  A ladder costs one
-n-row elimination whatever its length (``matrices.kernel_ladder``), and the
-ladders are all a decomposition stage reads.  Provided eigenvalues only
-seed the search: they are divided out of the same factors first, so a
-complete list leaves nothing to search, and a rootless rest is reported
-with or without a list.
+The eigenvalues are the roots of the characteristic polynomial, taken
+factor by factor from one Krylov pass (``matrices.krylov_factors``) and
+extracted exactly by a search over Z[i] in integer arithmetic: a factor,
+cleared to a monic polynomial over the Gaussian integers, has the roots of
+its square-free part modulo a split prime Hensel-lifted and recovered by
+Gaussian rounding, and every candidate is checked exactly.  This finds
+every root in Q(i); a factor without one is reported, never approximated,
+and the factor reported is the minimal polynomial less the roots found:
+with one Krylov factor that factor itself, else from a second Krylov pass
+(``matrices.minimal_polynomial``).  The factors also give each eigenvalue's
+algebraic multiplicity m, which bounds its stage ladder, the nested kernels
+of (A - lambda*I)^k: the ladder stops at dimension m, and ``spectrum``
+builds none for m = 1.  A ladder costs one n-row elimination whatever its
+length (``matrices.kernel_ladder``), and the ladders are all a
+decomposition stage reads.  Provided eigenvalues only seed the search: they
+are divided out of the same factors first, so a complete list leaves
+nothing to search, and a rootless rest is reported with or without a list.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .matrices import (
     minimal_polynomial,
     shift_by,
 )
-from .polynomials import Polynomial, poly_gcd
+from .polynomials import Polynomial
 from .scalars import GaussianRational, _reduced, format_scalar
 
 
@@ -91,15 +92,16 @@ def _value_and_slope(
     return value, slope
 
 
-def _simple_roots_mod(coefficients: Sequence[int], p: int) -> Optional[List[int]]:
-    """Every root of g modulo the prime p, or None when one of them is repeated."""
+def _simple_roots_mod(coefficients: Sequence[int], p: int) -> Optional[List[Tuple[int, int]]]:
+    """Every root x of g modulo the prime p with the inverse of g'(x) there,
+    or None when one of the roots is repeated."""
     roots = []
     for x in range(p):
         value, slope = _value_and_slope(coefficients, x, p)
         if value == 0:
             if slope == 0:
                 return None
-            roots.append(x)
+            roots.append((x, pow(slope, -1, p)))
     return roots
 
 
@@ -111,7 +113,9 @@ def _gaussian_integer_roots(g: Sequence[Tuple[int, int]]) -> List[Tuple[int, int
     Z[i]/pi^k is Z/p^k with i sent to iota.  The roots of g modulo pi are
     found by trying every residue, at the first p where all are simple, and
     Newton-lifted together with iota until p^k > 8 B^2, B the Cauchy bound of
-    g.  The multiples of pi^k form a square lattice whose shortest vector is
+    g.  A lift from m to m^2 needs the inverses of 2*iota and of the slopes
+    only modulo m: carried over, each takes one Newton step inv*(2 - s*inv).
+    The multiples of pi^k form a square lattice whose shortest vector is
     p^(k/2) > 2B long, so a root of g, of modulus at most B, is the Gaussian
     rounding remainder of its lifted residue modulo pi^k.
     """
@@ -127,24 +131,44 @@ def _gaussian_integer_roots(g: Sequence[Tuple[int, int]]) -> List[Tuple[int, int
     v = math.isqrt(p - u * u)
     if (u + v * iota) % p:
         v = -v
+    half = pow(2 * iota, -1, p)
     modulus = p
     while residues and modulus <= 8 * bound * bound:
-        modulus *= modulus
-        iota = (iota - (iota * iota + 1) * pow(2 * iota, -1, modulus)) % modulus
+        old, modulus = modulus, modulus * modulus
+        half = half * (2 - 2 * iota * half) % old
+        iota = (iota - (iota * iota + 1) * half) % modulus
         u, v = u * u - v * v, 2 * u * v  # pi^k squared, of norm p^(2k)
         coefficients = [(a + b * iota) % modulus for a, b in g]
-        lifted = []
-        for x in residues:
+        for k, (x, inverse) in enumerate(residues):
             value, slope = _value_and_slope(coefficients, x, modulus)
-            lifted.append((x - value * pow(slope, -1, modulus)) % modulus)
-        residues = lifted
+            inverse = inverse * (2 - slope * inverse) % old
+            residues[k] = ((x - value * inverse) % modulus, inverse)
     roots = []
-    for x in residues:
+    for x, _ in residues:
         # x - (u + v*i)*q, q the nearest Gaussian integer to x/(u + v*i).
         qu = (2 * x * u + modulus) // (2 * modulus)
         qv = (modulus - 2 * x * v) // (2 * modulus)
         roots.append((x - u * qu + v * qv, -u * qv - v * qu))
     return roots
+
+
+def _divide(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]]):
+    """(q, r) with lead(b)^k * a = q*b + g*r over Z[i] for some k >= 0, g the
+    integer content of r, polynomials as (re, im) pairs, ascending; q is read
+    only when b is monic, where k = 0."""
+    *low, (c, e) = b
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        p, q = a.pop()
+        quotient.append((p, q))
+        if (p or q) and (c != 1 or e):
+            a = [(x * c - y * e, x * e + y * c) for x, y in a]
+        for j, (x, y) in enumerate(low, len(a) - len(low)):
+            a[j] = (a[j][0] - p * x + q * y, a[j][1] - p * y - q * x)
+    while a and a[-1] == (0, 0):
+        a.pop()
+    content = math.gcd(*(x for pair in a for x in pair))
+    return quotient[::-1], [(x // content, y // content) for x, y in a]
 
 
 def _deflate(work: Polynomial, root: GaussianRational) -> Tuple[Polynomial, int]:
@@ -164,31 +188,35 @@ def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int
     sorted, and the monic rest of poly once they are divided out, which has
     no root in Q(i): the constant 1 when poly splits over Q(i).
 
-    The procedure: take the square-free part s = work / gcd(work, work') of
-    the monic work = poly / lead, clear its denominators by their lcm c, and
-    search the monic g(y) = c^(d-1) s(y/c) over Z[i] for its roots beta
-    (_gaussian_integer_roots, by Hensel lifting).  Every root of poly in Q(i)
-    is some beta/c; each candidate is checked exactly and deflated from work
-    to exhaustion, which counts its multiplicity.
+    All runs on one polynomial over Z[i]: with c the lcm of the denominators
+    of f = poly / lead, G(y) = c^d f(y/c) is monic with roots beta = c * root.
+    Pseudo-remainders over Z[i], less their integer content, give gcd(G, G'),
+    monic in Z[i][y] by Gauss's lemma, so S = G / gcd(G, G') is exact.  S is
+    searched (_gaussian_integer_roots), and each candidate is divided out of
+    G while the remainder is 0, which counts its multiplicity.  Scalars are
+    built only for the roots and the rest.
     """
     if poly.degree < 1:
         raise ValueError("poly_roots_exact needs degree >= 1")
     work = poly.monic()
-    derivative = Polynomial([k * c for k, c in enumerate(work.coefficients)][1:])
-    core = work // poly_gcd(work, derivative)
-    scale = math.lcm(*(x._d for x in core.coefficients))
-    g = []
-    for k, x in enumerate(core.coefficients[:-1]):
-        factor = scale ** (core.degree - k)  # c for clearing, c^(d-1-k) for g
-        g.append((x._a * factor // x._d, x._b * factor // x._d))
-    g.append((1, 0))
+    scale = math.lcm(*(x._d for x in work.coefficients))
+    g = [(x._a * scale ** (work.degree - k) // x._d, x._b * scale ** (work.degree - k) // x._d)
+         for k, x in enumerate(work.coefficients)]
+    a, b = g, [(k * x, k * y) for k, (x, y) in enumerate(g)][1:]
+    while b:
+        a, b = b, _divide(a, b)[1]
+    c, e = a[-1]
+    norm = c * c + e * e
+    square_free = _divide(g, [((x * c + y * e) // norm, (y * c - x * e) // norm) for x, y in a])[0]
     roots: List[Tuple[GaussianRational, int]] = []
-    for re, im in _gaussian_integer_roots(g):
-        candidate = _reduced(re, im, scale)
-        work, count = _deflate(work, candidate)
+    for u, v in _gaussian_integer_roots(square_free):
+        count = 0
+        while len(g) > 1 and not (division := _divide(g, [(-u, -v), (1, 0)]))[1]:
+            g, count = division[0], count + 1
         if count:
-            roots.append((candidate, count))
-    return sorted(roots), work
+            roots.append((_reduced(u, v, scale), count))
+    rest = Polynomial([_reduced(x, y, scale ** (len(g) - 1 - k)) for k, (x, y) in enumerate(g)])
+    return sorted(roots), rest
 
 
 def _eigenvalues(
@@ -202,10 +230,12 @@ def _eigenvalues(
     given order, a repeat, or a value that divides no factor, is rejected;
     then a root found but not provided is IncompleteSpectrum.  When a factor
     keeps a part without roots, the minimal polynomial, less the roots, is
-    the factor SpectrumNotRepresentable reports."""
+    the factor SpectrumNotRepresentable reports: a lone Krylov factor is the
+    minimal polynomial (e_0 is cyclic), else a second pass finds it."""
     counts: Dict[GaussianRational, int] = dict.fromkeys(provided or (), 0)
     rootless = False
-    for factor in krylov_factors(matrix):
+    factors = krylov_factors(matrix)
+    for factor in factors:
         for root in counts:
             factor, count = _deflate(factor, root)
             counts[root] += count
@@ -229,9 +259,10 @@ def _eigenvalues(
         )
     eigenvalues = sorted(counts.items())
     if rootless:
-        rest = minimal_polynomial(matrix)
-        for root, _ in eigenvalues:
-            rest = _deflate(rest, root)[0]
+        if len(factors) > 1:
+            rest = minimal_polynomial(matrix)
+            for root, _ in eigenvalues:
+                rest = _deflate(rest, root)[0]
         raise SpectrumNotRepresentable(rest)
     return eigenvalues
 

@@ -488,9 +488,11 @@ def test_verify_subcommand(dense3_path, capsys):
 
 def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, capsys):
     # The eigenvalues come from one Krylov pass; the minimal polynomial is
-    # computed only to name the rootless factor of the exit-2 path.  Provided
-    # eigenvalues take their multiplicities from the same pass and skip only
-    # the root search.
+    # computed only to name the rootless factor of the exit-2 path, and only
+    # when the pass found two or more factors: the companion matrix of
+    # z^3 - 2 is cyclic, so its one factor is the minimal polynomial.
+    # Provided eigenvalues take their multiplicities from the same pass and
+    # skip only the root search.
     import jordanform.decomp
     import jordanform.spectral
 
@@ -524,9 +526,7 @@ def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, cap
     assert "jordan: pass" in capsys.readouterr().out
     calls.clear()
     assert run(["verify", cube_path]) == EXIT_NOT_REPRESENTABLE
-    assert calls == [
-        "spectrum_with_ladders", "krylov_factors", "poly_roots_exact", "minimal_polynomial"
-    ]
+    assert calls == ["spectrum_with_ladders", "krylov_factors", "poly_roots_exact"]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (

@@ -258,6 +258,32 @@ def test_differential_against_fraction_pairs_seeded():
             assert format_scalar(other) == text
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        0, 1, -1, 2**100 + 7, -(2**100 + 7),
+        Fraction(1, 2), Fraction(-1, 2), Fraction(-7, 3), Fraction(2**80 + 1, 3**40),
+        # A denominator that is a multiple of the hash modulus hashes as inf.
+        Fraction(3, sys.hash_info.modulus), Fraction(-3, sys.hash_info.modulus),
+    ],
+)
+def test_a_real_value_hashes_as_the_number_it_equals(value):
+    scalar = GaussianRational(value)
+    assert scalar == value
+    assert hash(scalar) == hash(value)
+    assert len({scalar, value}) == 1
+    assert {value: "x"}.get(scalar) == "x"
+    assert {scalar: "x"}.get(value) == "x"
+
+
+def test_equal_scalars_share_set_and_dict_entries():
+    assert hash(gr(-1)) == hash(-1) == -2
+    assert {1: "one", Fraction(1, 2): "half"}.get(gr("1/2")) == "half"
+    assert {gr(1), 1, gr("2/2"), Fraction(2, 2)} == {1}
+    values = {gr("1+1i"), gr("1-1i"), gr("2/2+2/2i"), gr(0), 0}
+    assert len(values) == 3 and gr("1+1i") in values and 0 in values
+
+
 def test_int_subclasses_become_plain_ints():
     value = gr("1/2") * True + False
     assert value == gr("1/2")

@@ -5,6 +5,7 @@ import pytest
 from jordanform import (
     DimensionMismatch,
     ExactMatrix,
+    GaussianRational,
     IncompleteSpectrum,
     InvalidProvidedEigenvalue,
     Polynomial,
@@ -257,6 +258,31 @@ def test_rootless_factor_joins_the_rests_of_several_factors():
         spectrum(matrix)
     assert str(err.value.factor) == "z^4 - 4"
     assert [str(poly_roots_exact(factor)[1]) for factor in factors] == ["z^2 - 2", "z^2 + 2"]
+
+
+def test_one_krylov_factor_is_the_minimal_polynomial():
+    # The exit-2 path names a lone Krylov factor's rest without computing
+    # the minimal polynomial: the pass from e_0 then spans the space, so e_0
+    # is a cyclic vector.  Seeded dense integer and Gaussian matrices, with
+    # entries in {0, 1} a third of the time so that some are not cyclic.
+    rng = random.Random(2601)
+    lone = several = 0
+    for trial in range(150):
+        n = rng.randint(1, 5)
+        parts = (0, 1) if trial % 3 == 0 else range(-3, 4)
+        gaussian = trial % 2 == 1
+        matrix = ExactMatrix([
+            [GaussianRational(rng.choice(parts), rng.choice(parts) if gaussian else 0)
+             for _ in range(n)]
+            for _ in range(n)
+        ])
+        factors = krylov_factors(matrix)
+        if len(factors) == 1:
+            lone += 1
+            assert factors[0] == minimal_polynomial(matrix)
+        else:
+            several += 1
+    assert lone > 100 and several > 5
 
 
 def test_spectrum_with_provided_matches_automatic():
