@@ -93,8 +93,7 @@ def _value_and_slope(
 
 
 def _simple_roots_mod(coefficients: Sequence[int], p: int) -> Optional[List[Tuple[int, int]]]:
-    """Every root x of g modulo the prime p with the inverse of g'(x) there,
-    or None when one of the roots is repeated."""
+    """Each root x of g modulo the prime p with 1/g'(x) mod p, or None when one is repeated."""
     roots = []
     for x in range(p):
         value, slope = _value_and_slope(coefficients, x, p)
@@ -193,8 +192,9 @@ def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int
     Pseudo-remainders over Z[i], less their integer content, give gcd(G, G'),
     monic in Z[i][y] by Gauss's lemma, so S = G / gcd(G, G') is exact.  S is
     searched (_gaussian_integer_roots), and each candidate is divided out of
-    G while the remainder is 0, which counts its multiplicity.  Scalars are
-    built only for the roots and the rest.
+    G while the remainder is 0, which counts its multiplicity m: as m - 1 is
+    its multiplicity in gcd(G, G'), no more than 1 + deg gcd(G, G') tries.
+    Scalars are built only for the roots and the rest.
     """
     if poly.degree < 1:
         raise ValueError("poly_roots_exact needs degree >= 1")
@@ -211,7 +211,7 @@ def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int
     roots: List[Tuple[GaussianRational, int]] = []
     for u, v in _gaussian_integer_roots(square_free):
         count = 0
-        while len(g) > 1 and not (division := _divide(g, [(-u, -v), (1, 0)]))[1]:
+        while count < len(a) and not (division := _divide(g, [(-u, -v), (1, 0)]))[1]:
             g, count = division[0], count + 1
         if count:
             roots.append((_reduced(u, v, scale), count))
