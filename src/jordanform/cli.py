@@ -198,7 +198,7 @@ def _build_parser() -> _Parser:
             "--spectrum",
             dest="provided",
             metavar="LAMBDAS",
-            help="comma-separated eigenvalues to use instead of root finding",
+            help="comma-separated eigenvalues the matrix must have, checked against root finding",
         )
         cmd.add_argument(
             "--format", choices=("json", "pretty"), default="pretty"

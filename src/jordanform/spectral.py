@@ -14,16 +14,16 @@ algebraic multiplicity m, which bounds its stage ladder, the nested kernels
 of (A - lambda*I)^k: the ladder stops at dimension m, and ``spectrum``
 builds none for m = 1.  A ladder costs one n-row elimination whatever its
 length (``matrices.kernel_ladder``), and the ladders are all a
-decomposition stage reads.  Provided eigenvalues only seed the search: they
-are divided out of the same factors first, so a complete list leaves
-nothing to search, and a rootless rest is reported with or without a list.
+decomposition stage reads.  A provided list of eigenvalues replaces no part
+of the search: it is checked against the roots found, which give each value
+its multiplicity, and a rootless rest is reported with or without a list.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     IncompleteSpectrum,
@@ -41,7 +41,7 @@ from .matrices import (
     shift_by,
 )
 from .polynomials import Polynomial
-from .scalars import GaussianRational, _reduced, format_scalar
+from .scalars import GaussianRational, _coerce, _reduced, format_scalar
 
 
 class SpectrumEntry(NamedTuple):
@@ -170,18 +170,6 @@ def _divide(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]]):
     return quotient[::-1], [(x // content, y // content) for x, y in a]
 
 
-def _deflate(work: Polynomial, root: GaussianRational) -> Tuple[Polynomial, int]:
-    """Divide (z - root) out of work as often as it goes; returns the count.
-    Each try is one synthetic division, whose last carry is work(root)."""
-    count = 0
-    while work.degree >= 1:
-        carries = list(accumulate(reversed(work.coefficients), lambda c, a: c * root + a))
-        if not carries[-1].is_zero():
-            break
-        work, count = Polynomial(carries[-2::-1]), count + 1
-    return work, count
-
-
 def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int]], Polynomial]:
     """The roots of poly inside Q(i), with multiplicities, canonically
     sorted, and the monic rest of poly once they are divided out, which has
@@ -199,6 +187,8 @@ def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int
     if poly.degree < 1:
         raise ValueError("poly_roots_exact needs degree >= 1")
     work = poly.monic()
+    if work.degree == 1:
+        return [(-work.coefficients[0], 1)], Polynomial([1])
     scale = math.lcm(*(x._d for x in work.coefficients))
     g = [(x._a * scale ** (work.degree - k) // x._d, x._b * scale ** (work.degree - k) // x._d)
          for k, x in enumerate(work.coefficients)]
@@ -223,28 +213,23 @@ def _eigenvalues(
     matrix: ExactMatrix, provided: Optional[Sequence[GaussianRational]] = None
 ) -> List[Tuple[GaussianRational, int]]:
     """The distinct roots in Q(i) of the characteristic polynomial, sorted,
-    each with its multiplicity, summed over the Krylov factors.  Each factor
-    first loses the provided roots, in their given order, then the roots
-    already found; only what is left is searched, and only when its degree
-    is 2 or more, as z + c is the root -c.  Walking the provided list in its
-    given order, a repeat, or a value that divides no factor, is rejected;
-    then a root found but not provided is IncompleteSpectrum.  When a factor
-    keeps a part without roots, the minimal polynomial, less the roots, is
-    the factor SpectrumNotRepresentable reports: a lone Krylov factor is the
-    minimal polynomial (e_0 is cyclic), else a second pass finds it."""
-    counts: Dict[GaussianRational, int] = dict.fromkeys(provided or (), 0)
+    each with its multiplicity, summed over the roots every Krylov factor
+    has (poly_roots_exact).  A provided list is checked against those sums:
+    walking it in its given order, a repeat, or a value that is no root, is
+    rejected; then a root found but not provided is IncompleteSpectrum.
+    When a factor keeps a part without roots, the minimal polynomial, less
+    the roots, is the factor SpectrumNotRepresentable reports: a lone Krylov
+    factor is the minimal polynomial (e_0 is cyclic), else a second pass
+    finds it."""
+    if provided is not None:
+        provided = [_coerce(value, "provided eigenvalue") for value in provided]
+    counts: Counter[GaussianRational] = Counter()
     rootless = False
     factors = krylov_factors(matrix)
     for factor in factors:
-        for root in counts:
-            factor, count = _deflate(factor, root)
-            counts[root] += count
-        if factor.degree == 1:
-            counts[-factor.coefficients[0]] = 1
-        elif factor.degree > 1:
-            found, rest = poly_roots_exact(factor)
-            counts.update(found)
-            rootless = rootless or rest.degree >= 1
+        found, rest = poly_roots_exact(factor)
+        counts.update(dict(found))
+        rootless = rootless or rest.degree >= 1
     for k, lam in enumerate(provided or ()):
         if provided.index(lam) < k:
             raise InvalidProvidedEigenvalue(f"duplicate eigenvalue {format_scalar(lam)}")
@@ -257,14 +242,11 @@ def _eigenvalues(
         raise IncompleteSpectrum(
             f"eigenvalue multiplicities cover {total} of {matrix.rows} dimensions"
         )
-    eigenvalues = sorted(counts.items())
     if rootless:
-        if len(factors) > 1:
-            rest = minimal_polynomial(matrix)
-            for root, _ in eigenvalues:
-                rest = _deflate(rest, root)[0]
-        raise SpectrumNotRepresentable(rest)
-    return eigenvalues
+        raise SpectrumNotRepresentable(
+            rest if len(factors) == 1 else poly_roots_exact(minimal_polynomial(matrix))[1]
+        )
+    return sorted(counts.items())
 
 
 class StageLadder(NamedTuple):
@@ -298,6 +280,7 @@ def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational,
     saves the step that finds no growth; never past k = n.  A
     trivial kernel is NotAnEigenvalue, or, with a multiplicity, which only
     an eigenvalue has, an InternalInvariantViolation."""
+    eigenvalue = _coerce(eigenvalue, "provided eigenvalue")
     bases = kernel_ladder(shift_by(matrix, eigenvalue), multiplicity)
     if bases[0].dimension == 0:
         if multiplicity is not None:
@@ -334,10 +317,10 @@ def spectrum(
     The eigenvalues are the distinct roots in Q(i) of the Krylov factors of
     the characteristic polynomial, with the multiplicities the factors give;
     when a factor keeps a rootless part, SpectrumNotRepresentable carries the
-    minimal polynomial less those roots.  Provided eigenvalues are divided
-    out of the same factors before the search: each must be a root of them,
-    which gives its multiplicity; a repeated value is rejected, and a root
-    in Q(i) left out of the list is IncompleteSpectrum.  A simple
+    minimal polynomial less those roots.  A provided list is checked against
+    the roots found: each value must be one of them, which gives its
+    multiplicity; a repeated value is rejected, and a root in Q(i) left out
+    of the list is IncompleteSpectrum.  A simple
     eigenvalue's entry is (lambda, 1, 1, 1), with no ladder built.
     """
     return Spectrum(tuple(

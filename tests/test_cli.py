@@ -491,8 +491,8 @@ def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, cap
     # computed only to name the rootless factor of the exit-2 path, and only
     # when the pass found two or more factors: the companion matrix of
     # z^3 - 2 is cyclic, so its one factor is the minimal polynomial.
-    # Provided eigenvalues take their multiplicities from the same pass and
-    # skip only the root search.
+    # Provided eigenvalues are checked against the same pass and its root
+    # search, which give their multiplicities.
     import jordanform.decomp
     import jordanform.spectral
 
@@ -522,7 +522,7 @@ def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, cap
     assert all(report["passed"] for report in json.loads(capsys.readouterr().out)["reports"])
     calls.clear()
     assert run(["verify", dense3_path, "--spectrum", "3"]) == EXIT_OK
-    assert calls == ["spectrum_with_ladders", "krylov_factors"]
+    assert calls == ["spectrum_with_ladders", "krylov_factors", "poly_roots_exact"]
     assert "jordan: pass" in capsys.readouterr().out
     calls.clear()
     assert run(["verify", cube_path]) == EXIT_NOT_REPRESENTABLE

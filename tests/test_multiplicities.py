@@ -9,10 +9,10 @@ import random
 from jordanform import (
     ExactMatrix,
     JordanFormError,
-    Polynomial,
     SpectrumNotRepresentable,
     elementary_conjugator,
     exhaustive_structures,
+    format_scalar,
     generate_case,
     minimal_polynomial,
     parse_structure,
@@ -20,14 +20,13 @@ from jordanform import (
 )
 from jordanform import matrices, spectral
 from jordanform.spectral import (
-    _deflate,
     _eigenvalues,
     spectrum,
     spectrum_with_ladders,
     stage_ladder,
 )
 
-from conftest import derogatory, from_roots, gr, rand_matrix, rand_scalar
+from conftest import derogatory, gr, rand_matrix, rand_scalar
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,7 +153,9 @@ def test_each_ladder_runs_one_n_row_elimination_whatever_its_stages(monkeypatch)
 
 
 def test_provided_eigenvalues_in_reversed_order_give_the_found_ladders():
-    cases = 0
+    # With two or more eigenvalues, a list that leaves one out, or adds a
+    # value that is no eigenvalue, is rejected as the CLI reports it.
+    cases = rejected = 0
     for structure in (s for n in range(1, 6) for s in exhaustive_structures(n)):
         matrix, _ = generate_case(structure, 5, 3)
         spect, ladders = spectrum_with_ladders(matrix)
@@ -166,20 +167,19 @@ def test_provided_eigenvalues_in_reversed_order_give_the_found_ladders():
             bases_text(ladder) for ladder in ladders
         ]
         cases += 1
-    assert cases == 51
-
-
-def test_deflate_is_repeated_exact_division():
-    rng = random.Random(44)
-    for _ in range(60):
-        roots = [rand_scalar(rng, 3) for _ in range(rng.randint(1, 3))]
-        planted = [root for root in roots for _ in range(rng.randint(1, 3))]
-        rest = Polynomial([rand_scalar(rng) for _ in range(rng.randint(1, 3))])
-        poly = from_roots(*planted) * rest
-        for root in roots + [rand_scalar(rng, 3)]:
-            expected, count = poly, 0
-            while expected.degree >= 1 and expected(root).is_zero():
-                expected = expected.exact_div(Polynomial([-root, 1]))
-                count += 1
-            assert _deflate(poly, root) == (expected, count)
-            assert count >= planted.count(root) or rest.is_zero()
+        if len(provided) < 2:
+            continue
+        n = matrix.rows
+        for k, entry in enumerate(reversed(spect.entries)):
+            shorter = provided[:k] + provided[k + 1:]
+            assert outcome(lambda m: spectrum(m, shorter), matrix) == (
+                "IncompleteSpectrum",
+                f"eigenvalue multiplicities cover {n - entry.multiplicity} of {n} dimensions",
+            )
+        stranger = max(provided) + 1
+        assert outcome(lambda m: spectrum(m, provided + [stranger]), matrix) == (
+            "InvalidProvidedEigenvalue",
+            f"{format_scalar(stranger)} is not an eigenvalue: A - (value)I has full rank",
+        )
+        rejected += 1
+    assert (cases, rejected) == (51, 33)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,16 +9,19 @@ from jordanform import (
     GaussianRational,
     IncompleteSpectrum,
     InvalidProvidedEigenvalue,
+    NotAnEigenvalue,
     Polynomial,
     SpectrumNotRepresentable,
     exhaustive_structures,
     elementary_conjugator,
     find_eigenvalue,
     generate_case,
+    jordan_chains,
     minimal_polynomial,
     poly_apply,
     poly_roots_exact,
     spectrum,
+    stage_ladder,
 )
 
 from jordanform.matrices import krylov_factors
@@ -302,6 +306,29 @@ def test_spectrum_with_duplicate_provided_value():
 def test_spectrum_with_incomplete_provided_set():
     with pytest.raises(IncompleteSpectrum):
         spectrum(mat([[2, 0], [0, 5]]), [gr("2")])
+
+
+def test_provided_ints_and_fractions_become_scalars():
+    # An outside value becomes a scalar once, so entries, ladders and chains
+    # carry GaussianRational, and a value that is no eigenvalue is named in
+    # the error rather than failing in formatting or arithmetic.
+    diag = mat([[2, 0], [0, "1/2"]])
+    for matrix, provided in ((DENSE3, [3]), (diag, [Fraction(1, 2), 2])):
+        entries = spectrum(matrix, provided).entries
+        assert entries == spectrum(matrix).entries
+        assert all(type(entry.eigenvalue) is GaussianRational for entry in entries)
+    ladder = stage_ladder(DENSE3, 3)
+    assert type(ladder.eigenvalue) is GaussianRational
+    assert {type(chain.eigenvalue) for chain in jordan_chains(DENSE3, ladder)} == {GaussianRational}
+    with pytest.raises(InvalidProvidedEigenvalue, match="^2 is not an eigenvalue"):
+        spectrum(DENSE3, [2])
+    with pytest.raises(InvalidProvidedEigenvalue, match="^1/3 is not an eigenvalue"):
+        spectrum(DENSE3, [3, Fraction(1, 3)])
+    with pytest.raises(NotAnEigenvalue, match="^5 has a trivial eigenspace"):
+        stage_ladder(DENSE3, 5)
+    for call in (lambda: spectrum(DENSE3, [3.0]), lambda: stage_ladder(DENSE3, 3.0)):
+        with pytest.raises(TypeError, match="^cannot use float as a provided eigenvalue$"):
+            call()
 
 
 def test_every_reported_eigenvalue_has_an_eigenvector():
