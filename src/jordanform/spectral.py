@@ -175,8 +175,9 @@ def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int
     sorted, and the monic rest of poly once they are divided out, which has
     no root in Q(i): the constant 1 when poly splits over Q(i).
 
-    All runs on one polynomial over Z[i]: with c the lcm of the denominators
-    of f = poly / lead, G(y) = c^d f(y/c) is monic with roots beta = c * root.
+    A linear z + c has the root -c.  Any other poly is worked on as one
+    polynomial over Z[i]: with c the lcm of the denominators of
+    f = poly / lead, G(y) = c^d f(y/c) is monic with roots beta = c * root.
     Pseudo-remainders over Z[i], less their integer content, give gcd(G, G'),
     monic in Z[i][y] by Gauss's lemma, so S = G / gcd(G, G') is exact.  S is
     searched (_gaussian_integer_roots), and each candidate is divided out of
