@@ -1,13 +1,14 @@
 """The four stages print exactly the bytes recorded in tests/golden/stages.json.
 
 Each case is a generated matrix: every structure with n <= 4 at seed 0, plus
-a few structures with Gaussian eigenvalues at n = 6..8, and two at n = 16
-whose ladders have several stages with repeated chain lengths, so that the
-golden pins the Jordan chains, and with them V, past the first stage.  The
-golden file maps each case to the sha256 of ``jordanform <stage> --format
-json`` for schur, blockdiag, blocktri and jordan.  Regenerate it with
-``PYTHONPATH=src python tests/test_stage_goldens.py`` only when a change
-means to alter the output contract, and say so in CHANGES.md.
+a few structures with Gaussian eigenvalues at n = 6..8, two at n = 16 whose
+ladders have several stages with repeated chain lengths, so that the golden
+pins the Jordan chains, and with them V, past the first stage, and two long
+runs of Schur steps: nine distinct eigenvalues at n = 11 and a single chain
+of length 8.  The golden file maps each case to the sha256 of
+``jordanform <stage> --format json`` for schur, blockdiag, blocktri and
+jordan.  Regenerate it with ``PYTHONPATH=src python tests/test_stage_goldens.py``
+only when a change means to alter the output contract, and say so in CHANGES.md.
 """
 
 import hashlib
@@ -27,6 +28,7 @@ STAGES = ("schur", "blockdiag", "blocktri", "jordan")
 SEED = 0
 GAUSSIAN = ("1i:3;-1i:2;1:1", "1+1i:2,2;2:3", "1/2-1i:4;1i:2,1;0:1")
 CHAINS = ("0:3,3,2,2,1;1i:2,2,1", "1:4,4,2;-1:3,3")
+DEFLATIONS = ("0:1;1:1;2:1;-1:1;3:1;1i:1;-1i:1;1+1i:1;1/2:2,1", "2:8")
 
 
 def structure_text(structure):
@@ -38,7 +40,7 @@ def structure_text(structure):
 
 def cases():
     texts = [structure_text(s) for n in range(1, 5) for s in exhaustive_structures(n)]
-    return [f"{text}@{SEED}" for text in texts + list(GAUSSIAN) + list(CHAINS)]
+    return [f"{text}@{SEED}" for text in texts + list(GAUSSIAN) + list(CHAINS) + list(DEFLATIONS)]
 
 
 def stage_digests(case, path):
