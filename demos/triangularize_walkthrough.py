@@ -1,8 +1,9 @@
 """Walk through the Schur-style triangularization of a dense 3x3 matrix.
 
-The construction is recursive: pick the smallest eigenvalue, take one exact
-eigenvector, complete it to a basis, and repeat on the trailing block.  At
-the end A * V == V * U holds entry for entry, no tolerances anywhere.
+The construction is one loop over the sorted eigenvalues: take one exact
+eigenvector of the block still left, make it the next column of V, and
+deflate that block in closed form at the eigenvector's last nonzero index.
+At the end A * V == V * U holds entry for entry, no tolerances anywhere.
 """
 
 from jordanform import ExactMatrix, find_eigenvalue, inverse, trigonalize

@@ -3,8 +3,8 @@ block diagonalization, blockwise triangularization, and the Jordan form,
 with the Jordan chains read off the stage ladders of ``spectral``.
 
 Every stage returns a Decomposition (V, M) with A * V = V * M exactly.  All
-choices that the underlying theorems leave open (eigenvector picks, basis
-completions, chain seeds, block layout) are pinned to canonical rules, so
+choices that the underlying theorems leave open (eigenvector picks, deflation
+indices, chain seeds, block layout) are pinned to canonical rules, so
 identical inputs always produce identical output matrices.
 """
 
@@ -47,33 +47,33 @@ class Decomposition(NamedTuple):
 def _triangularize(
     matrix: ExactMatrix, eigenvalues: Sequence[GaussianRational]
 ) -> Tuple[ExactMatrix, ExactMatrix]:
-    # eigenvalues is the block's spectrum, a sorted multiset: deflating the
-    # head leaves a block whose spectrum is the tail.
+    # eigenvalues is the block's sorted spectrum.  Step k conjugates the tail
+    # T by B = [v, e_i for i != p], v the canonical eigenvector for lam_k, p its
+    # last nonzero index (v_p = 1): B^-1 T B = [[lam_k, row p of T], [0, T']],
+    # T'[i][j] = T[i][j] - v_i*T[p][j] (i, j != p).  Column k of V is v on the
+    # live indices, row k of H is row p of T, and U is the upper triangle of H*V.
     n = matrix.rows
-    if n == 1:
-        return ExactMatrix.identity(1), matrix
-    lam = eigenvalues[0]
-    kernel = nullspace_basis(shift_by(matrix, lam))
-    if not kernel.dimension:
-        raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
-    # The step conjugates by B = [v, e_i for i != p], v the canonical
-    # eigenvector and p its last nonzero index (its free column, so v_p = 1),
-    # in closed form: B^-1 A B is [[lam, head], [0, tail]] with head_j =
-    # A[p][j] and tail[i][j] = A[i][j] - v_i*head_j (i, j != p).  V =
-    # B*diag(1, V') is v in column 0 with row k of V' on the k-th index other
-    # than p, and U's top row is [lam] + head*V'.
-    v = kernel.vectors[0].column_entries()
-    p = max(i for i, x in enumerate(v) if x)
-    rest = [i for i in range(n) if i != p]
-    a = [matrix.row(i) for i in range(n)]
-    head = [a[p][j] for j in rest]
-    tail = [[a[i][j] - v[i] * h for j, h in zip(rest, head)] for i in rest]
-    inner_v, inner_u = _triangularize(ExactMatrix._trusted(tail, n - 1), eigenvalues[1:])
-    inner = [inner_v.row(k) for k in range(n - 1)]
-    top = [lam, *(ExactMatrix._trusted([head], n - 1) * inner_v).row(0)]
-    inner.insert(p, (ZERO,) * (n - 1))
-    rows_v = [[x, *row] for x, row in zip(v, inner)]
-    rows_u = [top] + [[ZERO, *inner_u.row(k)] for k in range(n - 1)]
+    tail = [list(matrix.row(i)) for i in range(n)]
+    live = list(range(n))
+    rows_v, rows_h = ([[ZERO] * n for _ in range(n)] for _ in range(2))
+    for k, lam in enumerate(eigenvalues):
+        v, p = (ONE,), 0  # a 1x1 tail needs no kernel
+        if len(live) > 1:
+            kernel = nullspace_basis(shift_by(ExactMatrix._trusted(tail, len(live)), lam))
+            if not kernel.dimension:
+                raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
+            v = kernel.vectors[0].column_entries()
+            p = max(i for i, x in enumerate(v) if x)
+        head = tail.pop(p)
+        for i, x, h in zip(live, v, head):
+            rows_v[i][k], rows_h[k][i] = x, h
+        del live[p], head[p]
+        for row in tail:
+            del row[p]
+        tail = [[t - x * h for t, h in zip(row, head)] if x else row
+                for row, x in zip(tail, v[:p] + v[p + 1:])]
+    hv = ExactMatrix._trusted(rows_h, n) * ExactMatrix._trusted(rows_v, n)
+    rows_u = [[ZERO] * k + list(hv.row(k)[k:]) for k in range(n)]
     return ExactMatrix._trusted(rows_v, n), ExactMatrix._trusted(rows_u, n)
 
 
@@ -92,12 +92,12 @@ def trigonalize(
     matrix: ExactMatrix,
     eigenvalues: Optional[Sequence[GaussianRational]] = None,
 ) -> Decomposition:
-    """Similarity to an upper triangular matrix by recursive deflation.
+    """Similarity to an upper triangular matrix by repeated deflation.
 
-    Each step takes the canonically smallest eigenvalue of the current
-    block and the first vector v of its canonical eigenspace basis, puts v
-    in place of the standard basis vector at v's last nonzero index, and
-    recurses on the trailing (n-1) x (n-1) block.
+    Step k takes the k-th eigenvalue of the sorted spectrum and the first
+    vector v of the canonical eigenspace basis of the block still left, puts
+    v in place of the standard basis vector at v's last nonzero index, and
+    deflates that index away; the last 1x1 block needs no kernel.
     """
     return _schur(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,7 @@ from conftest import (
     mat,
     shape_check,
 )
+from test_stage_goldens import CHAINS, DEFLATIONS
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +121,58 @@ def test_trigonalize_deflates_along_the_known_spectrum(monkeypatch):
 def test_a_schur_step_without_an_eigenvector_is_an_internal_error():
     with pytest.raises(InternalInvariantViolation, match="^schur: no eigenvector for 5$"):
         jordanform.decomp._triangularize(mat([[0, 0], [0, 1]]), [gr("5"), gr("1")])
+
+
+def schur_structure_inputs():
+    for n in range(1, 6):
+        for structure in exhaustive_structures(n):
+            yield generate_case(structure, 0, 3)[0]
+    for text in CHAINS + DEFLATIONS:
+        for bound in (3, 9):
+            yield generate_case(parse_structure(text), 0, bound)[0]
+
+
+def test_schur_vectors_give_m_by_forward_substitution():
+    # Step k deflates the last nonzero index p_k of column k of V, so the p_k
+    # are distinct, rows p_0 ... p_(n-1) of V form a unit lower triangular L,
+    # and L * M is those rows of A * V: M follows from V.
+    for matrix in schur_structure_inputs():
+        decomposition = trigonalize(matrix)
+        v, n = decomposition.V, matrix.rows
+        pivots = [max(i for i in range(n) if v[i, k]) for k in range(n)]
+        assert sorted(pivots) == list(range(n))
+        lower = ExactMatrix([v.row(p) for p in pivots])
+        assert all(lower[k, k] == 1 and not any(lower.row(k)[k + 1:]) for k in range(n))
+        image = matrix * v
+        assert lower * decomposition.M == ExactMatrix([image.row(p) for p in pivots])
+
+
+# Run in a new interpreter whose recursion limit is far below n: a Schur step
+# that nested a frame per dimension would end in RecursionError.  The input is
+# a 64x64 Jordan matrix with blocks of size 4, its indices permuted.
+SHALLOW_STACK = """
+import sys
+from jordanform import Block, ExactMatrix, GaussianRational, jordan_matrix
+from jordanform import blockwise_trigonalize, trigonalize
+n = 64
+jordan = jordan_matrix([Block(GaussianRational(k % 3), 4) for k in range(n // 4)])
+order = [7 * i % n for i in range(n)]
+matrix = ExactMatrix([[jordan[i, j] for j in order] for i in order])
+sys.setrecursionlimit(40)
+for stage in (trigonalize, blockwise_trigonalize):
+    d = stage(matrix)
+    print(stage.__name__, d.M.is_upper_triangular() and matrix * d.V == d.V * d.M)
+"""
+
+
+def test_triangularizing_needs_no_stack_depth_that_grows_with_n():
+    env = dict(os.environ, PYTHONPATH=str(Path(jordanform.decomp.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", SHALLOW_STACK],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-400:]
+    assert done.stdout == "trigonalize True\nblockwise_trigonalize True\n"
 
 
 # --- stage ladders ----------------------------------------------------------------

@@ -187,6 +187,42 @@ def test_the_packed_row_format_stays_inside_matrices():
     assert offences == []
 
 
+def calls_itself(function, owners):
+    """Whether ``function`` calls its own name: as a bare name when ``owners``
+    is empty, or else as an attribute of one of ``owners`` (a method's first
+    argument and its class)."""
+    for node in ast.walk(function):
+        func = getattr(node, "func", None)
+        if isinstance(func, ast.Name) and not owners:
+            name = func.id
+        elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in owners:
+            name = func.attr
+        else:
+            continue
+        if name == function.name:
+            return True
+    return False
+
+
+def test_no_function_in_the_package_calls_itself():
+    # Inputs reach n = 1000 (verify.MAX_GENERATED_N), so a recursion whose
+    # depth grew with n would meet Python's default limit of 1000 frames.
+    offences = []
+    for path in sorted((SRC / "jordanform").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [(node, ()) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            functions += [
+                (node, {cls.name, *(arg.arg for arg in node.args.args[:1])})
+                for node in cls.body if isinstance(node, ast.FunctionDef)
+            ]
+        offences += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node, owners in functions if calls_itself(node, owners)
+        ]
+    assert offences == []
+
+
 def test_every_public_name_resolves():
     namespace = {}
     exec("from jordanform import *", namespace)
