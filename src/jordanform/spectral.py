@@ -8,15 +8,16 @@ its square-free part modulo a split prime Hensel-lifted and recovered by
 Gaussian rounding, and every candidate is checked exactly.  This finds
 every root in Q(i); a factor without one is reported, never approximated,
 and the factor reported is the minimal polynomial less the roots found:
-with one Krylov factor that factor itself, else from a second Krylov pass
-(``matrices.minimal_polynomial``).  The factors also give each eigenvalue's
-algebraic multiplicity m, which bounds its stage ladder, the nested kernels
-of (A - lambda*I)^k: the ladder stops at dimension m, and ``spectrum``
-builds none for m = 1.  A ladder costs one n-row elimination whatever its
-length (``matrices.kernel_ladder``), and the ladders are all a
-decomposition stage reads.  A provided list of eigenvalues replaces no part
-of the search: it is checked against the roots found, which give each value
-its multiplicity, and a rootless rest is reported with or without a list.
+a factor's rootless rest when no other factor keeps one, else from a second
+Krylov pass (``matrices.minimal_polynomial``).  The factors also give each
+eigenvalue's algebraic multiplicity m, which bounds its stage ladder, the
+nested kernels of (A - lambda*I)^k: the ladder stops at dimension m, and
+``spectrum`` builds none for m <= 3, where one rank fixes the partition.  A
+ladder costs one n-row elimination whatever its length
+(``matrices.kernel_ladder``), and the ladders are all a decomposition stage
+reads.  A provided list of eigenvalues replaces no part of the search: it is
+checked against the roots found, which give each value its multiplicity,
+and a rootless rest is reported with or without a list.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .matrices import (
     kernel_ladder,
     krylov_factors,
     minimal_polynomial,
+    rank,
     shift_by,
 )
 from .polynomials import Polynomial
@@ -218,19 +220,20 @@ def _eigenvalues(
     has (poly_roots_exact).  A provided list is checked against those sums:
     walking it in its given order, a repeat, or a value that is no root, is
     rejected; then a root found but not provided is IncompleteSpectrum.
-    When a factor keeps a part without roots, the minimal polynomial, less
-    the roots, is the factor SpectrumNotRepresentable reports: a lone Krylov
-    factor is the minimal polynomial (e_0 is cyclic), else a second pass
-    finds it."""
+    When a factor keeps a part without roots, the minimal polynomial mu,
+    less the roots, is the factor SpectrumNotRepresentable reports.  Every
+    factor divides mu and mu divides their product, so when one factor
+    alone keeps a rootless rest r, mu's rootless part is r; only two or more
+    such rests take a second pass for mu."""
     if provided is not None:
         provided = [_coerce(value, "provided eigenvalue") for value in provided]
     counts: Counter[GaussianRational] = Counter()
-    rootless = False
-    factors = krylov_factors(matrix)
-    for factor in factors:
+    rests = []
+    for factor in krylov_factors(matrix):
         found, rest = poly_roots_exact(factor)
         counts.update(dict(found))
-        rootless = rootless or rest.degree >= 1
+        if rest.degree >= 1:
+            rests.append(rest)
     for k, lam in enumerate(provided or ()):
         if provided.index(lam) < k:
             raise InvalidProvidedEigenvalue(f"duplicate eigenvalue {format_scalar(lam)}")
@@ -243,9 +246,9 @@ def _eigenvalues(
         raise IncompleteSpectrum(
             f"eigenvalue multiplicities cover {total} of {matrix.rows} dimensions"
         )
-    if rootless:
+    if rests:
         raise SpectrumNotRepresentable(
-            rest if len(factors) == 1 else poly_roots_exact(minimal_polynomial(matrix))[1]
+            rests[0] if len(rests) == 1 else poly_roots_exact(minimal_polynomial(matrix))[1]
         )
     return sorted(counts.items())
 
@@ -273,6 +276,12 @@ class StageLadder(NamedTuple):
         return [basis.dimension for basis in self.stage_bases]
 
 
+def _root_without_eigenvector(eigenvalue: GaussianRational) -> InternalInvariantViolation:
+    return InternalInvariantViolation(
+        f"characteristic polynomial root {format_scalar(eigenvalue)} is not an eigenvalue"
+    )
+
+
 def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational,
                  multiplicity: Optional[int] = None) -> StageLadder:
     """Kernel ladder of (A - lambda*I)^k from one elimination of
@@ -285,9 +294,7 @@ def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational,
     bases = kernel_ladder(shift_by(matrix, eigenvalue), multiplicity)
     if bases[0].dimension == 0:
         if multiplicity is not None:
-            raise InternalInvariantViolation(
-                f"characteristic polynomial root {format_scalar(eigenvalue)} is not an eigenvalue"
-            )
+            raise _root_without_eigenvector(eigenvalue)
         raise NotAnEigenvalue(f"{format_scalar(eigenvalue)} has a trivial eigenspace")
     return StageLadder(eigenvalue, tuple(bases))
 
@@ -296,11 +303,26 @@ def _entry(eigenvalue: GaussianRational, dims: Sequence[int]) -> SpectrumEntry:
     return SpectrumEntry(eigenvalue, dims[-1], dims[0], len(dims))
 
 
+def _dims(matrix: ExactMatrix, eigenvalue: GaussianRational, multiplicity: int) -> List[int]:
+    """The ladder dimensions of an eigenvalue of multiplicity m, read off one
+    rank for m = 2 or 3: every partition of m <= 3 is a hook (s, 1, ..., 1),
+    fixed by its number of parts g = dim ker (A - lambda*I), and a hook's
+    kernel dimensions are g, g + 1, ..., m."""
+    if multiplicity == 1:
+        return [1]
+    if multiplicity > 3:
+        return stage_ladder(matrix, eigenvalue, multiplicity).dims()
+    geometric = matrix.rows - rank(shift_by(matrix, eigenvalue))
+    if geometric == 0:
+        raise _root_without_eigenvector(eigenvalue)
+    return list(range(geometric, multiplicity + 1))
+
+
 def spectrum_with_ladders(
     matrix: ExactMatrix,
     provided: Optional[Sequence[GaussianRational]] = None,
 ) -> Tuple[Spectrum, Tuple[StageLadder, ...]]:
-    """spectrum() plus the stage ladders it was read from, in the same order.
+    """spectrum(), read off the stage ladders, and the ladders in its order.
 
     The ladders are all the decomposition stages read, so a caller that runs
     several stages on one matrix analyses it once.
@@ -321,15 +343,15 @@ def spectrum(
     minimal polynomial less those roots.  A provided list is checked against
     the roots found: each value must be one of them, which gives its
     multiplicity; a repeated value is rejected, and a root in Q(i) left out
-    of the list is IncompleteSpectrum.  A simple
-    eigenvalue's entry is (lambda, 1, 1, 1), with no ladder built.
+    of the list is IncompleteSpectrum.  A simple eigenvalue's entry is
+    (lambda, 1, 1, 1), with no ladder built; one of multiplicity 2 or 3 is
+    read off one rank (``_dims``), and from 4 on the stage ladder gives it.
     """
     return Spectrum(tuple(
-        _entry(lam, [1] if m == 1 else stage_ladder(matrix, lam, m).dims())
-        for lam, m in _eigenvalues(matrix, provided)
+        _entry(lam, _dims(matrix, lam, m)) for lam, m in _eigenvalues(matrix, provided)
     ))
 
 
 def find_eigenvalue(matrix: ExactMatrix) -> GaussianRational:
-    """The canonically smallest eigenvalue of the matrix."""
-    return spectrum(matrix).entries[0].eigenvalue
+    """The canonically smallest eigenvalue of the matrix, with no kernel built."""
+    return _eigenvalues(matrix)[0][0]

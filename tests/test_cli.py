@@ -489,8 +489,9 @@ def test_verify_subcommand(dense3_path, capsys):
 def test_verify_finds_the_spectrum_once(dense3_path, cube_path, monkeypatch, capsys):
     # The eigenvalues come from one Krylov pass; the minimal polynomial is
     # computed only to name the rootless factor of the exit-2 path, and only
-    # when the pass found two or more factors: the companion matrix of
-    # z^3 - 2 is cyclic, so its one factor is the minimal polynomial.
+    # when two or more factors of the pass keep a rootless rest: the
+    # companion matrix of z^3 - 2 is cyclic, so its one factor is the
+    # minimal polynomial.
     # Provided eigenvalues are checked against the same pass and its root
     # search, which give their multiplicities.
     import jordanform.decomp

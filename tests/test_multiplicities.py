@@ -5,8 +5,10 @@ ladders and eliminations the found and provided paths run."""
 
 import functools
 import random
+from collections import Counter
 
 from jordanform import (
+    Basis,
     ExactMatrix,
     JordanFormError,
     SpectrumNotRepresentable,
@@ -78,6 +80,58 @@ def test_spectrum_is_what_spectrum_with_ladders_reads():
         assert got == outcome(lambda m: spectrum_with_ladders(m)[0], matrix)
         errors += isinstance(got, tuple) and got[0] == "SpectrumNotRepresentable"
     assert 50 <= errors <= 200
+
+
+def up_to_six_and_large():
+    """Every exhaustive structure with n <= 6, then multiplicities of 4 and
+    up, forced ([4]) and open (two partitions share g)."""
+    large = ("0:4", "0:2,2", "0:3,1", "0:2,1,1", "1i:2,2;2:3,1")
+    return [s for n in range(1, 7) for s in exhaustive_structures(n)] + [
+        parse_structure(text) for text in large
+    ]
+
+
+def test_spectrum_reads_the_ladders_dims_off_one_rank_up_to_multiplicity_3():
+    # A partition of m <= 3 is fixed by its number of parts, the geometric
+    # dimension; from m = 4 on, spectrum() builds the ladder.
+    cases = 0
+    for structure in up_to_six_and_large():
+        for seed in (5, 6):
+            matrix, _ = generate_case(structure, seed, 3)
+            assert spectrum(matrix) == spectrum_with_ladders(matrix)[0]
+            cases += 1
+    assert cases == 2 * (108 + 5)
+
+
+def test_spectrum_builds_a_ladder_only_from_multiplicity_4(monkeypatch):
+    built = []
+    kernel_ladder = spectral.kernel_ladder
+
+    def counted(matrix, top=None):
+        built.append(top)
+        return kernel_ladder(matrix, top)
+
+    monkeypatch.setattr(spectral, "kernel_ladder", counted)
+    tally = Counter()
+    for structure in up_to_six_and_large():
+        matrix, _ = generate_case(structure, 5, 3)
+        built.clear()
+        entries = spectrum(matrix).entries
+        assert built == [entry.multiplicity for entry in entries if entry.multiplicity >= 4]
+        tally[bool(built)] += 1
+    assert tally == {False: 58, True: 55}
+
+
+def test_a_root_without_an_eigenvector_is_the_same_violation_on_both_paths(monkeypatch):
+    # Unreachable with exact roots: a rank that claims a trivial kernel, and
+    # a ladder that finds one, both end in the ladder's message.
+    matrix, _ = generate_case(parse_structure("1:2"), 5, 3)
+    monkeypatch.setattr(spectral, "rank", lambda shifted: shifted.rows)
+    rank_path = outcome(spectrum, matrix)
+    monkeypatch.setattr(spectral, "kernel_ladder", lambda shifted, top=None: [Basis(2, [])])
+    assert rank_path == outcome(lambda m: spectrum_with_ladders(m)[0], matrix) == (
+        "InternalInvariantViolation", "characteristic polynomial root 1 is not an eigenvalue"
+    )
 
 
 def test_a_list_of_the_roots_in_q_i_names_the_same_rootless_factor():

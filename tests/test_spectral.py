@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,15 @@ from jordanform import (
     generate_case,
     jordan_chains,
     minimal_polynomial,
+    parse_structure,
     poly_apply,
     poly_roots_exact,
     spectrum,
     stage_ladder,
 )
 
+from jordanform import spectral
+from jordanform.decomp import _block_diagonal
 from jordanform.matrices import krylov_factors
 from jordanform.spectral import spectrum_with_ladders
 
@@ -146,6 +150,22 @@ def test_find_eigenvalue_dense3():
 
 def test_find_eigenvalue_rotation_takes_canonical_smallest():
     assert find_eigenvalue(ROTATION2) == gr("-1i")
+
+
+def test_find_eigenvalue_builds_no_kernel_and_takes_no_rank(monkeypatch):
+    # The smallest root of the Krylov factors is the answer; no ladder and no
+    # rank is needed to read it.
+    def refused(*args):
+        raise AssertionError("a kernel or a rank was computed")
+
+    monkeypatch.setattr(spectral, "kernel_ladder", refused)
+    monkeypatch.setattr(spectral, "rank", refused)
+    assert find_eigenvalue(UPPER3) == gr("1")
+    assert find_eigenvalue(DENSE3) == gr("3")
+    matrix, _ = generate_case(parse_structure("1i:2;-1i:2;1/2:1"), 5, 3)
+    assert find_eigenvalue(matrix) == gr("-1i")
+    with pytest.raises(SpectrumNotRepresentable):
+        find_eigenvalue(CUBE_COMPANION)
 
 
 # --- minimal polynomial ----------------------------------------------------------
@@ -287,6 +307,48 @@ def test_one_krylov_factor_is_the_minimal_polynomial():
         else:
             several += 1
     assert lone > 100 and several > 5
+
+
+def test_one_rest_among_several_factors_is_the_minimal_polynomials_rest(monkeypatch):
+    # Every Krylov factor divides the minimal polynomial, which divides their
+    # product; so when one factor alone keeps a rootless rest, that rest is
+    # the minimal polynomial's, and the second Krylov pass runs only when two
+    # or more factors keep one.  Seeded S (B_1 + ... + B_k) S^-1, one B_j
+    # always without a root in Q(i).
+    rootless = [companion_sum(Polynomial([-2, 0, 0, 1])), companion_sum(Polynomial([-3, 0, 1])),
+                companion_sum(Polynomial([gr("1i"), 0, 1]))]
+    blocks = rootless + [mat([[1]]), mat([[2]]), mat([[1, 1], [0, 1]])]
+    passes = []
+
+    def counted(matrix):
+        passes.append(matrix)
+        return minimal_polynomial(matrix)
+
+    monkeypatch.setattr(spectral, "minimal_polynomial", counted)
+    rng = random.Random(2903)
+    tally = Counter()
+    for trial in range(135):
+        chosen = [rng.choice(rootless)] + rng.sample(blocks, rng.randint(1, 3))
+        rng.shuffle(chosen)
+        block_sum = _block_diagonal(chosen)
+        s, s_inv = elementary_conjugator(block_sum.rows, trial, 2)
+        matrix = s * block_sum * s_inv
+        factors = krylov_factors(matrix)
+        rests = sum(poly_roots_exact(factor)[1].degree >= 1 for factor in factors)
+        passes.clear()
+        with pytest.raises(SpectrumNotRepresentable) as err:
+            spectrum(matrix)
+        assert err.value.factor == poly_roots_exact(minimal_polynomial(matrix))[1]
+        assert len(passes) == (rests >= 2)
+        tally[len(factors) >= 2, rests >= 2] += 1
+    assert tally[True, False] >= 20 and tally[True, True] >= 50 and tally[False, False] >= 20
+    # Two factors keep z^2 - 2, and the minimal polynomial keeps it once.
+    sqrt2 = Polynomial([-2, 0, 1])
+    passes.clear()
+    with pytest.raises(SpectrumNotRepresentable) as err:
+        spectrum(companion_sum(sqrt2, sqrt2, Polynomial([-1, 1])))
+    assert str(err.value.factor) == "z^2 - 2"
+    assert len(passes) == 1
 
 
 def test_spectrum_with_provided_matches_automatic():
