@@ -284,18 +284,17 @@ class Basis:
         return len(self._vectors if self._rows is None else self._rows)
 
     def _reversed_rows(self) -> List[Row]:
-        """The vectors reversed, as packed rows in ``_kernel_rows``' order.
-        For a canonical basis they form an echelon (``Echelon``): each row is
-        1 at its pivot and 0 at the other rows' pivots.  A zero vector in a
-        hand-built basis is ZeroVector."""
+        """The vectors reversed, as the RREF rows of their span in
+        ``_kernel_rows``' order: unique to the span, so a kernel's vectors,
+        however scaled, mixed or ordered, get its canonical echelon rows.  A
+        zero vector is ZeroVector, another dependent family DependentInput."""
         if self._rows is not None:
             return self._rows
-        rows = []
-        for re, im, d in (_pack(v.column_entries()[::-1]) for v in reversed(self._vectors)):
-            pivot = next((j for j, (a, b) in enumerate(zip(re, im)) if a or b), None)
-            if pivot is None:
+        rows = _rref_rows(_pack(v.column_entries()[::-1]) for v in self._vectors)
+        if len(rows) < len(self._vectors):
+            if any(v.is_zero() for v in self._vectors):
                 raise ZeroVector("the basis holds the zero vector")
-            rows.append(_row(pivot, re, im, d))
+            raise DependentInput("the basis vectors are linearly dependent")
         return rows
 
 

@@ -269,7 +269,10 @@ def _format_ratio(num: int, den: int) -> str:
 
 
 def format_scalar(value: GaussianRational) -> str:
-    """Canonical text form; ``parse_scalar(format_scalar(v)) == v``."""
+    """Canonical text form; ``parse_scalar(format_scalar(v)) == v``.  An int
+    or Fraction formats as the scalar it is; another type is a TypeError."""
+    if type(value) is not GaussianRational:
+        value = _coerce(value, "scalar")
     a, b, d = value._a, value._b, value._d
     if not b:
         return _format_ratio(a, d)

@@ -1,10 +1,11 @@
 """Structural checks and the round-trip test-case generator.
 
-check_decomposition re-derives every structural claim a decomposition makes
-(similarity, invertibility, shape, trace, block counts) from scratch, and
-generate_case inverts the pipeline: it conjugates a known Jordan matrix
-with an exactly invertible transform, giving an independent oracle for
-what the decomposition must recover.
+check_decomposition re-derives the structural claims a decomposition makes
+(similarity, invertibility, shape, trace) from scratch.  A Jordan claim's
+block counts follow from similarity, invertibility and shape, so they are
+computed only when one of those fails.  generate_case inverts the pipeline:
+it conjugates a known Jordan matrix with an exactly invertible transform,
+giving an independent oracle for what the decomposition must recover.
 
 The shape is read off the declared blocks, whose positive sizes must add up
 to n.  A jordan M must be their Jordan matrix.  A schur or blocktri M is
@@ -22,7 +23,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .decomp import Block, Decomposition, jordan_matrix
 from .errors import InvalidStructure, ParseError
-from .matrices import ExactMatrix, rank, shift_by
+from .matrices import ExactMatrix, kernel_ladder, rank, shift_by
 from .scalars import ZERO, GaussianRational, format_scalar, parse_scalar
 
 # Order decides which eigenvalue each partition group receives during
@@ -237,19 +238,7 @@ def _shape_ok(decomposition: Decomposition) -> Tuple[bool, str]:
     return True, _SHAPES[kind]
 
 
-def _ladder_dims(matrix: ExactMatrix, eigenvalue: GaussianRational) -> List[int]:
-    # Recomputed from ranks on purpose: independent of the StageLadder path.
-    n = matrix.rows
-    shifted = shift_by(matrix, eigenvalue)
-    power = shifted
-    dims = [n - rank(power)]
-    while dims[-1] < n and len(dims) < n:
-        power = power * shifted
-        dim = n - rank(power)
-        if dim == dims[-1]:
-            break
-        dims.append(dim)
-    return dims
+_CHAIN_COUNTS_MATCH = "chain counts match the kernel dimensions"
 
 
 def _chain_counts_ok(matrix: ExactMatrix, blocks: Sequence[Block]) -> Tuple[bool, str]:
@@ -259,23 +248,27 @@ def _chain_counts_ok(matrix: ExactMatrix, blocks: Sequence[Block]) -> Tuple[bool
     for block in blocks:
         per_eigenvalue.setdefault(block.eigenvalue, []).append(block.size)
     for eigenvalue, sizes in per_eigenvalue.items():
-        dims = _ladder_dims(matrix, eigenvalue)
+        dims = [basis.dimension for basis in kernel_ladder(shift_by(matrix, eigenvalue))]
         if len(sizes) != dims[0] or sum(sizes) != dims[-1]:
             return False, (
                 f"{format_scalar(eigenvalue)}: {len(sizes)} blocks / "
                 f"{sum(sizes)} total vs geometric {dims[0]} / "
                 f"multiplicity {dims[-1]}"
             )
-    return True, "chain counts match the kernel dimensions"
+    return True, _CHAIN_COUNTS_MATCH
 
 
 def check_decomposition(
     matrix: ExactMatrix, decomposition: Decomposition
 ) -> CheckReport:
-    """Re-verify every structural claim of a decomposition, from scratch.
+    """Re-verify every structural claim of a decomposition.
 
     Failures never raise; each check contributes exactly one entry to the
-    report.
+    report.  A Jordan claim that passes similarity, invertible and shape
+    passes chain-counts with nothing computed: then A is similar to
+    M = jordan_matrix(blocks), so dim ker (A - lambda*I)^k equals
+    dim ker (M - lambda*I)^k for every lambda and k, which the blocks give
+    (Horn & Johnson, Matrix Analysis, 3.1).
     """
     kind, v, m, blocks = decomposition
     n = matrix.rows
@@ -319,6 +312,8 @@ def check_decomposition(
     )
 
     if kind == "jordan":
-        results.append(CheckResult("chain-counts", *_chain_counts_ok(matrix, blocks)))
+        proven = all(r.passed for r in results if r.name in ("similarity", "invertible", "shape"))
+        chain_counts = (True, _CHAIN_COUNTS_MATCH) if proven else _chain_counts_ok(matrix, blocks)
+        results.append(CheckResult("chain-counts", *chain_counts))
 
     return CheckReport(tuple(results))

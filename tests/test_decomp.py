@@ -13,6 +13,7 @@ from jordanform import (
     Basis,
     Block,
     Decomposition,
+    DependentInput,
     ExactMatrix,
     InternalInvariantViolation,
     NotAnEigenvalue,
@@ -20,6 +21,7 @@ from jordanform import (
     ZeroVector,
     block_diagonalize,
     blockwise_trigonalize,
+    elementary_conjugator,
     exhaustive_structures,
     generate_case,
     inverse,
@@ -370,6 +372,40 @@ def test_chains_from_a_basis_with_the_zero_vector_raise_zero_vector():
     # A bare StopIteration here would end map early and drop the third result.
     with pytest.raises(ZeroVector):
         list(map(partial(jordan_chains, DENSE3), [good, bad, good]))
+
+
+def test_chains_from_recombined_stage_bases_are_the_canonical_chains():
+    # Each stage basis, mixed by an invertible matrix and scaled, spans the
+    # same kernel, so its reversed rows, the RREF of that kernel, and the
+    # chains are the same.
+    cases = [jordan_matrix([Block(gr("2"), 3), Block(gr("2"), 1)])]
+    cases += [generate_case(parse_structure(text), 7, 3)[0]
+              for text in ("0:3,1;1:2,2", "1i:2,2,1;-1:1") + CHAINS]
+    recombined_stages = 0
+    for seed, matrix in enumerate(cases):
+        for entry in spectrum(matrix).entries:
+            ladder = stage_ladder(matrix, entry.eigenvalue)
+            bases = []
+            for basis in ladder.stage_bases:
+                mix, _ = elementary_conjugator(basis.dimension, seed + len(bases), 2)
+                columns = as_matrix(basis) * mix * gr("-2/3")
+                bases.append(Basis(basis.ambient_dim, [
+                    columns.submatrix(0, columns.rows, j, j + 1) for j in range(columns.cols)
+                ]))
+                recombined_stages += bases[-1] != basis
+            chains = jordan_chains(matrix, StageLadder(ladder.eigenvalue, tuple(bases)))
+            assert [vec_strs(c.vectors) for c in chains] == [
+                vec_strs(c.vectors) for c in jordan_chains(matrix, ladder)
+            ]
+    assert recombined_stages >= 20
+
+
+def test_chains_from_a_dependent_basis_raise_dependent_input():
+    good = stage_ladder(DENSE3, gr("3"))
+    top = good.stage_bases[-1].vectors
+    bad = StageLadder(gr("3"), good.stage_bases[:-1] + (Basis(3, [top[0], top[0], top[1]]),))
+    with pytest.raises(DependentInput):
+        jordan_chains(DENSE3, bad)
 
 
 def test_chains_of_a_stage_are_extended_by_one_product(monkeypatch):

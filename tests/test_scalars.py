@@ -288,3 +288,10 @@ def test_int_subclasses_become_plain_ints():
     value = gr("1/2") * True + False
     assert value == gr("1/2")
     assert format_scalar(GaussianRational(0) + True) == "1"
+
+
+def test_format_scalar_takes_an_int_or_fraction_and_refuses_a_float():
+    assert format_scalar(2) == "2"
+    assert format_scalar(Fraction(1, 2)) == "1/2"
+    with pytest.raises(TypeError, match="float"):
+        format_scalar(0.5)
