@@ -10,7 +10,7 @@ identical inputs always produce identical output matrices.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInvariantViolation, InvalidStructure
 from .matrices import ExactMatrix, kernel_chains, nullspace_basis, shift_by
@@ -102,19 +102,23 @@ def trigonalize(
     return _schur(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 
 
-def _blockdiag(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
-    parts, blocks = [], []
+def _eigenspace_blocks(
+    matrix: ExactMatrix, ladders: Sequence[StageLadder]
+) -> Iterator[Tuple[Block, ExactMatrix, ExactMatrix]]:
+    # (block_j, V_j, M_j) per ladder, V_j its canonical top-stage basis.  Each
+    # vector of V_j is 1 at its free column (its last nonzero entry) and 0 at the
+    # others, and span(V_j) is A-invariant: M_j is the rows of A*V_j there.
     for ladder in ladders:
-        # A canonical kernel vector is 1 at its free column (its last nonzero
-        # entry) and 0 at the others, so span(V_j) has its coordinates there;
-        # it is A-invariant, so M_j is the rows of A*V_j at those free columns.
-        vectors = ladder.top.vectors
-        free = [max(i for i, x in enumerate(v.column_entries()) if x) for v in vectors]
+        v = ExactMatrix.hstack(ladder.top.vectors)
+        free = [max(i for i, x in enumerate(v.column_entries(j)) if x) for j in range(v.cols)]
         rows = ExactMatrix._trusted([matrix.row(f) for f in free], matrix.cols)
-        parts.append(rows * ExactMatrix.hstack(vectors))
-        blocks.append(Block(ladder.eigenvalue, len(vectors)))
-    v = ExactMatrix.hstack([u for ladder in ladders for u in ladder.top.vectors])
-    return Decomposition("blockdiag", v, _block_diagonal(parts), tuple(blocks))
+        yield Block(ladder.eigenvalue, v.cols), v, rows * v
+
+
+def _blockdiag(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
+    blocks, v_parts, m_parts = zip(*_eigenspace_blocks(matrix, ladders))
+    v = ExactMatrix.hstack(v_parts)
+    return Decomposition("blockdiag", v, _block_diagonal(m_parts), blocks)
 
 
 def block_diagonalize(
@@ -142,19 +146,14 @@ def _block_diagonal(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 
 
 def _blocktri(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
-    """Triangularizes each diagonal block of the blockdiag result in place."""
-    base = _blockdiag(matrix, ladders)
-    v_parts, u_parts = [], []
-    offset = 0
-    for block in base.blocks:
-        end = offset + block.size
-        sub = base.M.submatrix(offset, end, offset, end)
-        inner_v, inner_u = _triangularize(sub, [block.eigenvalue] * block.size)
-        v_parts.append(inner_v)
-        u_parts.append(inner_u)
-        offset = end
-    v = base.V * _block_diagonal(v_parts)
-    return Decomposition("blocktri", v, _block_diagonal(u_parts), base.blocks)
+    v_parts, u_parts, blocks = [], [], []
+    for block, v_j, m_j in _eigenspace_blocks(matrix, ladders):
+        w_j, u_j = _triangularize(m_j, [block.eigenvalue] * block.size)
+        v_parts.append(v_j * w_j)
+        u_parts.append(u_j)
+        blocks.append(block)
+    v = ExactMatrix.hstack(v_parts)
+    return Decomposition("blocktri", v, _block_diagonal(u_parts), tuple(blocks))
 
 
 def blockwise_trigonalize(
@@ -163,8 +162,8 @@ def blockwise_trigonalize(
 ) -> Decomposition:
     """Block diagonalization with each diagonal block triangularized in place.
 
-    Every block's spectrum is its single eigenvalue, so the result is upper
-    triangular with a constant diagonal inside each block.
+    Each block M_j of block_diagonalize has one eigenvalue and is triangularized
+    as in trigonalize, M_j W_j = W_j U_j: V = [V_1 W_1 ... V_r W_r], M = diag(U_j).
     """
     return _blocktri(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 

@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 from .decomp import Block, Decomposition, jordan_matrix
 from .errors import InvalidStructure, ParseError
 from .matrices import ExactMatrix, kernel_ladder, rank, shift_by
-from .scalars import ZERO, GaussianRational, format_scalar, parse_scalar
+from .scalars import ZERO, GaussianRational, _coerce, format_scalar, parse_scalar
 
 # Order decides which eigenvalue each partition group receives during
 # enumeration; the imaginary unit exercises the Gaussian arithmetic paths.
@@ -264,7 +264,8 @@ def check_decomposition(
     """Re-verify every structural claim of a decomposition.
 
     Failures never raise; each check contributes exactly one entry to the
-    report.  A Jordan claim that passes similarity, invertible and shape
+    report, and blocks that are not (scalar, int size) pairs fail every check
+    that reads them.  A Jordan claim that passes similarity, invertible and shape
     passes chain-counts with nothing computed: then A is similar to
     M = jordan_matrix(blocks), so dim ker (A - lambda*I)^k equals
     dim ker (M - lambda*I)^k for every lambda and k, which the blocks give
@@ -291,6 +292,14 @@ def check_decomposition(
     else:
         detail = "V has an exact inverse"
     results.append(CheckResult("invertible", v_rank == v.rows, detail))
+
+    if not isinstance(blocks, (tuple, list)) or not all(
+        isinstance(b, Block) and _coerce(b.eigenvalue) is not None and isinstance(b.size, int)
+        for b in blocks
+    ):
+        names = ["multiplicity-sum", "shape", "trace"] + ["chain-counts"] * (kind == "jordan")
+        malformed = "declared blocks are not (scalar, int size) pairs"
+        return CheckReport(tuple(results + [CheckResult(x, False, malformed) for x in names]))
 
     total = sum(block.size for block in blocks)
     detail = f"block sizes sum to {total} of {n}" if matrix.is_square() else "A is not square"

@@ -36,6 +36,7 @@ from jordanform import (
     trigonalize,
 )
 from jordanform.cli import decomposition_to_document
+from jordanform.spectral import spectrum_with_ladders
 
 from conftest import (
     DENSE3,
@@ -334,6 +335,106 @@ def test_blocktri_blocks_have_constant_diagonal(corpus):
                 assert decomposition.M[offset + k, offset + k] == block.eigenvalue
             offset += block.size
         assert matrix * decomposition.V == decomposition.V * decomposition.M
+
+
+def permuted_jordan(text):
+    # The Jordan matrix of a structure with its indices permuted by i -> 7i mod n.
+    jordan = jordan_matrix(parse_structure(text).blocks())
+    n = jordan.rows
+    order = [7 * i % n for i in range(n)]
+    return ExactMatrix([[jordan[i, j] for j in order] for i in order])
+
+
+# n = 59, seven eigenvalues, chains of length 1 to 9.
+PERMUTED_59 = "0:9,5,3;1:8,4;-1:7,2;2:6,3;1i:5;-1i:4;1/2:3"
+
+
+def blocktri_inputs():
+    for n in range(1, 7):
+        for structure in exhaustive_structures(n):
+            for seed in (1, 2):
+                yield generate_case(structure, seed, 3)[0]
+    for text in CHAINS + DEFLATIONS:
+        for bound in (3, 9):
+            yield generate_case(parse_structure(text), 0, bound)[0]
+    yield permuted_jordan(PERMUTED_59)
+
+
+def reference_blocktri(matrix, ladders):
+    # Blocktri built the long way: each diagonal block cut back out of the
+    # blockdiag M, triangularized, and V multiplied by the block-diagonal
+    # matrix of the blocks' Schur vectors in one n x n product.
+    base = jordanform.decomp.STAGES["blockdiag"](matrix, ladders)
+    inner, offset = [], 0
+    for block in base.blocks:
+        end = offset + block.size
+        sub = base.M.submatrix(offset, end, offset, end)
+        inner.append(jordanform.decomp._triangularize(sub, [block.eigenvalue] * block.size))
+        offset = end
+    v = base.V * jordanform.decomp._block_diagonal([w for w, _ in inner])
+    u = jordanform.decomp._block_diagonal([u for _, u in inner])
+    return Decomposition("blocktri", v, u, base.blocks)
+
+
+def test_blocktri_equals_the_blocks_cut_out_of_blockdiag():
+    for matrix in blocktri_inputs():
+        ladders = spectrum_with_ladders(matrix)[1]
+        assert jordanform.decomp.STAGES["blocktri"](matrix, ladders) == reference_blocktri(
+            matrix, ladders
+        )
+
+
+def test_blocktri_multiplies_no_two_n_by_n_matrices(monkeypatch):
+    # With two or more eigenvalues every block is smaller than n, so no
+    # product of the stage needs an n x n factor on both sides.
+    inputs = [generate_case(parse_structure(text), 0, 3)[0] for text in CHAINS]
+    inputs += [generate_case(parse_structure("0:2,1;1:3;2:2"), 5, 9)[0]]
+    inputs += [permuted_jordan(PERMUTED_59)]
+    multiply = ExactMatrix.__mul__
+    shapes = []
+
+    def recording(left, right):
+        if isinstance(right, ExactMatrix):
+            shapes.append((left.rows, left.cols, right.cols))
+        return multiply(left, right)
+
+    for matrix in inputs:
+        n, ladders = matrix.rows, spectrum_with_ladders(matrix)[1]
+        assert len(ladders) >= 2
+        shapes.clear()
+        monkeypatch.setattr(ExactMatrix, "__mul__", recording)
+        decomposition = jordanform.decomp.STAGES["blocktri"](matrix, ladders)
+        monkeypatch.undo()
+        assert shapes and (n, n, n) not in shapes
+        assert matrix * decomposition.V == decomposition.V * decomposition.M
+
+
+def test_schur_and_blocktri_share_the_first_run():
+    # The first m_1 Schur vectors are the run of the smallest eigenvalue, which
+    # lies in its generalized eigenspace G_1.  There the canonical order by last
+    # nonzero entry and the coordinate order agree, so schur and blocktri take
+    # the same first m_1 columns of V and the same leading m_1 x m_1 block of M.
+    # Later runs differ.
+    inputs = [
+        generate_case(structure, seed, 3)[0]
+        for n in range(1, 7)
+        for structure in exhaustive_structures(n)
+        for seed in (1, 2, 3)
+    ]
+    ci_24 = "0:5,3;1:4,2;-1:3,1;2:3,2;1i:1"
+    inputs += [
+        generate_case(parse_structure(text), seed, bound)[0]
+        for text in CHAINS + DEFLATIONS + (ci_24,)
+        for seed in (5, 11)
+        for bound in (3, 9)
+    ]
+    for matrix in inputs:
+        ladders = spectrum_with_ladders(matrix)[1]
+        schur = jordanform.decomp.STAGES["schur"](matrix, ladders)
+        blocktri = jordanform.decomp.STAGES["blocktri"](matrix, ladders)
+        n, m1 = matrix.rows, blocktri.blocks[0].size
+        assert schur.V.submatrix(0, n, 0, m1) == blocktri.V.submatrix(0, n, 0, m1)
+        assert schur.M.submatrix(0, m1, 0, m1) == blocktri.M.submatrix(0, m1, 0, m1)
 
 
 # --- jordan chains ---------------------------------------------------------------------

@@ -365,6 +365,27 @@ def test_non_positive_block_size_fails_shape_for_every_kind(sizes):
         ), kind
 
 
+MALFORMED = "declared blocks are not (scalar, int size) pairs"
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [(Block(1.0, 1),), (Block("1", 1),), (Block(1, 1.0),), ((1, 1),), ("1",), None],
+    ids=["float-eigenvalue", "str-eigenvalue", "float-size", "plain-tuple", "str", "none"],
+)
+def test_malformed_blocks_fail_every_check_that_reads_them_without_raising(blocks):
+    # A, V and M are the 1x1 identity, so similarity and invertible pass.
+    one = ExactMatrix.identity(1)
+    for kind in STAGES:
+        report = check_decomposition(one, Decomposition(kind, one, one, blocks))
+        names = ["multiplicity-sum", "shape", "trace"] + ["chain-counts"] * (kind == "jordan")
+        assert report.results == (
+            ("similarity", True, "A*V == V*M"),
+            ("invertible", True, "V has an exact inverse"),
+            *[(name, False, MALFORMED) for name in names],
+        ), kind
+
+
 def test_blockdiag_claim_with_swapped_labels_fails(two_eigenvalues):
     truth = block_diagonalize(two_eigenvalues)
     claim = truth._replace(
