@@ -1,10 +1,13 @@
-"""Univariate polynomials over the Gaussian rationals."""
+"""Univariate polynomials over the Gaussian rationals.  Their one division is
+``_divide``, over Z[i], where gcd, lcm and ``spectral.poly_roots_exact`` work
+on polynomials as lists of (re, im) int pairs, ascending."""
 
 from __future__ import annotations
 
-from typing import Iterable
+import math
+from typing import Iterable, List, Sequence, Tuple
 
-from .scalars import ONE, ZERO, GaussianRational, _coerce, format_scalar
+from .scalars import ONE, ZERO, GaussianRational, _coerce, _reduced, format_scalar
 
 
 class Polynomial:
@@ -87,36 +90,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __divmod__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        remainder = list(self.coefficients)
-        divisor = other.coefficients
-        quotient = [ZERO] * max(len(remainder) - len(divisor) + 1, 0)
-        inv_lead = ONE / other.leading
-        for k in range(len(remainder) - len(divisor), -1, -1):
-            factor = remainder[k + len(divisor) - 1] * inv_lead
-            quotient[k] = factor
-            if factor.is_zero():
-                continue
-            for j, d in enumerate(divisor):
-                remainder[k + j] = remainder[k + j] - factor * d
-        return Polynomial(quotient), Polynomial(remainder)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        quotient, remainder = divmod(self, other)
-        if not remainder.is_zero():
-            raise ValueError(f"{other} does not divide {self}")
-        return quotient
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -132,19 +105,62 @@ class Polynomial:
         return f"Polynomial<{format_polynomial(self)}>"
 
 
+def _divide(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]]):
+    """(q, r) with lead(b)^k * a = q*b + g*r over Z[i] for some k >= 0, g the
+    integer content of r; q is read only when b is monic, where k = 0."""
+    *low, (c, e) = b
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        p, q = a.pop()
+        quotient.append((p, q))
+        if (p or q) and (c != 1 or e):
+            a = [(x * c - y * e, x * e + y * c) for x, y in a]
+        for j, (x, y) in enumerate(low, len(a) - len(low)):
+            a[j] = (a[j][0] - p * x + q * y, a[j][1] - p * y - q * x)
+    while a and a[-1] == (0, 0):
+        a.pop()
+    content = math.gcd(*(x for pair in a for x in pair))
+    return quotient[::-1], [(x // content, y // content) for x, y in a]
+
+
+def _integral(*polys: Polynomial) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """c, the lcm of the denominators of the polys made monic, and each such f
+    of degree d as G(y) = c^d f(y/c), monic over Z[i] with c times its roots."""
+    monic = [poly.monic() for poly in polys]
+    c = math.lcm(*(x._d for f in monic for x in f.coefficients))
+    return c, [[(x._a * c ** (f.degree - k) // x._d, x._b * c ** (f.degree - k) // x._d)
+                for k, x in enumerate(f.coefficients)] for f in monic]
+
+
+def _rational(g: Sequence[Tuple[int, int]], scale: int) -> Polynomial:
+    """The f with g = c^d f(y/c), c = scale: the inverse of _integral."""
+    return Polynomial([_reduced(x, y, scale ** (len(g) - 1 - k)) for k, (x, y) in enumerate(g)])
+
+
+def _gcd(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The monic gcd over Z[i] when it lies in Z[i][y], as it does for monic a
+    and b (Gauss's lemma): the last pseudo-remainder over its leading coefficient."""
+    while b:
+        a, b = b, _divide(a, b)[1]
+    c, e = a[-1] if a else (1, 0)
+    norm = c * c + e * e
+    return [((x * c + y * e) // norm, (y * c - x * e) // norm) for x, y in a]
+
+
 def poly_gcd(first: Polynomial, second: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    a, b = first, second
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic greatest common divisor, taken over Z[i] on both made monic
+    integral with one scale (_integral)."""
+    scale, (f, s) = _integral(first, second)
+    return _rational(_gcd(f, s), scale)
 
 
 def poly_lcm(first: Polynomial, second: Polynomial) -> Polynomial:
-    """Monic least common multiple; exact since the gcd divides the product."""
+    """Monic least common multiple: first made monic times second over the
+    gcd, a quotient exact over Z[i] as the gcd is monic there."""
     if first.is_zero() or second.is_zero():
         return Polynomial()
-    return (first * second).exact_div(poly_gcd(first, second)).monic()
+    scale, (f, s) = _integral(first, second)
+    return first.monic() * _rational(_divide(s, _gcd(f, s))[0], scale)
 
 
 def format_polynomial(poly: Polynomial) -> str:

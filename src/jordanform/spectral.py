@@ -42,7 +42,7 @@ from .matrices import (
     rank,
     shift_by,
 )
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _divide, _gcd, _integral, _rational
 from .scalars import GaussianRational, _coerce, _reduced, format_scalar
 
 
@@ -153,63 +153,37 @@ def _gaussian_integer_roots(g: Sequence[Tuple[int, int]]) -> List[Tuple[int, int
     return roots
 
 
-def _divide(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]]):
-    """(q, r) with lead(b)^k * a = q*b + g*r over Z[i] for some k >= 0, g the
-    integer content of r, polynomials as (re, im) pairs, ascending; q is read
-    only when b is monic, where k = 0."""
-    *low, (c, e) = b
-    a, quotient = list(a), []
-    while len(a) >= len(b):
-        p, q = a.pop()
-        quotient.append((p, q))
-        if (p or q) and (c != 1 or e):
-            a = [(x * c - y * e, x * e + y * c) for x, y in a]
-        for j, (x, y) in enumerate(low, len(a) - len(low)):
-            a[j] = (a[j][0] - p * x + q * y, a[j][1] - p * y - q * x)
-    while a and a[-1] == (0, 0):
-        a.pop()
-    content = math.gcd(*(x for pair in a for x in pair))
-    return quotient[::-1], [(x // content, y // content) for x, y in a]
-
-
 def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int]], Polynomial]:
     """The roots of poly inside Q(i), with multiplicities, canonically
     sorted, and the monic rest of poly once they are divided out, which has
     no root in Q(i): the constant 1 when poly splits over Q(i).
 
     A linear z + c has the root -c.  Any other poly is worked on as one
-    polynomial over Z[i]: with c the lcm of the denominators of
-    f = poly / lead, G(y) = c^d f(y/c) is monic with roots beta = c * root.
-    Pseudo-remainders over Z[i], less their integer content, give gcd(G, G'),
-    monic in Z[i][y] by Gauss's lemma, so S = G / gcd(G, G') is exact.  S is
-    searched (_gaussian_integer_roots), and each candidate is divided out of
-    G while the remainder is 0, which counts its multiplicity m: as m - 1 is
-    its multiplicity in gcd(G, G'), no more than 1 + deg gcd(G, G') tries.
-    Scalars are built only for the roots and the rest.
+    polynomial over Z[i] (``polynomials._integral``): with c the lcm of the
+    denominators of f = poly / lead, G(y) = c^d f(y/c) is monic with roots
+    beta = c * root.  gcd(G, G') is monic in Z[i][y] by Gauss's lemma and
+    found by pseudo-remainders (``polynomials._gcd``), so S = G / gcd(G, G')
+    is exact.  S is searched (_gaussian_integer_roots), and each candidate is
+    divided out of G while the remainder is 0, which counts its multiplicity
+    m: as m - 1 is its multiplicity in gcd(G, G'), no more than
+    1 + deg gcd(G, G') tries.  Scalars are built only for the roots and the
+    rest.
     """
     if poly.degree < 1:
         raise ValueError("poly_roots_exact needs degree >= 1")
     work = poly.monic()
     if work.degree == 1:
         return [(-work.coefficients[0], 1)], Polynomial([1])
-    scale = math.lcm(*(x._d for x in work.coefficients))
-    g = [(x._a * scale ** (work.degree - k) // x._d, x._b * scale ** (work.degree - k) // x._d)
-         for k, x in enumerate(work.coefficients)]
-    a, b = g, [(k * x, k * y) for k, (x, y) in enumerate(g)][1:]
-    while b:
-        a, b = b, _divide(a, b)[1]
-    c, e = a[-1]
-    norm = c * c + e * e
-    square_free = _divide(g, [((x * c + y * e) // norm, (y * c - x * e) // norm) for x, y in a])[0]
+    scale, (g,) = _integral(work)
+    a = _gcd(g, [(k * x, k * y) for k, (x, y) in enumerate(g)][1:])
     roots: List[Tuple[GaussianRational, int]] = []
-    for u, v in _gaussian_integer_roots(square_free):
+    for u, v in _gaussian_integer_roots(_divide(g, a)[0]):
         count = 0
         while count < len(a) and not (division := _divide(g, [(-u, -v), (1, 0)]))[1]:
             g, count = division[0], count + 1
         if count:
             roots.append((_reduced(u, v, scale), count))
-    rest = Polynomial([_reduced(x, y, scale ** (len(g) - 1 - k)) for k, (x, y) in enumerate(g)])
-    return sorted(roots), rest
+    return sorted(roots), _rational(g, scale)
 
 
 def _eigenvalues(

@@ -204,7 +204,7 @@ _SHAPES = {
 
 def _shape_ok(decomposition: Decomposition) -> Tuple[bool, str]:
     kind, _, m, blocks = decomposition
-    if kind not in _SHAPES:
+    if not isinstance(kind, str) or kind not in _SHAPES:
         return False, f"unknown kind {kind!r}"
     # owner[i]: the index and eigenvalue of the declared block that holds i.
     owner = [
@@ -264,8 +264,9 @@ def check_decomposition(
     """Re-verify every structural claim of a decomposition.
 
     Failures never raise; each check contributes exactly one entry to the
-    report, and blocks that are not (scalar, int size) pairs fail every check
-    that reads them.  A Jordan claim that passes similarity, invertible and shape
+    report, and a kind that is no stage, a V or M that is not an ExactMatrix,
+    or blocks that are not (scalar, int size) pairs fail every check that
+    reads them.  A Jordan claim that passes similarity, invertible and shape
     passes chain-counts with nothing computed: then A is similar to
     M = jordan_matrix(blocks), so dim ker (A - lambda*I)^k equals
     dim ker (M - lambda*I)^k for every lambda and k, which the blocks give
@@ -274,7 +275,11 @@ def check_decomposition(
     kind, v, m, blocks = decomposition
     n = matrix.rows
     results: List[CheckResult] = []
-    shapes_match = matrix.is_square() and all(x.rows == x.cols == n for x in (v, m))
+    strangers = " and ".join(k for k, x in zip("VM", (v, m)) if not isinstance(x, ExactMatrix))
+    unreadable = strangers and f"{strangers} not an ExactMatrix"
+    shapes_match = not strangers and matrix.is_square() and all(
+        x.rows == x.cols == n for x in (v, m)
+    )
 
     if shapes_match:
         similar = matrix * v == v * m
@@ -282,16 +287,19 @@ def check_decomposition(
             CheckResult("similarity", similar, "A*V == V*M" if similar else "A*V != V*M")
         )
     else:
-        results.append(CheckResult("similarity", False, f"A, V and M are not all {n} x {n}"))
+        detail = unreadable or f"A, V and M are not all {n} x {n}"
+        results.append(CheckResult("similarity", False, detail))
 
-    v_rank = rank(v) if v.is_square() else None
-    if v_rank is None:
+    v_rank = rank(v) if isinstance(v, ExactMatrix) and v.is_square() else None
+    if not isinstance(v, ExactMatrix):
+        detail = "V not invertible: not an ExactMatrix"
+    elif v_rank is None:
         detail = "V not invertible: inverse of a non-square matrix"
     elif v_rank < v.rows:
         detail = f"V not invertible: matrix of rank {v_rank} < {v.rows}"
     else:
         detail = "V has an exact inverse"
-    results.append(CheckResult("invertible", v_rank == v.rows, detail))
+    results.append(CheckResult("invertible", v_rank is not None and v_rank == v.rows, detail))
 
     if not isinstance(blocks, (tuple, list)) or not all(
         isinstance(b, Block) and _coerce(b.eigenvalue) is not None and isinstance(b.size, int)
@@ -305,7 +313,7 @@ def check_decomposition(
     detail = f"block sizes sum to {total} of {n}" if matrix.is_square() else "A is not square"
     results.append(CheckResult("multiplicity-sum", matrix.is_square() and total == n, detail))
 
-    shape = _shape_ok(decomposition) if shapes_match else (False, "wrong shape")
+    shape = _shape_ok(decomposition) if shapes_match else (False, unreadable or "wrong shape")
     results.append(CheckResult("shape", *shape))
 
     weighted = sum((block.eigenvalue * block.size for block in blocks), ZERO)

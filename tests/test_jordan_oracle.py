@@ -8,13 +8,21 @@ seeded random dense S with entries in [-3, 3], built and inverted in sympy
 eigenvalue often has several blocks (a derogatory structure).  Non-real
 eigenvalues are drawn at n <= 4 only: sympy's ranks over expressions in I
 take seconds at n = 5, against a tenth of that for a real spectrum.
+sympy's own (P, J) must also pass ``check_decomposition`` as a Jordan claim.
 """
 
 import random
 
 import pytest
 
-from jordanform import ExactMatrix, check_decomposition, jordan_decomposition
+from jordanform import (
+    Block,
+    Decomposition,
+    ExactMatrix,
+    check_decomposition,
+    jordan_decomposition,
+    parse_scalar,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -31,6 +39,10 @@ def number(x):
 def text(value):
     re, im = sympy.re(value), sympy.im(value)
     return f"{re}+{im}i" if im else str(re)
+
+
+def exact(matrix):
+    return ExactMatrix([[text(x) for x in matrix.row(i)] for i in range(matrix.rows)])
 
 
 def sympy_blocks(jordan):
@@ -70,11 +82,18 @@ def multiset(pairs):
 def test_jordan_blocks_are_sympys():
     derogatory = gaussian = 0
     for planted, matrix in cases():
-        ours = ExactMatrix([[text(x) for x in matrix.row(i)] for i in range(matrix.rows)])
+        ours = exact(matrix)
         decomposition = jordan_decomposition(ours)
         assert check_decomposition(ours, decomposition).passed
-        _, theirs = matrix.jordan_form()
+        p, theirs = matrix.jordan_form()
         expected = multiset(sympy_blocks(theirs))
+        # sympy's own (P, J), which orders and scales its chains its own way,
+        # passes the checker as a Jordan claim.
+        claim = Decomposition(
+            "jordan", exact(p), exact(theirs),
+            tuple(Block(parse_scalar(text(lam)), size) for lam, size in sympy_blocks(theirs)),
+        )
+        assert check_decomposition(ours, claim).passed
         assert multiset(planted) == expected
         assert multiset((number(b.eigenvalue), b.size) for b in decomposition.blocks) == expected
         eigenvalues = [lam for lam, _ in planted]

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from jordanform import Polynomial, format_polynomial, poly_gcd, poly_lcm
+from jordanform import GaussianRational, Polynomial, format_polynomial, poly_gcd, poly_lcm
 
 from conftest import from_roots, gr, rand_scalar
 
@@ -43,30 +44,6 @@ def test_arithmetic():
     assert a * 3 == poly(3, 3)
 
 
-def test_divmod_property_seeded():
-    rng = random.Random(11)
-    for _ in range(150):
-        a = rand_poly(rng)
-        b = rand_poly(rng)
-        if b.is_zero():
-            continue
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree < b.degree
-
-
-def test_divmod_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        divmod(poly(1, 1), Polynomial())
-
-
-def test_exact_div():
-    product = from_roots(1, 2, 3)
-    assert product.exact_div(from_roots(2)) == from_roots(1, 3)
-    with pytest.raises(ValueError):
-        product.exact_div(poly(1, 1))
-
-
 def test_gcd_and_lcm():
     a = from_roots(1, 1, -1)
     b = from_roots(1, 2)
@@ -77,20 +54,53 @@ def test_gcd_and_lcm():
     assert l.leading == gr("1")
 
 
+def test_gcd_and_lcm_with_zero_and_constants():
+    b = poly("1/2i", 3, "2i")
+    assert poly_gcd(Polynomial(), b) == poly_gcd(b, Polynomial()) == b.monic()
+    assert poly_gcd(Polynomial(), Polynomial()).is_zero()
+    assert poly_lcm(Polynomial(), b).is_zero() and poly_lcm(b, Polynomial()).is_zero()
+    assert poly_gcd(poly("2i"), b) == poly(1)
+    assert poly_lcm(poly("2i"), b) == b.monic()
+
+
+def seeded_pairs(rng, count):
+    """count pairs of Gaussian-rational polynomials of degree up to 5: the
+    first half drawn at random, the second sharing a factor s as s*u and
+    s^2*w, so that the gcd has positive degree."""
+    for k in range(count):
+        if k < count // 2:
+            yield rand_poly(rng, 5), rand_poly(rng, 5)
+        else:
+            s = Polynomial([rand_scalar(rng, 3), 1]) * rand_poly(rng, 1)
+            yield s * rand_poly(rng, 1), s * s * rand_poly(rng, 1)
+
+
 def test_gcd_lcm_properties_seeded():
+    # Against sympy's gcd and lcm over QQ_I, an oracle with its own arithmetic.
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def theirs(p):
+        coefficients = [sympy.Rational(c.re.numerator, c.re.denominator)
+                        + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)
+                        for c in reversed(p.coefficients)]
+        return sympy.Poly(coefficients or [0], z, domain="QQ_I")
+
+    def ours(q):
+        return Polynomial([GaussianRational(Fraction(str(sympy.re(c))), Fraction(str(sympy.im(c))))
+                           for c in reversed(q.all_coeffs())])
+
     rng = random.Random(12)
-    for _ in range(60):
-        a = rand_poly(rng, 3)
-        b = rand_poly(rng, 3)
-        if a.is_zero() or b.is_zero():
-            continue
-        g = poly_gcd(a, b)
-        assert (a % g).is_zero()
-        assert (b % g).is_zero()
-        l = poly_lcm(a, b)
-        assert (l % a.monic()).is_zero()
-        assert (l % b.monic()).is_zero()
+    pairs = [(a, b) for a, b in seeded_pairs(rng, 240) if not (a.is_zero() or b.is_zero())]
+    shared = gaussian = 0
+    for a, b in pairs:
+        g, l = poly_gcd(a, b), poly_lcm(a, b)
+        assert g == ours(theirs(a).gcd(theirs(b)).monic()), (a, b)
+        assert l == ours(theirs(a).lcm(theirs(b)).monic()), (a, b)
         assert l.degree + g.degree == a.degree + b.degree
+        shared += g.degree >= 1
+        gaussian += any(c.im and c.im.denominator > 1 for c in g.coefficients + l.coefficients)
+    assert len(pairs) >= 200 and shared >= 100 and gaussian >= 100, (len(pairs), shared, gaussian)
 
 
 def test_monic():

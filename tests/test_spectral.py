@@ -186,9 +186,11 @@ def test_minimal_polynomial_annihilates_and_is_minimal():
         matrix, _ = generate_case(structure, index, 2)
         minimal = minimal_polynomial(matrix)
         assert poly_apply(minimal, matrix).is_zero()
+        roots = split_roots(minimal)
+        assert minimal == from_roots(*(root for root, m in roots for _ in range(m)))
         # Dividing out any single root must break the annihilation.
-        for root, _ in split_roots(minimal):
-            shrunk = minimal.exact_div(from_roots(root))
+        for k in range(len(roots)):
+            shrunk = from_roots(*(r for j, (r, m) in enumerate(roots) for _ in range(m - (j == k))))
             assert not poly_apply(shrunk, matrix).is_zero()
 
 

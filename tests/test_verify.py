@@ -24,9 +24,11 @@ from jordanform import (
     trigonalize,
 )
 from jordanform.decomp import STAGES
+from jordanform.scalars import ONE
 from jordanform.verify import PALETTE
 
 from conftest import DENSE3, gr, mat, shape_check
+from test_chain_counts import stage_results, with_columns, with_entry
 
 
 # --- JordanStructure ----------------------------------------------------------
@@ -386,6 +388,62 @@ def test_malformed_blocks_fail_every_check_that_reads_them_without_raising(block
         ), kind
 
 
+ONE_BLOCK = (Block(gr("1"), 1),)
+MULTIPLICITY_SUM = ("multiplicity-sum", True, "block sizes sum to 1 of 1")
+TRACE = ("trace", True, "trace(A) equals the multiplicity-weighted eigenvalue sum")
+
+
+@pytest.mark.parametrize(
+    "kind", [["jordan"], {"jordan": 1}, ("jordan",), None, 7, "frobenius"],
+    ids=["list", "dict", "tuple", "none", "int", "unknown-str"],
+)
+def test_a_kind_that_is_no_stage_gets_the_unknown_kind_report_without_raising(kind):
+    one = ExactMatrix.identity(1)
+    report = check_decomposition(one, Decomposition(kind, one, one, ONE_BLOCK))
+    assert report.results == (
+        ("similarity", True, "A*V == V*M"),
+        ("invertible", True, "V has an exact inverse"),
+        MULTIPLICITY_SUM,
+        ("shape", False, f"unknown kind {kind!r}"),
+        TRACE,
+    )
+
+
+@pytest.mark.parametrize(
+    "v, m, unreadable",
+    [
+        (None, ExactMatrix.identity(1), "V"),
+        (ExactMatrix.identity(1), [[1]], "M"),
+        ([[1]], None, "V and M"),
+    ],
+    ids=["v-none", "m-list", "both"],
+)
+def test_a_v_or_m_that_is_no_matrix_fails_the_checks_that_read_it_without_raising(
+    v, m, unreadable
+):
+    one = ExactMatrix.identity(1)
+    detail = f"{unreadable} not an ExactMatrix"
+    invertible = (
+        ("invertible", True, "V has an exact inverse") if unreadable == "M"
+        else ("invertible", False, "V not invertible: not an ExactMatrix")
+    )
+    chain_counts = ("chain-counts", True, "chain counts match the kernel dimensions")
+    for kind in STAGES:
+        report = check_decomposition(one, Decomposition(kind, v, m, ONE_BLOCK))
+        assert report.results == (
+            ("similarity", False, detail),
+            invertible,
+            MULTIPLICITY_SUM,
+            ("shape", False, detail),
+            TRACE,
+            *[chain_counts] * (kind == "jordan"),
+        ), kind
+        # With malformed blocks as well, the blocks' checks fail as they do alone.
+        report = check_decomposition(one, Decomposition(kind, v, m, None))
+        assert report.results[:2] == (("similarity", False, detail), invertible), kind
+        assert {r.detail for r in report.results[2:]} == {MALFORMED}, kind
+
+
 def test_blockdiag_claim_with_swapped_labels_fails(two_eigenvalues):
     truth = block_diagonalize(two_eigenvalues)
     claim = truth._replace(
@@ -427,3 +485,41 @@ def test_blockdiag_shape_rejects_every_relabelling():
                 assert not shape_check(matrix, claim).passed
                 relabelled += 1
     assert relabelled == 253
+
+
+def lying_claims(claim):
+    """Claims about a stage's result that are false by construction, of its
+    kind: with V invertible, V*M' != A*V for any M' != M."""
+    _, v, m, blocks = claim
+    n = v.rows
+    for i, j in itertools.product(range(n), repeat=2):
+        yield claim._replace(M=with_entry(m, i, j, m[i, j] + ONE))
+    for j, k in itertools.permutations(range(n), 2):  # column j over column k: V singular
+        yield claim._replace(V=with_columns(v, [j if c == k else c for c in range(n)]))
+    for k, block in enumerate(blocks):  # the trace moves by the block's size
+        yield claim._replace(blocks=(*blocks[:k], Block(block.eigenvalue + ONE, block.size),
+                                     *blocks[k + 1:]))
+    for j, k in itertools.combinations(range(len(blocks)), 2):
+        if blocks[j] != blocks[k]:
+            swapped = list(blocks)
+            swapped[j], swapped[k] = blocks[k], blocks[j]
+            yield claim._replace(blocks=tuple(swapped))
+    for j, k in itertools.combinations(range(n), 2):
+        # V*P with P swapping j and k satisfies A*V*P = V*P*M only if P*M*P = M.
+        order = [k if c == j else j if c == k else c for c in range(n)]
+        permuted = ExactMatrix([[m[r, c] for c in order] for r in order])
+        if permuted != m:
+            yield claim._replace(V=with_columns(v, order))
+
+
+def test_lying_claims_of_every_kind_fail_some_check_without_raising():
+    claims = lies = 0
+    for structure in (s for n in range(1, 5) for s in exhaustive_structures(n)):
+        matrix, _ = generate_case(structure, 1, 3)
+        for truth in stage_results(matrix):
+            assert check_decomposition(matrix, truth).passed
+            claims += 1
+            for claim in lying_claims(truth):
+                assert not check_decomposition(matrix, claim).passed, claim
+                lies += 1
+    assert (claims, lies) == (96, 2715)
