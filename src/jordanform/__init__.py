@@ -51,6 +51,7 @@ _EXPORTS = {
     "format_polynomial": "polynomials",
     "poly_gcd": "polynomials",
     "poly_lcm": "polynomials",
+    "poly_roots_exact": "polynomials",
     "GaussianRational": "scalars",
     "format_scalar": "scalars",
     "parse_scalar": "scalars",
@@ -59,7 +60,6 @@ _EXPORTS = {
     "StageLadder": "spectral",
     "find_eigenvalue": "spectral",
     "poly_apply": "spectral",
-    "poly_roots_exact": "spectral",
     "spectrum": "spectral",
     "stage_ladder": "spectral",
     "CheckReport": "verify",

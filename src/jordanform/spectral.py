@@ -2,14 +2,11 @@
 
 The eigenvalues are the roots of the characteristic polynomial, taken
 factor by factor from one Krylov pass (``matrices.krylov_factors``) and
-extracted exactly by a search over Z[i] in integer arithmetic: a factor,
-cleared to a monic polynomial over the Gaussian integers, has the roots of
-its square-free part modulo a split prime Hensel-lifted and recovered by
-Gaussian rounding, and every candidate is checked exactly.  This finds
-every root in Q(i); a factor without one is reported, never approximated,
-and the factor reported is the minimal polynomial less the roots found:
-a factor's rootless rest when no other factor keeps one, else from a second
-Krylov pass (``matrices.minimal_polynomial``).  The factors also give each
+found exactly by ``polynomials.poly_roots_exact``, which finds every root in
+Q(i).  A factor without one is reported, never approximated, and the factor
+reported is the minimal polynomial less the roots found: a factor's rootless
+rest when no other factor keeps one, else from a second Krylov pass
+(``matrices.minimal_polynomial``).  The factors also give each
 eigenvalue's algebraic multiplicity m, which bounds its stage ladder, the
 nested kernels of (A - lambda*I)^k: the ladder stops at dimension m, and
 ``spectrum`` builds none for m <= 3, where one rank fixes the partition.  A
@@ -22,9 +19,8 @@ and a rootless rest is reported with or without a list.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     IncompleteSpectrum,
@@ -42,8 +38,8 @@ from .matrices import (
     rank,
     shift_by,
 )
-from .polynomials import Polynomial, _divide, _gcd, _integral, _rational
-from .scalars import GaussianRational, _coerce, _reduced, format_scalar
+from .polynomials import Polynomial, poly_roots_exact
+from .scalars import GaussianRational, _coerce, format_scalar
 
 
 class SpectrumEntry(NamedTuple):
@@ -72,118 +68,6 @@ def poly_apply(poly: Polynomial, matrix: ExactMatrix) -> ExactMatrix:
     for coefficient in reversed(poly.coefficients):
         result = result * matrix + identity * coefficient
     return result
-
-
-def _split_primes() -> Iterator[int]:
-    """The primes p = 1 (mod 4) in increasing order: those that split in Z[i]."""
-    p = 5
-    while True:
-        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
-            yield p
-        p += 4
-
-
-def _value_and_slope(
-    coefficients: Sequence[int], x: int, modulus: int
-) -> Tuple[int, int]:
-    """g(x) and g'(x) modulo modulus, in one Horner pass."""
-    value = slope = 0
-    for c in reversed(coefficients):
-        slope = (slope * x + value) % modulus
-        value = (value * x + c) % modulus
-    return value, slope
-
-
-def _simple_roots_mod(coefficients: Sequence[int], p: int) -> Optional[List[Tuple[int, int]]]:
-    """Each root x of g modulo the prime p with 1/g'(x) mod p, or None when one is repeated."""
-    roots = []
-    for x in range(p):
-        value, slope = _value_and_slope(coefficients, x, p)
-        if value == 0:
-            if slope == 0:
-                return None
-            roots.append((x, pow(slope, -1, p)))
-    return roots
-
-
-def _gaussian_integer_roots(g: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """A list of Gaussian integers holding every root in Z[i] of g, a monic
-    square-free polynomial over Z[i] given as (re, im) pairs, ascending.
-
-    For a prime p = 1 (mod 4), iota^2 = -1 (mod p^k) and pi = gcd(p, iota - i),
-    Z[i]/pi^k is Z/p^k with i sent to iota.  The roots of g modulo pi are
-    found by trying every residue, at the first p where all are simple, and
-    Newton-lifted together with iota until p^k > 8 B^2, B the Cauchy bound of
-    g.  A lift from m to m^2 needs the inverses of 2*iota and of the slopes
-    only modulo m: carried over, each takes one Newton step inv*(2 - s*inv).
-    The multiples of pi^k form a square lattice whose shortest vector is
-    p^(k/2) > 2B long, so a root of g, of modulus at most B, is the Gaussian
-    rounding remainder of its lifted residue modulo pi^k.
-    """
-    bound = 2 + max(math.isqrt(a * a + b * b) for a, b in g[:-1])
-    for p in _split_primes():
-        iota = next(x for x in range(2, p) if (x * x + 1) % p == 0)
-        residues = _simple_roots_mod([(a + b * iota) % p for a, b in g], p)
-        if residues is not None:
-            break
-    # pi = u + v*i with u^2 + v^2 = p (Fermat: p = 1 mod 4 is such a sum,
-    # so u stays below sqrt(p)) and u + v*iota = 0 (mod p).
-    u = next(u for u in range(1, p) if math.isqrt(p - u * u) ** 2 == p - u * u)
-    v = math.isqrt(p - u * u)
-    if (u + v * iota) % p:
-        v = -v
-    half = pow(2 * iota, -1, p)
-    modulus = p
-    while residues and modulus <= 8 * bound * bound:
-        old, modulus = modulus, modulus * modulus
-        half = half * (2 - 2 * iota * half) % old
-        iota = (iota - (iota * iota + 1) * half) % modulus
-        u, v = u * u - v * v, 2 * u * v  # pi^k squared, of norm p^(2k)
-        coefficients = [(a + b * iota) % modulus for a, b in g]
-        for k, (x, inverse) in enumerate(residues):
-            value, slope = _value_and_slope(coefficients, x, modulus)
-            inverse = inverse * (2 - slope * inverse) % old
-            residues[k] = ((x - value * inverse) % modulus, inverse)
-    roots = []
-    for x, _ in residues:
-        # x - (u + v*i)*q, q the nearest Gaussian integer to x/(u + v*i).
-        qu = (2 * x * u + modulus) // (2 * modulus)
-        qv = (modulus - 2 * x * v) // (2 * modulus)
-        roots.append((x - u * qu + v * qv, -u * qv - v * qu))
-    return roots
-
-
-def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int]], Polynomial]:
-    """The roots of poly inside Q(i), with multiplicities, canonically
-    sorted, and the monic rest of poly once they are divided out, which has
-    no root in Q(i): the constant 1 when poly splits over Q(i).
-
-    A linear z + c has the root -c.  Any other poly is worked on as one
-    polynomial over Z[i] (``polynomials._integral``): with c the lcm of the
-    denominators of f = poly / lead, G(y) = c^d f(y/c) is monic with roots
-    beta = c * root.  gcd(G, G') is monic in Z[i][y] by Gauss's lemma and
-    found by pseudo-remainders (``polynomials._gcd``), so S = G / gcd(G, G')
-    is exact.  S is searched (_gaussian_integer_roots), and each candidate is
-    divided out of G while the remainder is 0, which counts its multiplicity
-    m: as m - 1 is its multiplicity in gcd(G, G'), no more than
-    1 + deg gcd(G, G') tries.  Scalars are built only for the roots and the
-    rest.
-    """
-    if poly.degree < 1:
-        raise ValueError("poly_roots_exact needs degree >= 1")
-    work = poly.monic()
-    if work.degree == 1:
-        return [(-work.coefficients[0], 1)], Polynomial([1])
-    scale, (g,) = _integral(work)
-    a = _gcd(g, [(k * x, k * y) for k, (x, y) in enumerate(g)][1:])
-    roots: List[Tuple[GaussianRational, int]] = []
-    for u, v in _gaussian_integer_roots(_divide(g, a)[0]):
-        count = 0
-        while count < len(a) and not (division := _divide(g, [(-u, -v), (1, 0)]))[1]:
-            g, count = division[0], count + 1
-        if count:
-            roots.append((_reduced(u, v, scale), count))
-    return sorted(roots), _rational(g, scale)
 
 
 def _eigenvalues(

@@ -242,8 +242,6 @@ _CHAIN_COUNTS_MATCH = "chain counts match the kernel dimensions"
 
 
 def _chain_counts_ok(matrix: ExactMatrix, blocks: Sequence[Block]) -> Tuple[bool, str]:
-    if not matrix.is_square():
-        return False, "A is not square"
     per_eigenvalue: Dict[GaussianRational, List[int]] = {}
     for block in blocks:
         per_eigenvalue.setdefault(block.eigenvalue, []).append(block.size)
@@ -258,28 +256,41 @@ def _chain_counts_ok(matrix: ExactMatrix, blocks: Sequence[Block]) -> Tuple[bool
     return True, _CHAIN_COUNTS_MATCH
 
 
+def _check_names(kind) -> List[str]:
+    """The checks a claim of this kind gets, in report order."""
+    names = ["similarity", "invertible", "multiplicity-sum", "shape", "trace"]
+    return names + ["chain-counts"] * (kind == "jordan")
+
+
 def check_decomposition(
     matrix: ExactMatrix, decomposition: Decomposition
 ) -> CheckReport:
     """Re-verify every structural claim of a decomposition.
 
     Failures never raise; each check contributes exactly one entry to the
-    report, and a kind that is no stage, a V or M that is not an ExactMatrix,
-    or blocks that are not (scalar, int size) pairs fail every check that
-    reads them.  A Jordan claim that passes similarity, invertible and shape
+    report, and a kind that is no stage, an A, V or M that is not an
+    ExactMatrix, or blocks that are not (scalar, int size) pairs fail every
+    check that reads them.  A claim that is not a (kind, V, M, blocks) tuple
+    fails every check of the kind it names first.  A Jordan claim that passes similarity, invertible and shape
     passes chain-counts with nothing computed: then A is similar to
     M = jordan_matrix(blocks), so dim ker (A - lambda*I)^k equals
     dim ker (M - lambda*I)^k for every lambda and k, which the blocks give
     (Horn & Johnson, Matrix Analysis, 3.1).
     """
-    kind, v, m, blocks = decomposition
-    n = matrix.rows
+    fields = tuple(decomposition) if isinstance(decomposition, (tuple, list)) else ()
+    if len(fields) != 4:
+        malformed = "claim is not a (kind, V, M, blocks) tuple"
+        names = _check_names(fields[0] if fields else None)
+        return CheckReport(tuple(CheckResult(x, False, malformed) for x in names))
+    kind, v, m, blocks = fields
     results: List[CheckResult] = []
-    strangers = " and ".join(k for k, x in zip("VM", (v, m)) if not isinstance(x, ExactMatrix))
-    unreadable = strangers and f"{strangers} not an ExactMatrix"
-    shapes_match = not strangers and matrix.is_square() and all(
-        x.rows == x.cols == n for x in (v, m)
-    )
+    strangers = [k for k, x in zip("AVM", (matrix, v, m)) if not isinstance(x, ExactMatrix)]
+    named = ", ".join(strangers[:-1]) + " and " * (len(strangers) > 1) + "".join(strangers[-1:])
+    unreadable = strangers and f"{named} not an ExactMatrix"
+    n = None if "A" in strangers else matrix.rows
+    square = n is not None and matrix.is_square()
+    not_square = "A not an ExactMatrix" if n is None else "A is not square"
+    shapes_match = not strangers and square and all(x.rows == x.cols == n for x in (v, m))
 
     if shapes_match:
         similar = matrix * v == v * m
@@ -305,19 +316,19 @@ def check_decomposition(
         isinstance(b, Block) and _coerce(b.eigenvalue) is not None and isinstance(b.size, int)
         for b in blocks
     ):
-        names = ["multiplicity-sum", "shape", "trace"] + ["chain-counts"] * (kind == "jordan")
         malformed = "declared blocks are not (scalar, int size) pairs"
+        names = _check_names(kind)[len(results):]
         return CheckReport(tuple(results + [CheckResult(x, False, malformed) for x in names]))
 
     total = sum(block.size for block in blocks)
-    detail = f"block sizes sum to {total} of {n}" if matrix.is_square() else "A is not square"
-    results.append(CheckResult("multiplicity-sum", matrix.is_square() and total == n, detail))
+    detail = f"block sizes sum to {total} of {n}" if square else not_square
+    results.append(CheckResult("multiplicity-sum", square and total == n, detail))
 
-    shape = _shape_ok(decomposition) if shapes_match else (False, unreadable or "wrong shape")
+    shape = _shape_ok(fields) if shapes_match else (False, unreadable or "wrong shape")
     results.append(CheckResult("shape", *shape))
 
     weighted = sum((block.eigenvalue * block.size for block in blocks), ZERO)
-    trace_ok = matrix.is_square() and matrix.trace() == weighted
+    trace_ok = square and matrix.trace() == weighted
     results.append(
         CheckResult(
             "trace",
@@ -330,7 +341,10 @@ def check_decomposition(
 
     if kind == "jordan":
         proven = all(r.passed for r in results if r.name in ("similarity", "invertible", "shape"))
-        chain_counts = (True, _CHAIN_COUNTS_MATCH) if proven else _chain_counts_ok(matrix, blocks)
+        chain_counts = (
+            (True, _CHAIN_COUNTS_MATCH) if proven
+            else _chain_counts_ok(matrix, blocks) if square else (False, not_square)
+        )
         results.append(CheckResult("chain-counts", *chain_counts))
 
     return CheckReport(tuple(results))

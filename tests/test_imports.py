@@ -162,29 +162,44 @@ def test_spectral_runs_without_loading_decomp():
     assert done.stdout == "1\nFalse\n"
 
 
+def private_imports(owner):
+    """Each import of an underscore name from the package module owner, by
+    a module other than owner."""
+    offences = []
+    for path in sorted((SRC / "jordanform").glob("*.py")):
+        if path.stem == owner:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(owner):
+                offences += [
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names if alias.name.startswith("_")
+                ]
+    return offences
+
+
 def test_the_packed_row_format_stays_inside_matrices():
     # Only matrices.py knows packed rows: no other module imports its private
     # helpers or reads Echelon.packed, ExactMatrix._data or the packed rows of
     # a Basis (Basis._rows, Basis._reversed_rows).  ExactMatrix._trusted,
     # the package's constructor for tables it built, stays allowed.  Likewise
     # the stages are reached through decomp.STAGES, not by private name.
-    offences = []
+    offences = private_imports("matrices") + private_imports("decomp")
     for path in sorted((SRC / "jordanform").glob("*.py")):
         if path.name == "matrices.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
-                ("matrices", "decomp")
-            ):
-                offences += [
-                    f"{path.name}:{node.lineno} imports {alias.name}"
-                    for alias in node.names if alias.name.startswith("_")
-                ]
             if isinstance(node, ast.Attribute) and node.attr in (
                 "packed", "_data", "_rows", "_reversed_rows"
             ):
                 offences.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert offences == []
+
+
+def test_the_gaussian_integer_pair_lists_stay_inside_polynomials():
+    # Only polynomials.py sees polynomials over Z[i] as lists of (re, im) int
+    # pairs: no other module imports its private helpers.
+    assert private_imports("polynomials") == []
 
 
 def calls_itself(function, owners):

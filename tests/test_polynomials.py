@@ -39,9 +39,8 @@ def test_arithmetic():
     a = poly(1, 1)  # 1 + z
     b = poly(-1, 1)  # -1 + z
     assert a * b == poly(-1, 0, 1)
-    assert a + b == poly(0, 2)
-    assert a - a == Polynomial()
-    assert a * 3 == poly(3, 3)
+    assert a * Polynomial() == Polynomial()
+    assert a * 3 == 3 * a == poly(3, 3)
 
 
 def test_gcd_and_lcm():

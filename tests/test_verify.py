@@ -444,6 +444,34 @@ def test_a_v_or_m_that_is_no_matrix_fails_the_checks_that_read_it_without_raisin
         assert {r.detail for r in report.results[2:]} == {MALFORMED}, kind
 
 
+@pytest.mark.parametrize("a", [None, [[1]]], ids=["none", "list"])
+def test_an_a_that_is_no_matrix_fails_the_checks_that_read_it_without_raising(a):
+    one = ExactMatrix.identity(1)
+    unreadable = "A not an ExactMatrix"
+    for kind in STAGES:
+        report = check_decomposition(a, Decomposition(kind, one, one, ONE_BLOCK))
+        assert report.results == (
+            ("similarity", False, unreadable),
+            ("invertible", True, "V has an exact inverse"),
+            ("multiplicity-sum", False, unreadable),
+            ("shape", False, unreadable),
+            ("trace", False, "trace identity failed"),
+            *[("chain-counts", False, unreadable)] * (kind == "jordan"),
+        ), kind
+
+
+@pytest.mark.parametrize("fields", [3, 5, 0], ids=["3-tuple", "5-tuple", "none"])
+def test_a_claim_that_is_no_four_tuple_fails_every_check_of_its_kind_without_raising(fields):
+    one = ExactMatrix.identity(1)
+    for kind in STAGES:
+        claim = (kind, one, one, ONE_BLOCK, None)[:fields] or None
+        names = ["similarity", "invertible", "multiplicity-sum", "shape", "trace"]
+        names += ["chain-counts"] * (kind == "jordan" and fields > 0)
+        assert check_decomposition(one, claim).results == tuple(
+            (name, False, "claim is not a (kind, V, M, blocks) tuple") for name in names
+        ), kind
+
+
 def test_blockdiag_claim_with_swapped_labels_fails(two_eigenvalues):
     truth = block_diagonalize(two_eigenvalues)
     claim = truth._replace(
