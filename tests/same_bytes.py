@@ -11,7 +11,10 @@ The calls are grouped into sections:
   a separate argument, and ``jordan`` reading the matrix from a file;
 - provided-lists: ``--spectrum`` lists, valid, out of canonical order, and
   rejected with exit 1;
-- exit-2: matrices with a Krylov factor that has no root in Q(i).
+- exit-2: matrices with a Krylov factor that has no root in Q(i);
+- case <structure>: for each structure of CASES, ``gen --seed 0`` piped into
+  every stage in json, and into spectrum, every stage with ``--check`` and
+  verify in pretty, then the same gen in pretty.
 
 Beyond the bytes, every call must exit with its expected code, and a few
 pairs must print the same: a structure given as a separate argument and in
@@ -80,6 +83,28 @@ STRUCTURES: Tuple[Tuple[str, ...], ...] = (
     ("--structure=0:2,1;1:3;2:2",),
     ("--structure=0:5,3;1:4,2;-1:3,1;2:3,2;1i:1", "--bound", "9"),
 )
+
+# Each is the text of a structure that gen builds at seed 0 with entries up
+# to 3 in S.  SMALL is every structure with n <= 4, in the order of
+# exhaustive_structures; GAUSSIAN has Gaussian eigenvalues at n = 6..8;
+# CHAINS, both at n = 16, has ladders with several stages of repeated
+# chain lengths, so its sections pin the Jordan chains, and with them V, past
+# the first stage; DEFLATIONS has two long runs of Schur steps, nine distinct
+# eigenvalues at n = 11 and a single chain of length 8.
+SMALL = (
+    "0:1",
+    "0:2", "0:1,1", "0:1;1:1",
+    "0:3", "0:2,1", "0:1,1,1", "0:2;1:1", "0:1,1;1:1", "0:1;1:1;2:1",
+    "0:4", "0:3,1", "0:2,2", "0:2,1,1", "0:1,1,1,1", "0:3;1:1", "0:2,1;1:1",
+    "0:1,1,1;1:1", "0:2;1:2", "0:2;1:1,1", "0:1,1;1:1,1", "0:2;1:1;2:1",
+    "0:1,1;1:1;2:1", "-1:1;0:1;1:1;2:1",
+)
+GAUSSIAN = ("1i:3;-1i:2;1:1", "1+1i:2,2;2:3", "1/2-1i:4;1i:2,1;0:1")
+CHAINS = ("0:3,3,2,2,1;1i:2,2,1", "1:4,4,2;-1:3,3")
+DEFLATIONS = ("0:1;1:1;2:1;-1:1;3:1;1i:1;-1i:1;1+1i:1;1/2:2,1", "2:8")
+CASES = SMALL + GAUSSIAN + CHAINS + DEFLATIONS
+
+STAGES = ("schur", "blockdiag", "blocktri", "jordan")
 
 COMMANDS: Tuple[List[str], ...] = tuple(
     [*command, "--format", fmt]
@@ -197,6 +222,8 @@ def record(runner: Runner) -> Transcript:
         _separate_argument(script)
         _provided_lists(script)
         _exit_2(script)
+        for structure in CASES:
+            _case(script, structure)
         return script
 
 
@@ -251,6 +278,20 @@ def _exit_2(script: Transcript) -> None:
         label = f"companion(z^2 - i/3) + companion(z^2 - i/3) + [1], coupled by {coupling}"
         script.fails_once(section, ["spectrum"], _gaussian_squares(coupling), label, 2,
                           NOT_REPRESENTABLE + rest + "\n")
+
+
+def _case(script: Transcript, structure: str) -> None:
+    section = f"case {structure}"
+    generate = ["gen", f"--structure={structure}", "--seed", "0"]
+    label = " ".join(generate)
+    matrix = script.call(section, generate)[1]
+    for stage in STAGES:
+        script.call(section, [stage, "--format", "json"], matrix, label)
+    # No --format: these also pin pretty as the default of every command
+    # that reads a matrix.
+    for command in ("spectrum", *(f"{stage} --check" for stage in STAGES), "verify"):
+        script.call(section, command.split(), matrix, label)
+    script.call(section, [*generate, "--format", "pretty"])
 
 
 def digests(sections: Dict[str, List[list]]) -> Dict[str, str]:

@@ -31,7 +31,7 @@ from jordanform.scalars import ONE, format_scalar
 from jordanform.verify import CheckResult
 
 from conftest import mat
-from test_stage_goldens import CHAINS, DEFLATIONS, GAUSSIAN
+from same_bytes import CHAINS, DEFLATIONS, GAUSSIAN
 
 
 def dense_power_dims(matrix, eigenvalue):

@@ -50,7 +50,7 @@ from conftest import (
     mat,
     shape_check,
 )
-from test_stage_goldens import CHAINS, DEFLATIONS
+from same_bytes import CHAINS, DEFLATIONS
 
 
 @pytest.fixture(scope="module")
