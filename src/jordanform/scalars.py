@@ -24,7 +24,7 @@ from .errors import ParseError, ZeroDenominator
 if TYPE_CHECKING:
     from fractions import Fraction
 
-_RATIONAL = r"-?\d+(?:/\d+)?"
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"  # ASCII digits only: \d matches any script's
 _REAL_RE = re.compile(_RATIONAL)
 _IMAG_RE = re.compile(rf"({_RATIONAL})i")
 _PAIR_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})i")

@@ -69,7 +69,8 @@ class JordanStructure(_Structure):
                 raise InvalidStructure(
                     f"eigenvalue {format_scalar(eigenvalue)} has no chain lengths"
                 )
-            if any(not isinstance(size, int) or size < 1 for size in lengths):
+            if any(isinstance(size, bool) or not isinstance(size, int) or size < 1
+                   for size in lengths):
                 raise InvalidStructure("chain lengths must be integers >= 1")
             canonical.append((eigenvalue, tuple(sorted(lengths, reverse=True))))
         canonical.sort(key=lambda item: item[0])
@@ -96,9 +97,13 @@ def parse_structure(text: str) -> JordanStructure:
             raise ParseError(f"malformed structure component {part!r}")
         scalar_text, lengths_text = part.split(":", 1)
         eigenvalue = parse_scalar(scalar_text.strip())
+        tokens = [tok.strip() for tok in lengths_text.split(",")]
         try:
-            lengths = tuple(int(tok) for tok in lengths_text.split(","))
-        except ValueError as exc:
+            # int() alone would also take "+2", "1_0" and digits of any script.
+            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+                raise ValueError("chain lengths are ASCII digits")
+            lengths = tuple(map(int, tokens))
+        except ValueError as exc:  # not digits, or past the digit limit
             raise ParseError(f"malformed chain lengths in {part!r}") from exc
         entries.append((eigenvalue, lengths))
     return JordanStructure(tuple(entries))
@@ -269,9 +274,9 @@ def check_decomposition(
 
     Failures never raise; each check contributes exactly one entry to the
     report, and a kind that is no stage, an A, V or M that is not an
-    ExactMatrix, or blocks that are not (scalar, int size) pairs fail every
-    check that reads them.  A claim that is not a (kind, V, M, blocks) tuple
-    fails every check of the kind it names first.  A Jordan claim that passes similarity, invertible and shape
+    ExactMatrix, or blocks that are not (scalar, int size) pairs, a bool being
+    no size, fail every check that reads them.  A claim that is not a
+    (kind, V, M, blocks) tuple fails every check of the kind it names first.  A Jordan claim that passes similarity, invertible and shape
     passes chain-counts with nothing computed: then A is similar to
     M = jordan_matrix(blocks), so dim ker (A - lambda*I)^k equals
     dim ker (M - lambda*I)^k for every lambda and k, which the blocks give
@@ -313,7 +318,8 @@ def check_decomposition(
     results.append(CheckResult("invertible", v_rank is not None and v_rank == v.rows, detail))
 
     if not isinstance(blocks, (tuple, list)) or not all(
-        isinstance(b, Block) and _coerce(b.eigenvalue) is not None and isinstance(b.size, int)
+        isinstance(b, Block) and _coerce(b.eigenvalue) is not None
+        and isinstance(b.size, int) and not isinstance(b.size, bool)
         for b in blocks
     ):
         malformed = "declared blocks are not (scalar, int size) pairs"

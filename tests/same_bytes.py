@@ -1,5 +1,6 @@
 """The "same bytes" transcript: command-line calls whose output the byte
-contract pins, each with its stdout, stderr and exit code.
+contract pins, each with its stdout, stderr and exit code.  It is the one
+pin of the command line's bytes; no other golden holds them.
 
 The calls are grouped into sections:
 
@@ -21,8 +22,8 @@ pairs must print the same: a structure given as a separate argument and in
 the = form, a provided list out of order and no list, and an exit-2 matrix
 with and without its one eigenvalue in Q(i) provided.  tests/golden/
 same_bytes.json holds one sha256 per section, so a difference names its
-section.  Regenerate it with ``--write`` only in a change that means to
-alter the output, and say so in CHANGES.md.
+section.  ``--write`` is the only way to regenerate it: use it only in a
+change that means to alter the output, and say so in CHANGES.md.
 
 Run as a script, it prints the transcript as JSON::
 

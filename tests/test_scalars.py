@@ -39,7 +39,9 @@ def test_parse_scalar(text, re, im):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "1.5", "i", "-i", "1 + 2i", "--3", "3/", "/2", "1/2/3", "2i+3", "abc"],
+    ["", "1.5", "i", "-i", "1 + 2i", "--3", "3/", "/2", "1/2/3", "2i+3", "abc",
+     # Digits of other scripts: Arabic-Indic three, fullwidth 1/2, 3/(Arabic-Indic four)i.
+     "\u0663", "\uff11/\uff12", "3/\u0664i"],
 )
 def test_parse_scalar_rejects_malformed(text):
     with pytest.raises(ParseError):

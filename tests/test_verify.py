@@ -52,6 +52,7 @@ def test_structure_is_canonicalized():
         ((gr("1"), ()),),
         ((gr("1"), (0,)),),
         ((gr("1"), (1,)), (gr("1"), (2,))),
+        ((gr("1"), (True,)),),
     ],
 )
 def test_structure_validation(entries):
@@ -64,9 +65,13 @@ def test_parse_structure():
     assert parsed == JordanStructure(((gr("0"), (2, 1)), (gr("1"), (1,))))
     assert parse_structure("3:3") == JordanStructure(((gr("3"), (3,)),))
     assert parse_structure("1i:2") == JordanStructure(((gr("1i"), (2,)),))
+    assert parse_structure(" 0 : 2 , 1 ; 1: 1 ") == parsed  # whitespace around parts and tokens
 
 
-@pytest.mark.parametrize("text", ["", "3", "3:", "3:x", ":1", "3:1;;", "0:-1", "0:0"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "3", "3:", "3:x", ":1", "3:1;;", "0:-1", "0:0", "0:1_0", "0:+2", "0:\u0662"],
+)
 def test_parse_structure_rejects_malformed(text):
     with pytest.raises((ParseError, InvalidStructure)):
         parse_structure(text)
@@ -372,8 +377,10 @@ MALFORMED = "declared blocks are not (scalar, int size) pairs"
 
 @pytest.mark.parametrize(
     "blocks",
-    [(Block(1.0, 1),), (Block("1", 1),), (Block(1, 1.0),), ((1, 1),), ("1",), None],
-    ids=["float-eigenvalue", "str-eigenvalue", "float-size", "plain-tuple", "str", "none"],
+    [(Block(1.0, 1),), (Block("1", 1),), (Block(1, 1.0),), (Block(1, True),), ((1, 1),), ("1",),
+     None],
+    ids=["float-eigenvalue", "str-eigenvalue", "float-size", "bool-size", "plain-tuple", "str",
+         "none"],
 )
 def test_malformed_blocks_fail_every_check_that_reads_them_without_raising(blocks):
     # A, V and M are the 1x1 identity, so similarity and invertible pass.
