@@ -9,6 +9,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+import same_bytes
 from jordanform import (
     Basis,
     ExactMatrix,
@@ -19,6 +22,13 @@ from jordanform import (
     parse_scalar,
     rank,
 )
+
+
+@pytest.fixture(scope="session")
+def transcript() -> same_bytes.Transcript:
+    """The same-bytes transcript, run in process through ``cli.run`` once
+    for every test that reads it."""
+    return same_bytes.record(same_bytes.run_in_process)
 
 
 def gr(value) -> GaussianRational:

@@ -6,8 +6,7 @@ import json
 import same_bytes
 
 
-def test_the_transcript_keeps_its_bytes_and_expectations():
-    script = same_bytes.record(same_bytes.run_in_process)
-    assert script.problems == []
+def test_the_transcript_keeps_its_bytes_and_expectations(transcript):
+    assert transcript.problems == []
     golden = json.loads(same_bytes.GOLDEN.read_text(encoding="utf-8"))
-    assert same_bytes.differing(script.sections, golden) == []
+    assert same_bytes.differing(transcript.sections, golden) == []

@@ -1,34 +1,23 @@
-"""The four stages print exactly the bytes recorded in tests/golden/stages.json.
+"""Each generated case keeps its bytes: one test per ``case <structure>``
+section of the same-bytes transcript (tests/same_bytes.py), so a failure
+names its case.
 
-Each case is a generated matrix: every structure with n <= 4 at seed 0, plus
-a few structures with Gaussian eigenvalues at n = 6..8, two at n = 16 whose
-ladders have several stages with repeated chain lengths, so that the golden
-pins the Jordan chains, and with them V, past the first stage, and two long
-runs of Schur steps: nine distinct eigenvalues at n = 11 and a single chain
-of length 8.  The golden file maps each case to the sha256 of
-``jordanform <stage> --format json`` for schur, blockdiag, blocktri and
-jordan.  Regenerate it with ``PYTHONPATH=src python tests/test_stage_goldens.py``
-only when a change means to alter the output contract, and say so in CHANGES.md.
+A case is a structure that gen builds at seed 0: every structure with
+n <= 4, plus the Gaussian, chain and deflation structures.  Its section holds
+every stage in json, spectrum, every stage with ``--check`` and verify in
+pretty, and gen in pretty.  The digests are those of
+tests/golden/same_bytes.json, the one golden of the command line's bytes;
+regenerate it only with ``python tests/same_bytes.py --write``.
 """
 
-import hashlib
-import io
 import json
-import sys
-from contextlib import redirect_stdout
-from pathlib import Path
 
 import pytest
 
-from jordanform import exhaustive_structures, format_scalar, generate_case, parse_structure
-from jordanform.cli import EXIT_OK, matrix_to_document, run
+import same_bytes
+from jordanform import exhaustive_structures, format_scalar
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "stages.json"
-STAGES = ("schur", "blockdiag", "blocktri", "jordan")
 SEED = 0
-GAUSSIAN = ("1i:3;-1i:2;1:1", "1+1i:2,2;2:3", "1/2-1i:4;1i:2,1;0:1")
-CHAINS = ("0:3,3,2,2,1;1i:2,2,1", "1:4,4,2;-1:3,3")
-DEFLATIONS = ("0:1;1:1;2:1;-1:1;3:1;1i:1;-1i:1;1+1i:1;1/2:2,1", "2:8")
 
 
 def structure_text(structure):
@@ -38,43 +27,23 @@ def structure_text(structure):
     )
 
 
-def cases():
-    texts = [structure_text(s) for n in range(1, 5) for s in exhaustive_structures(n)]
-    return [f"{text}@{SEED}" for text in texts + list(GAUSSIAN) + list(CHAINS) + list(DEFLATIONS)]
-
-
-def stage_digests(case, path):
-    text, seed = case.rsplit("@", 1)
-    matrix, _expected = generate_case(parse_structure(text), int(seed), 3)
-    path.write_text(json.dumps(matrix_to_document(matrix)))
-    digests = {}
-    for stage in STAGES:
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert run([stage, str(path), "--format", "json"]) == EXIT_OK
-        digests[stage] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    return digests
-
-
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return json.loads(same_bytes.GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(cases())
+    small = [structure_text(s) for n in range(1, 5) for s in exhaustive_structures(n)]
+    assert list(same_bytes.SMALL) == small
+    cases = {name for name in golden if name.startswith("case ")}
+    assert cases == {f"case {structure}" for structure in same_bytes.CASES}
+    assert len(cases) == len(same_bytes.CASES)
 
 
-@pytest.mark.parametrize("case", cases())
-def test_stage_output_is_unchanged(case, golden, tmp_path):
-    assert stage_digests(case, tmp_path / "matrix.json") == golden[case]
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as directory:
-        path = Path(directory) / "matrix.json"
-        table = {case: stage_digests(case, path) for case in cases()}
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} cases to {GOLDEN}", file=sys.stderr)
+@pytest.mark.parametrize("structure", same_bytes.CASES, ids=lambda s: f"{s}@{SEED}")
+def test_stage_output_is_unchanged(structure, transcript, golden):
+    section = f"case {structure}"
+    assert [p for p in transcript.problems if p.startswith(f"{section}: ")] == []
+    calls = transcript.sections[section]
+    assert calls[0][0] == f"gen --structure={structure} --seed {SEED}"
+    assert same_bytes.digests({section: calls})[section] == golden[section]
