@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional, Sequence
 
@@ -222,10 +223,17 @@ def _build_parser() -> _Parser:
         required=True,
         help='block structure, e.g. "3:3" or "0:2,1;1:1", of total size at most 1000',
     )
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--bound", type=int, default=3)
+    gen.add_argument("--seed", type=_ascii_int, default=0)
+    gen.add_argument("--bound", type=_ascii_int, default=3)
     gen.add_argument("--format", choices=("json", "pretty"), default="json")
     return parser
+
+
+def _ascii_int(text: str) -> int:
+    """int() of ASCII digits after an optional "-": not "+5", " 7", "1_000" or another script's."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _read_matrix(path: str) -> ExactMatrix:

@@ -8,16 +8,15 @@ vectors, Gaussian integers over one positive denominator: ``(re, im, d)``
 with int lists re and im.  An echelon row carries its support, and a
 reduction step is int arithmetic on that support after scaling x by the
 row's denominator over its gcd with the multiplier, so a row whose
-denominator divides the multiplier costs no scaling.  x's content is divided
-out whenever its denominator has grown by a machine word, and once at the
-end, so entries keep near their true size.  Scalars are built only for what
-callers read: a kernel ``Basis`` keeps its packed rows and builds its vectors
-when they are read.  The format stays inside this module, and so do the
-analyses run on it: kernel ladders from one elimination of [N | I], Jordan
-chains seeded against the ladder's own rows, the factors of the
-characteristic polynomial from one Krylov pass, and the minimal polynomial
-as the lcm of the Krylov annihilators of the standard basis vectors (a
-spanning family, so the lcm annihilates the whole space).
+denominator divides the multiplier costs no scaling; x's content is divided
+out once, at the end.  Products take packed columns: A^T is A's rows.
+Scalars are built only for what callers read: a kernel ``Basis`` keeps its
+packed rows and builds its vectors when they are read.  The format stays
+inside this module, and so do the analyses run on it: kernel ladders from
+one elimination of [N | I], Jordan chains seeded against the ladder's own
+rows, the factors of the characteristic polynomial from one Krylov pass, and
+the minimal polynomial as the lcm of the Krylov annihilators of the standard
+basis vectors (a spanning family, so the lcm annihilates the whole space).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .scalars import ONE, ZERO, GaussianRational, _coerce, _reduced, format_scal
 
 Packed = Tuple[List[int], List[int], int]
 Row = Tuple[int, List[int], List[int], int, List[int]]  # (pivot, re, im, d, support)
-_WORD = 64  # bits a reduced row's denominator may grow by before its content is stripped
+Columns = Tuple[List[List[int]], Optional[List[List[int]]], int]  # re, im (None if all 0), e
 
 
 def _pack(entries: Sequence[GaussianRational]) -> Packed:
@@ -55,16 +54,22 @@ def _unpack(re: Sequence[int], im: Sequence[int], d: int) -> List[GaussianRation
     return [_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, im)]
 
 
-def _product(rows: Iterable[Packed], right: Packed, width: int) -> List[Packed]:
-    """Each packed row times the matrix packed row-major in ``right``: a
-    packed row over the product of the denominators, content not removed."""
-    r_re, r_im, e = right
-    c_re = [r_re[j::width] for j in range(width)]
-    c_im = [r_im[j::width] for j in range(width)] if any(r_im) else None
+def _columns(vectors: Sequence[Packed]) -> Columns:
+    """Packed vectors as the columns of a right factor over their lcm e."""
+    e = lcm(*[d for _, _, d in vectors])
+    c_re = [re if (m := e // d) == 1 else [a * m for a in re] for re, _, d in vectors]
+    c_im = [im if (m := e // d) == 1 else [b * m for b in im] for _, im, d in vectors]
+    return c_re, c_im if any(map(any, c_im)) else None, e
+
+
+def _product(rows: Iterable[Packed], columns: Columns) -> List[Packed]:
+    """Each packed row times the matrix of the packed ``columns``: a packed
+    row over the product of the denominators, content not removed."""
+    c_re, c_im, e = columns
     out = []
     for re, im, d in rows:
         x_re = [sum(map(mul, re, c)) for c in c_re]
-        x_im = [sum(map(mul, im, c)) for c in c_re] if any(im) else [0] * width
+        x_im = [sum(map(mul, im, c)) for c in c_re] if any(im) else [0] * len(c_re)
         if c_im is not None:
             x_re = [x - sum(map(mul, im, c)) for x, c in zip(x_re, c_im)]
             x_im = [y + sum(map(mul, re, c)) for y, c in zip(x_im, c_im)]
@@ -76,9 +81,9 @@ class ExactMatrix:
     """An immutable dense matrix of Gaussian rationals.
 
     Equality is entrywise exact equality, and arithmetic never rounds.
-    Products and elimination work on packed rows, Gaussian integers over one
-    denominator whose content is removed as it grows, so the integers stay
-    near the size the exact values need.
+    Products and elimination work on packed vectors, Gaussian integers over
+    one denominator, and each reduction ends by removing the content, so the
+    integers stay near the size the exact values need.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -194,8 +199,8 @@ class ExactMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        right = _pack([x for row in other._data for x in row])
-        products = _product(map(_pack, self._data), right, other.cols)
+        right = _columns([_pack(other.column_entries(j)) for j in range(other.cols)])
+        products = _product(map(_pack, self._data), right)
         return ExactMatrix._trusted([_unpack(*row) for row in products], other.cols)
 
     def __rmul__(self, other):
@@ -321,10 +326,9 @@ class Echelon:
         numerator of x at y's pivot, with e and f first divided by
         g = gcd(e, f) (exact: (e*x - f*y)/(d*e) = ((e/g)*x - (f/g)*y)/(d*e/g)),
         so a row whose denominator divides f costs no scaling.  Only y's
-        support changes beyond that scaling.  x loses its content whenever its
-        denominator has grown by a machine word since it last did, and once at
-        the end.  The result is primitive if x is."""
-        touched, limit = False, d << _WORD
+        support changes beyond that scaling.  x loses its content once, at the
+        end, so the result is primitive."""
+        touched = False
         for pivot, y_re, y_im, e, support in self.packed:
             f_re, f_im = re[pivot], im[pivot]
             if not (f_re or f_im):
@@ -342,9 +346,6 @@ class Echelon:
                 b, c = y_re[j], y_im[j]
                 re[j] -= f_re * b - f_im * c
                 im[j] -= f_re * c + f_im * b
-            if d > limit:
-                re, im, d = _primitive(re, im, d)
-                limit = d << _WORD
         return _primitive(re, im, d) if touched else (re, im, d)
 
     def add(self, re: List[int], im: List[int], d: int) -> bool:
@@ -436,13 +437,6 @@ def nullspace_basis(matrix: ExactMatrix) -> Basis:
     return Basis._of_rows(rows, matrix.cols)
 
 
-def _columns(vectors: Sequence[Tuple[List[int], List[int]]]) -> Packed:
-    """Numerator lists (re, im) as the columns of a matrix packed row-major,
-    so that ``_product`` takes each row's products with them."""
-    return ([a for column in zip(*[re for re, _ in vectors]) for a in column],
-            [b for column in zip(*[im for _, im in vectors]) for b in column], 1)
-
-
 def kernel_ladder(matrix: ExactMatrix, top: Optional[int] = None) -> List[Basis]:
     """Canonical bases of ker N, ker N^2, ... for N the matrix, while the
     dimension grows and is below top (default n), so never past k = n.
@@ -467,27 +461,26 @@ def kernel_ladder(matrix: ExactMatrix, top: Optional[int] = None) -> List[Basis]
     if not 0 < len(stage) < (n if top is None else top):
         return bases
     # L and E reversed, as the stage rows are.  lift takes K*c to y reversed:
-    # its column n-1-p is the row of E at pivot p, all over one denominator.
+    # its column n-1-p is the row of E at pivot p.
     left = [(re[:n - 1:-1], im[:n - 1:-1], 1) for pivot, re, im, _, _ in forward if pivot >= n]
-    scale = lcm(*[row[3] for row in rows])
-    columns = [([0] * n, [0] * n)] * n
+    columns: List[Packed] = [([0] * n, [0] * n, 1)] * n
     for pivot, re, im, e, _ in rows:
-        f = scale // e
-        columns[n - 1 - pivot] = [a * f for a in re[:n - 1:-1]], [b * f for b in im[:n - 1:-1]]
+        columns[n - 1 - pivot] = re[:n - 1:-1], im[:n - 1:-1], e
     lift = _columns(columns)
     previous: List[Row] = []
     while 0 < len(stage) < (n if top is None else top):
         known = {row[0] for row in previous}
         k_rows = previous + [row for row in stage if row[0] not in known]
         width, old = len(k_rows), len(previous)
-        system = _product(left, _columns([row[1:3] for row in k_rows]), width)
+        k_re, k_im = [row[1] for row in k_rows], [row[2] for row in k_rows]
+        system = _product(left, _columns([(re, im, 1) for re, im in zip(k_re, k_im)]))
         solutions = [(re[::-1], im[::-1], d) for pivot, re, im, d, _
                      in _kernel_rows(_rref_rows(system), width) if pivot < width - old]
         if not solutions:
             break
-        span = ([a for row in k_rows for a in row[1]], [b for row in k_rows for b in row[2]], 1)
+        span = _columns([(re, im, 1) for re, im in zip(zip(*k_re), zip(*k_im))])  # K^T
         echelon = Echelon(stage)
-        for y in _product(_product(solutions, span, n), lift, n):
+        for y in _product(_product(solutions, span), lift):
             echelon.add(*y)
         previous, stage = stage, _back_substitute(echelon.packed)
         bases.append(Basis._of_rows(stage, n))
@@ -503,13 +496,12 @@ def kernel_chains(matrix: ExactMatrix, stages: Sequence[Basis]) -> List[List[Exa
     rows' pivots, so one ``Echelon`` per stage, seeded with stage k-1's rows,
     takes the chain images and then stage k's vectors, all reversed, and a
     vector it adds is independent."""
-    n = matrix.rows
-    transposed = _pack([x for column in zip(*matrix._data) for x in column])
+    transposed = _columns(list(map(_pack, matrix._data)))
     chains: List[List[Packed]] = []
     for k in range(len(stages), 0, -1):
         used = Echelon(stages[k - 2]._reversed_rows() if k > 1 else ())
         if chains:
-            for chain, x in zip(chains, _product([c[-1] for c in chains], transposed, n)):
+            for chain, x in zip(chains, _product([c[-1] for c in chains], transposed)):
                 re, im, d = _primitive(*x)
                 chain.append((re, im, d))
                 used.add(re[::-1], im[::-1], d)
@@ -553,14 +545,14 @@ def complete_basis(partial: Basis) -> ExactMatrix:
 
 
 def _krylov_run(
-    transposed: Packed, start: Packed, span: Sequence[Row] = ()
+    transposed: Columns, start: Packed, span: Sequence[Row] = ()
 ) -> Tuple[Polynomial, Echelon]:
     """The annihilator of a packed vector v under A relative to the span of
     echelon rows: the monic p of least degree with p(A) v in that span (the
     Krylov annihilator of v for an empty span).  A v is the row v^T A^T,
-    given A^T packed.  Also returns an echelon whose rows, cut to their first
-    n entries, are the span's followed by the run's; the other n + 1 entries
-    are power coefficients, 0 on the span's rows."""
+    given A^T as columns, which are A's rows.  Also returns an echelon whose
+    rows, cut to their first n entries, are the span's followed by the run's;
+    the other n + 1 entries are power coefficients, 0 on the span's rows."""
     re, im, d = start
     n = len(re)
     pad = [0] * (n + 1)
@@ -573,7 +565,7 @@ def _krylov_run(
             # 0 = sum of c_k * A^k v with c_degree = 1, modulo the span.
             return Polynomial(_unpack(x_re[n:], x_im[n:], x_d)), echelon
         echelon.add(x_re, x_im, x_d)
-        re, im, d = _primitive(*_product([(re, im, d)], transposed, n)[0])
+        re, im, d = _primitive(*_product([(re, im, d)], transposed)[0])
     raise AssertionError("n+1 Krylov vectors cannot stay independent")
 
 
@@ -590,7 +582,7 @@ def krylov_factors(matrix: ExactMatrix) -> List[Polynomial]:
     n = matrix.rows
     if n == 0 or not matrix.is_square():
         raise DimensionMismatch(f"characteristic polynomial of a {n}x{matrix.cols} matrix")
-    transposed = _pack([x for column in zip(*matrix._data) for x in column])
+    transposed = _columns(list(map(_pack, matrix._data)))
     span: List[Row] = []
     factors = []
     for index in range(n):
@@ -618,8 +610,7 @@ def krylov_annihilator(matrix: ExactMatrix, vector: ExactMatrix) -> Polynomial:
         raise DimensionMismatch("vector shape does not match the matrix")
     if vector.is_zero():
         raise ZeroVector("krylov_annihilator of the zero vector")
-    transposed = _pack([x for column in zip(*matrix._data) for x in column])
-    return _krylov_run(transposed, _pack(vector.column_entries()))[0]
+    return _krylov_run(_columns(list(map(_pack, matrix._data))), _pack(vector.column_entries()))[0]
 
 
 def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
@@ -629,7 +620,7 @@ def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
     n = matrix.rows
     if n == 0 or not matrix.is_square():
         raise DimensionMismatch(f"minimal polynomial of a {n}x{matrix.cols} matrix")
-    transposed = _pack([x for column in zip(*matrix._data) for x in column])
+    transposed = _columns(list(map(_pack, matrix._data)))
     span = Echelon()
     result = Polynomial([ONE])
     for index in range(n):

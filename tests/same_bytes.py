@@ -54,8 +54,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "same_bytes.json"
 
 # Each is the argument list of gen, after "gen" and before "--seed 5".  The
-# one with entries up to 9 in S takes the reduction step that strips a row's
-# content after a machine word of growth; the next repeats chain lengths at
+# one with entries up to 9 in S has reductions whose denominator grows past
+# 64 bits before their one content strip; the next repeats chain lengths at
 # several stages for two eigenvalues; the next has a non-integral Gaussian
 # eigenvalue of multiplicity 3, so root finding clears denominators of a
 # complex factor; the next repeats a large Gaussian eigenvalue, so root

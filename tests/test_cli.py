@@ -449,6 +449,35 @@ def test_gen_malformed_structure(capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options", [
+    ["--seed", "\u0663", "--bound", "\uff12"], ["--seed", "\u0663"], ["--bound", "\uff12"],
+    ["--seed", "1_000"], ["--seed", "+5"], ["--seed", " 7"], ["--seed", "7 "], ["--seed", "-"],
+    ["--bound", "+2"], ["--bound", "\u00b2"], ["--bound", "-\u0663"],
+])
+def test_gen_seed_and_bound_are_ascii_digits(options, capsys):
+    # int() takes all of these but "-" and the superscript; gen takes ASCII
+    # digits after an optional "-".
+    assert run(["gen", "--structure", "0:2", *options]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("jordanform: error: argument --")
+
+
+@pytest.mark.parametrize("options", [["--seed", "-5"], ["--seed=-5", "--bound", "12"]])
+def test_gen_takes_a_negative_seed(options, capsys):
+    assert run(["gen", "--structure", "0:2", *options]) == EXIT_OK
+    assert document_to_matrix(json.loads(capsys.readouterr().out)).rows == 2
+
+
+def test_gen_refuses_a_bound_below_one_as_a_structure_error(capsys):
+    assert run(["gen", "--structure", "0:2", "--bound", "-1"]) == EXIT_USAGE
+    assert run(["gen", "--structure", "0:2", "--bound", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["jordanform gen: InvalidStructure: entry_bound must be >= 1"] * 2
+
+
 def test_gen_refuses_a_structure_above_the_size_bound_before_building(monkeypatch, capsys):
     from jordanform import verify
 

@@ -515,9 +515,9 @@ def test_chains_of_a_stage_are_extended_by_one_product(monkeypatch):
     products = []
     real_product = matrices._product
 
-    def counted_product(rows, right, width):
+    def counted_product(rows, columns):
         products.append(len(rows))
-        return real_product(rows, right, width)
+        return real_product(rows, columns)
 
     monkeypatch.setattr(matrices, "_product", counted_product)
     chains = jordan_chains(matrix, ladder)

@@ -3,12 +3,14 @@ slower references that form matrix powers explicitly.
 
 The inputs are seeded random matrices over Q(i), many of them derogatory
 (lambda*I, several equal Jordan blocks), conjugated by a random invertible
-matrix rather than taken from generate_case.
+matrix rather than taken from generate_case.  The one exception scales
+generate_case matrices by a rational diagonal, so that elimination runs on
+denominators past 64 bits end to end.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -17,16 +19,22 @@ from jordanform import (
     Block,
     ExactMatrix,
     Polynomial,
+    check_decomposition,
+    generate_case,
     inverse,
+    jordan_decomposition,
     jordan_matrix,
     minimal_polynomial,
     nullspace_basis,
+    parse_structure,
     rank,
     shift_by,
     stage_ladder,
 )
 from jordanform import matrices
+from jordanform.decomp import STAGES
 from jordanform.matrices import Echelon, kernel_chains, kernel_ladder
+from jordanform.spectral import spectrum_with_ladders
 
 from conftest import from_roots, gr, rand_matrix, rand_scalar
 
@@ -145,7 +153,7 @@ def test_reduce_and_add_match_a_fraction_reference(seed, monkeypatch):
     strips = []
     primitive = matrices._primitive
     monkeypatch.setattr(matrices, "_primitive", lambda *x: strips.append(x[2]) or primitive(*x))
-    word_steps = unscaled = 0
+    grown = unscaled = 0
     for _ in range(25):
         n = rng.randint(2, 7)
         echelon = Echelon()
@@ -159,11 +167,14 @@ def test_reduce_and_add_match_a_fraction_reference(seed, monkeypatch):
             re, im, d = echelon.reduce(*x)
             assert values(re, im, d) == expected and is_primitive(re, im, d)
             assert all(expected[row[0]] == (0, 0) for row in echelon.packed)
+            # A reduction that touches x strips its content once, at the end,
+            # however far its denominator grew (past 64 bits on some vectors).
+            assert len(strips) == (expected != values(*x))
             if divisible:
                 assert d == 1 and all(stripped == 1 for stripped in strips)
                 unscaled += len(strips) == 1 and any(row[3] != 1 for row in echelon.packed)
             else:
-                word_steps += len(strips) > 1
+                grown += bool(strips) and strips[0] > x[2] << 64
             before = list(echelon.packed)
             pivot = next((j for j, value in enumerate(expected) if value != (0, 0)), None)
             assert echelon.add(*x) == (pivot is not None)
@@ -178,7 +189,7 @@ def test_reduce_and_add_match_a_fraction_reference(seed, monkeypatch):
             assert values(row_re, row_im, row_d) == [(c * u - z * v, c * v + z * u)
                                                      for c, z in expected]
             assert support == [j for j, value in enumerate(expected) if value != (0, 0)]
-    assert word_steps > 0 and unscaled > 0
+    assert grown > 0 and unscaled > 0
 
 
 # --- seeded Q(i) matrices with planted Jordan structure ----------------------------
@@ -372,3 +383,35 @@ def test_bases_compare_by_their_vectors():
     assert stage_ladder(matrix, lam) != stage_ladder(matrix, blocks[-1].eigenvalue)
     with pytest.raises(AttributeError):
         first.ambient_dim = 0
+
+
+PRIMES = [p for p in range(2, 224) if all(p % q for q in range(2, p))]
+
+
+def prime_scaled(matrix, seed):
+    """D*A*D^-1 for a diagonal D of ratios of distinct primes, so a row's
+    entries share no denominator and elimination runs well past 64 bits."""
+    rng = random.Random(seed)
+    primes = rng.sample(PRIMES, 2 * matrix.rows)
+    scale = [Fraction(p, q) for p, q in zip(primes[::2], primes[1::2])]
+    return ExactMatrix([[matrix[i, j] * gr(scale[i] / scale[j]) for j in range(matrix.cols)]
+                        for i in range(matrix.rows)])
+
+
+@pytest.mark.parametrize("text", ["0:4,3,2;1:3", "2:5,3;1i:4,2;-1i:2", "0:6,4,2;1:5,3;-1:4"])
+def test_rational_conjugates_keep_their_blocks_stages_and_ladders(text):
+    structure = parse_structure(text)
+    matrix = prime_scaled(generate_case(structure, 3, 3)[0], len(text))
+    assert lcm(*[x._d for row in matrix._data for x in row]).bit_length() > 64
+    assert jordan_decomposition(matrix).blocks == structure.blocks()
+    ladders = spectrum_with_ladders(matrix)[1]
+    for kind, stage in STAGES.items():
+        assert check_decomposition(matrix, stage(matrix, ladders)).passed, kind
+    for eigenvalue, lengths in structure.entries:
+        ladder = stage_ladder(matrix, eigenvalue)
+        shifted = shift_by(matrix, eigenvalue)
+        power = shifted
+        assert ladder.max_stage == max(lengths)
+        for basis in ladder.stage_bases:
+            assert basis.vectors == nullspace_basis(power).vectors
+            power = power * shifted
