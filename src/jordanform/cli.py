@@ -23,7 +23,7 @@ from .errors import (
     UsageError,
 )
 from .matrices import ExactMatrix
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .scalars import DIGITS, GaussianRational, format_scalar, is_int, parse_scalar
 from .spectral import Spectrum, spectrum, spectrum_with_ladders
 
 EXIT_OK = 0
@@ -44,7 +44,7 @@ def document_to_matrix(doc) -> ExactMatrix:
         raise ParseError('a matrix document needs the keys "n" and "entries"')
     n = doc["n"]
     entries = doc["entries"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise ParseError(f"matrix size must be a positive integer, got {n!r}")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseError(f"expected {n} rows of entries")
@@ -61,7 +61,7 @@ def _document_entry(item):
     value is a ParseError that quotes it, cut to 40 characters."""
     if isinstance(item, str):
         return parse_scalar(item)
-    if isinstance(item, int) and not isinstance(item, bool):
+    if is_int(item):
         return item
     text = json.dumps(item)
     text = text if len(text) <= 40 else text[:40] + "..."
@@ -107,7 +107,7 @@ def document_to_decomposition(doc) -> Decomposition:
         if not isinstance(item, dict) or "lambda" not in item or "size" not in item:
             raise ParseError(f'each of "blocks" needs the keys "lambda" and "size", got {item!r}')
         size = item["size"]
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        if not is_int(size) or size < 1:
             raise ParseError(f'block "size" must be a positive integer, got {size!r}')
         blocks.append(Block(parse_scalar(item["lambda"]), size))
     return Decomposition(
@@ -231,7 +231,7 @@ def _build_parser() -> _Parser:
 
 def _ascii_int(text: str) -> int:
     """int() of ASCII digits after an optional "-": not "+5", " 7", "1_000" or another script's."""
-    if not re.fullmatch("-?[0-9]+", text):
+    if not re.fullmatch(f"-?{DIGITS}", text):
         raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
     return int(text)
 

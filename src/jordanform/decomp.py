@@ -14,7 +14,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .errors import InternalInvariantViolation, InvalidStructure
 from .matrices import ExactMatrix, kernel_chains, nullspace_basis, shift_by
-from .scalars import ONE, ZERO, GaussianRational, format_scalar
+from .scalars import ONE, ZERO, GaussianRational, format_scalar, is_int
 from .spectral import StageLadder, spectrum_with_ladders
 
 
@@ -186,8 +186,8 @@ def jordan_chains(matrix: ExactMatrix, ladder: StageLadder) -> List[JordanChain]
 
 def jordan_matrix(blocks: Sequence[Block]) -> ExactMatrix:
     """The Jordan matrix with the given blocks, in the given order."""
-    if any(block.size < 1 for block in blocks):
-        raise InvalidStructure("Jordan block sizes must be at least 1")
+    if not all(is_int(block.size) and block.size >= 1 for block in blocks):
+        raise InvalidStructure("Jordan block sizes must be integers, each at least 1")
     n = sum(block.size for block in blocks)
     rows = [[ZERO] * n for _ in range(n)]
     offset = 0

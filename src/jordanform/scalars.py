@@ -5,10 +5,12 @@ canonical form, d > 0 and gcd(a, b, d) = 1, so all field operations are
 exact and equal values have equal parts; nothing in this package ever
 rounds.  It is the only number type inside the package: ``_coerce`` is the
 one place an outside value (an int, a ``Fraction`` or a Gaussian rational)
-becomes a scalar.  ``fractions`` is met only at the public edge: a
-constructor part that is not an int, and the ``re`` and ``im`` parts, load
-it on first use, and a caller's ``Fraction`` is looked for only once it is
-loaded, as one cannot exist before.
+becomes a scalar.  It also owns the integer rule: ``is_int`` says what an
+integer argument is (an int, never a bool), and ``DIGITS`` what the digits
+of an integer in text are (ASCII only).  ``fractions`` is met only at the
+public edge: a constructor part that is not an int, and the ``re`` and
+``im`` parts, load it on first use, and a caller's ``Fraction`` is looked
+for only once it is loaded, as one cannot exist before.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import ParseError, ZeroDenominator
 if TYPE_CHECKING:
     from fractions import Fraction
 
-_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"  # ASCII digits only: \d matches any script's
+DIGITS = "[0-9]+"  # ASCII digits only: \d matches any script's
+_RATIONAL = rf"-?{DIGITS}(?:/{DIGITS})?"
 _REAL_RE = re.compile(_RATIONAL)
 _IMAG_RE = re.compile(rf"({_RATIONAL})i")
 _PAIR_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})i")
@@ -200,6 +203,12 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
         if g != 1:
             a, b, d = a // g, b // g, d // g
     return _make(a, b, d)
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer argument (a size, count or seed): an int,
+    never a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _coerce(value, role: Optional[str] = None) -> Optional[GaussianRational]:

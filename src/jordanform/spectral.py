@@ -26,6 +26,7 @@ from .errors import (
     IncompleteSpectrum,
     InternalInvariantViolation,
     InvalidProvidedEigenvalue,
+    InvalidStructure,
     NotAnEigenvalue,
     SpectrumNotRepresentable,
 )
@@ -39,7 +40,7 @@ from .matrices import (
     shift_by,
 )
 from .polynomials import Polynomial, poly_roots_exact
-from .scalars import GaussianRational, _coerce, format_scalar
+from .scalars import GaussianRational, _coerce, format_scalar, is_int
 
 
 class SpectrumEntry(NamedTuple):
@@ -147,7 +148,10 @@ def stage_ladder(matrix: ExactMatrix, eigenvalue: GaussianRational,
     stabilization, or on reaching dimension multiplicity when given, which
     saves the step that finds no growth; never past k = n.  A
     trivial kernel is NotAnEigenvalue, or, with a multiplicity, which only
-    an eigenvalue has, an InternalInvariantViolation."""
+    an eigenvalue has, an InternalInvariantViolation.  A multiplicity that is
+    not an integer >= 1 is InvalidStructure."""
+    if multiplicity is not None and not (is_int(multiplicity) and multiplicity >= 1):
+        raise InvalidStructure(f"multiplicity must be an integer >= 1, got {multiplicity!r}")
     eigenvalue = _coerce(eigenvalue, "provided eigenvalue")
     bases = kernel_ladder(shift_by(matrix, eigenvalue), multiplicity)
     if bases[0].dimension == 0:

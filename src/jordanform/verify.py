@@ -18,13 +18,22 @@ blockdiag block M_j.
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations_with_replacement
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .decomp import Block, Decomposition, jordan_matrix
 from .errors import InvalidStructure, ParseError
 from .matrices import ExactMatrix, kernel_ladder, rank, shift_by
-from .scalars import ZERO, GaussianRational, _coerce, format_scalar, parse_scalar
+from .scalars import (
+    DIGITS,
+    ZERO,
+    GaussianRational,
+    _coerce,
+    format_scalar,
+    is_int,
+    parse_scalar,
+)
 
 # Order decides which eigenvalue each partition group receives during
 # enumeration; the imaginary unit exercises the Gaussian arithmetic paths.
@@ -69,8 +78,7 @@ class JordanStructure(_Structure):
                 raise InvalidStructure(
                     f"eigenvalue {format_scalar(eigenvalue)} has no chain lengths"
                 )
-            if any(isinstance(size, bool) or not isinstance(size, int) or size < 1
-                   for size in lengths):
+            if not all(is_int(size) and size >= 1 for size in lengths):
                 raise InvalidStructure("chain lengths must be integers >= 1")
             canonical.append((eigenvalue, tuple(sorted(lengths, reverse=True))))
         canonical.sort(key=lambda item: item[0])
@@ -100,7 +108,7 @@ def parse_structure(text: str) -> JordanStructure:
         tokens = [tok.strip() for tok in lengths_text.split(",")]
         try:
             # int() alone would also take "+2", "1_0" and digits of any script.
-            if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            if not all(re.fullmatch(DIGITS, tok) for tok in tokens):
                 raise ValueError("chain lengths are ASCII digits")
             lengths = tuple(map(int, tokens))
         except ValueError as exc:  # not digits, or past the digit limit
@@ -116,8 +124,16 @@ def elementary_conjugator(
 
     S is a product of elementary row operations, so invertibility is
     structural: each row operation on S is undone on S^-1 by the inverse
-    column operation, no elimination involved.
+    column operation, no elimination involved.  n must be an integer >= 0,
+    seed an integer and entry_bound an integer >= 1, else InvalidStructure.
     """
+    for name, value in (("n", n), ("seed", seed), ("entry_bound", entry_bound)):
+        if not is_int(value):
+            raise InvalidStructure(f"{name} must be an integer, got {value!r}")
+    if n < 0:
+        raise InvalidStructure(f"n must be >= 0, got {n}")
+    if entry_bound < 1:
+        raise InvalidStructure("entry_bound must be >= 1")
     rng = random.Random(seed)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     columns = [row[:] for row in rows]  # of S^-1
@@ -143,14 +159,13 @@ def generate_case(
 
     The returned pair is the round-trip oracle: running the Jordan pipeline
     on A must reproduce J_expected byte for byte.  A total size n above
-    MAX_GENERATED_N is an InvalidStructure, raised before anything is built.
+    MAX_GENERATED_N, or a seed or entry_bound that elementary_conjugator
+    refuses, is an InvalidStructure, raised before anything is built.
     """
-    if entry_bound < 1:
-        raise InvalidStructure("entry_bound must be >= 1")
     if structure.n > MAX_GENERATED_N:
         raise InvalidStructure(f"total size {structure.n} is above the limit {MAX_GENERATED_N}")
-    expected = jordan_matrix(structure.blocks())
     s, s_inv = elementary_conjugator(structure.n, seed, entry_bound)
+    expected = jordan_matrix(structure.blocks())
     return s * expected * s_inv, expected
 
 
@@ -161,8 +176,8 @@ def exhaustive_structures(n: int) -> List[JordanStructure]:
     equal up to eigenvalue renaming appear once) and the palette values are
     assigned to the groups in canonical group order.
     """
-    if not 1 <= n <= 6:
-        raise InvalidStructure("exhaustive_structures supports 1 <= n <= 6")
+    if not is_int(n) or not 1 <= n <= 6:
+        raise InvalidStructure("exhaustive_structures supports integers 1 <= n <= 6")
     # Every partition of a total up to n (a descending tuple), largest total
     # first, each total's partitions in descending lex order.
     parts = range(n, 0, -1)
@@ -276,8 +291,9 @@ def check_decomposition(
     report, and a kind that is no stage, an A, V or M that is not an
     ExactMatrix, or blocks that are not (scalar, int size) pairs, a bool being
     no size, fail every check that reads them.  A claim that is not a
-    (kind, V, M, blocks) tuple fails every check of the kind it names first.  A Jordan claim that passes similarity, invertible and shape
-    passes chain-counts with nothing computed: then A is similar to
+    (kind, V, M, blocks) tuple fails every check of the kind it names first.
+    A Jordan claim that passes similarity, invertible and shape passes
+    chain-counts with nothing computed: then A is similar to
     M = jordan_matrix(blocks), so dim ker (A - lambda*I)^k equals
     dim ker (M - lambda*I)^k for every lambda and k, which the blocks give
     (Horn & Johnson, Matrix Analysis, 3.1).
@@ -318,8 +334,7 @@ def check_decomposition(
     results.append(CheckResult("invertible", v_rank is not None and v_rank == v.rows, detail))
 
     if not isinstance(blocks, (tuple, list)) or not all(
-        isinstance(b, Block) and _coerce(b.eigenvalue) is not None
-        and isinstance(b.size, int) and not isinstance(b.size, bool)
+        isinstance(b, Block) and _coerce(b.eigenvalue) is not None and is_int(b.size)
         for b in blocks
     ):
         malformed = "declared blocks are not (scalar, int size) pairs"

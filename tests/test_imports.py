@@ -202,6 +202,61 @@ def test_the_gaussian_integer_pair_lists_stay_inside_polynomials():
     assert private_imports("polynomials") == []
 
 
+DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
+
+
+def integer_rule_spellings(tree):
+    """Where a parsed module spells the integer rule itself: bool passed to
+    isinstance, a str digit test (isdigit, isdecimal, isnumeric), or the
+    pattern [0-9]."""
+    offences = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1:]
+            kinds = kinds[0].elts if kinds and isinstance(kinds[0], ast.Tuple) else kinds
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                offences.append(f"{node.lineno} passes bool to isinstance")
+        elif isinstance(node, ast.Attribute) and node.attr in DIGIT_TESTS:
+            offences.append(f"{node.lineno} uses {node.attr}")
+        elif isinstance(node, ast.Constant) and "[0-9]" in str(node.value):
+            offences.append(f"{node.lineno} spells [0-9]")
+    return offences
+
+
+def test_the_integer_rule_stays_inside_scalars():
+    # What an integer argument is (scalars.is_int: an int, never a bool) and
+    # what the digits of an integer in text are (scalars.DIGITS: ASCII only)
+    # are decided in scalars.py alone; every other module uses those two.
+    offences = []
+    for path in sorted((SRC / "jordanform").glob("*.py")):
+        if path.name != "scalars.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offences += [f"{path.name}:{where}" for where in integer_rule_spellings(tree)]
+    assert offences == []
+
+
+@pytest.mark.parametrize("source", [
+    "isinstance(n, bool)",
+    "isinstance(n, (int, bool))",
+    "text.isdigit()",
+    "str.isdecimal",
+    "text.isnumeric()",
+    're.fullmatch("-?[0-9]+", text)',
+])
+def test_the_integer_rule_check_sees_each_spelling(source):
+    assert len(integer_rule_spellings(ast.parse(source))) == 1
+
+
+def test_no_package_line_is_longer_than_99_characters():
+    offences = [
+        f"{path.name}:{number} has {len(line)} characters"
+        for path in sorted((SRC / "jordanform").glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 99
+    ]
+    assert offences == []
+
+
 def calls_itself(function, owners):
     """Whether ``function`` calls its own name: as a bare name when ``owners``
     is empty, or else as an attribute of one of ``owners`` (a method's first

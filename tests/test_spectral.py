@@ -10,6 +10,7 @@ from jordanform import (
     GaussianRational,
     IncompleteSpectrum,
     InvalidProvidedEigenvalue,
+    InvalidStructure,
     NotAnEigenvalue,
     Polynomial,
     SpectrumNotRepresentable,
@@ -393,6 +394,17 @@ def test_provided_ints_and_fractions_become_scalars():
     for call in (lambda: spectrum(DENSE3, [3.0]), lambda: stage_ladder(DENSE3, 3.0)):
         with pytest.raises(TypeError, match="^cannot use float as a provided eigenvalue$"):
             call()
+
+
+@pytest.mark.parametrize("multiplicity", [0, -1, True, 2.0])
+def test_stage_ladder_refuses_a_multiplicity_that_is_no_int_at_least_one(multiplicity):
+    # The first three once gave the dims [1] of the 3 x 3 Jordan block at 2.
+    from jordanform.decomp import Block, jordan_matrix
+
+    block = jordan_matrix([Block(GaussianRational(2), 3)])
+    assert stage_ladder(block, 2, 3).dims() == [1, 2, 3]
+    with pytest.raises(InvalidStructure, match="^multiplicity must be an integer >= 1, got "):
+        stage_ladder(block, 2, multiplicity)
 
 
 def test_every_reported_eigenvalue_has_an_eigenvector():

@@ -119,6 +119,41 @@ def test_generate_case_rejects_bad_bound():
         generate_case(parse_structure("0:1"), 0, 0)
 
 
+@pytest.mark.parametrize("seed, entry_bound", [(None, 3), (0, 2.0), (0, True)])
+def test_generate_case_refuses_a_seed_or_bound_that_is_no_int_before_building(
+    seed, entry_bound, monkeypatch
+):
+    # A seed of None drew a different matrix on each call.
+    from jordanform import verify
+
+    def built(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(verify, "jordan_matrix", built)
+    with pytest.raises(InvalidStructure, match="must be an integer, got"):
+        generate_case(parse_structure("0:2,1"), seed, entry_bound)
+
+
+@pytest.mark.parametrize("n, seed, entry_bound, message", [
+    (3, 1, 0, "^entry_bound must be >= 1$"),
+    (3, 1, 2.5, "^entry_bound must be an integer, got 2.5$"),
+    (3, None, 3, "^seed must be an integer, got None$"),
+    (3, 1.5, 3, "^seed must be an integer, got 1.5$"),
+    (3, "1", 3, "^seed must be an integer, got '1'$"),
+    (3, True, 3, "^seed must be an integer, got True$"),
+    (-1, 1, 3, "^n must be >= 0, got -1$"),
+    (2.0, 1, 3, "^n must be an integer, got 2.0$"),
+    (True, 1, 3, "^n must be an integer, got True$"),
+])
+def test_elementary_conjugator_refuses_an_argument_that_is_no_int_in_range(
+    n, seed, entry_bound, message
+):
+    # Each once gave a matrix, a bare ValueError from randrange, or, for the
+    # float bound, a DeprecationWarning (Python 3.11) or a TypeError (3.12+).
+    with pytest.raises(InvalidStructure, match=message):
+        elementary_conjugator(n, seed, entry_bound)
+
+
 def test_elementary_conjugator_is_exactly_invertible():
     for n, seed in itertools.product((1, 2, 4, 6), (0, 3, 17)):
         s, s_inv = elementary_conjugator(n, seed, 3)
@@ -215,6 +250,13 @@ def test_structures_out_of_range():
         exhaustive_structures(0)
     with pytest.raises(InvalidStructure):
         exhaustive_structures(7)
+
+
+@pytest.mark.parametrize("n", [2.0, True])
+def test_structures_need_an_int(n):
+    # 2.0 once raised a bare TypeError, and True gave the n = 1 list.
+    with pytest.raises(InvalidStructure, match="^exhaustive_structures supports integers"):
+        exhaustive_structures(n)
 
 
 # --- check_decomposition ------------------------------------------------------------
@@ -501,6 +543,55 @@ def test_jordan_matrix_rejects_a_block_size_below_one(sizes):
     # (3, -1) a bare IndexError.
     with pytest.raises(InvalidStructure, match="at least 1"):
         jordan_matrix([Block(gr("1"), sizes[0]), Block(gr("3"), sizes[1])])
+
+
+@pytest.mark.parametrize("size", [True, 2.0, "2", None])
+def test_jordan_matrix_rejects_a_block_size_that_is_no_int(size):
+    # True once gave [[2]], which check_decomposition calls malformed, and
+    # 2.0 a bare TypeError.
+    with pytest.raises(InvalidStructure, match="at least 1"):
+        jordan_matrix([Block(gr("2"), size)])
+
+
+SIZE_VALUES = [2, 1, 0, -1, True, False, 2.0, "2", None]
+
+
+def size_verdicts(size):
+    """Whether each of four sites takes size as a block size or chain length:
+    JordanStructure, jordan_matrix, the command line's decomposition document
+    and check_decomposition (on a 1 x 1 or 2 x 2 Jordan matrix, so a size
+    below 1 fails its shape)."""
+    from jordanform.cli import document_to_decomposition
+
+    def accepts(call, error):
+        try:
+            call()
+        except error:
+            return False
+        return True
+
+    one = {"n": 1, "entries": [["1"]]}
+    document = {"kind": "jordan", "V": one, "M": one, "blocks": [{"lambda": "0", "size": size}]}
+    claims = [
+        (jordan_matrix([Block(gr("0"), n)]), ExactMatrix.identity(n)) for n in (1, 2)
+    ]
+    return [
+        accepts(lambda: JordanStructure(((gr("0"), (size,)),)), InvalidStructure),
+        accepts(lambda: jordan_matrix([Block(gr("0"), size)]), InvalidStructure),
+        accepts(lambda: document_to_decomposition(document), ParseError),
+        any(
+            check_decomposition(j, Decomposition("jordan", i, j, (Block(gr("0"), size),))).passed
+            for j, i in claims
+        ),
+    ]
+
+
+@pytest.mark.parametrize("size", SIZE_VALUES, ids=repr)
+def test_every_site_agrees_on_what_a_block_size_is(size):
+    # The rule scalars.is_int spells, pinned by behaviour: an int >= 1, never
+    # a bool, a float, a string or None.
+    verdicts = size_verdicts(size)
+    assert verdicts == [type(size) is int and size >= 1] * 4
 
 
 def test_blockdiag_shape_rejects_every_relabelling():
