@@ -10,9 +10,9 @@ identical inputs always produce identical output matrices.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InternalInvariantViolation, InvalidStructure
+from .errors import DimensionMismatch, InternalInvariantViolation, InvalidStructure
 from .matrices import ExactMatrix, kernel_chains, nullspace_basis, shift_by
 from .scalars import ONE, ZERO, GaussianRational, format_scalar, is_int
 from .spectral import StageLadder, spectrum_with_ladders
@@ -44,6 +44,9 @@ class Decomposition(NamedTuple):
     blocks: Tuple[Block, ...]
 
 
+Part = Tuple[Block, ExactMatrix, ExactMatrix]  # a block with its V part and M part
+
+
 def _triangularize(
     matrix: ExactMatrix, eigenvalues: Sequence[GaussianRational]
 ) -> Tuple[ExactMatrix, ExactMatrix]:
@@ -62,8 +65,7 @@ def _triangularize(
             kernel = nullspace_basis(shift_by(ExactMatrix._trusted(tail, len(live)), lam))
             if not kernel.dimension:
                 raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
-            v = kernel.vectors[0].column_entries()
-            p = max(i for i, x in enumerate(v) if x)
+            v, p = kernel.vectors[0].column_entries(), kernel.free_columns[0]
         head = tail.pop(p)
         for i, x, h in zip(live, v, head):
             rows_v[i][k], rows_h[k][i] = x, h
@@ -102,23 +104,24 @@ def trigonalize(
     return _schur(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 
 
-def _eigenspace_blocks(
-    matrix: ExactMatrix, ladders: Sequence[StageLadder]
-) -> Iterator[Tuple[Block, ExactMatrix, ExactMatrix]]:
+def _eigenspace_blocks(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Iterator[Part]:
     # (block_j, V_j, M_j) per ladder, V_j its canonical top-stage basis.  Each
-    # vector of V_j is 1 at its free column (its last nonzero entry) and 0 at the
-    # others, and span(V_j) is A-invariant: M_j is the rows of A*V_j there.
+    # vector of V_j is 1 at its free column and 0 at the others, and span(V_j)
+    # is A-invariant: M_j is the rows of A*V_j there.
     for ladder in ladders:
         v = ExactMatrix.hstack(ladder.top.vectors)
-        free = [max(i for i, x in enumerate(v.column_entries(j)) if x) for j in range(v.cols)]
-        rows = ExactMatrix._trusted([matrix.row(f) for f in free], matrix.cols)
+        rows = ExactMatrix._trusted([matrix.row(f) for f in ladder.top.free_columns], matrix.cols)
         yield Block(ladder.eigenvalue, v.cols), v, rows * v
 
 
+def _assemble(kind: str, parts: Iterable[Part]) -> Decomposition:
+    """One block per part: V is the V parts side by side, M the M parts down its diagonal."""
+    blocks, v_parts, m_parts = zip(*parts)
+    return Decomposition(kind, ExactMatrix.hstack(v_parts), _block_diagonal(m_parts), blocks)
+
+
 def _blockdiag(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
-    blocks, v_parts, m_parts = zip(*_eigenspace_blocks(matrix, ladders))
-    v = ExactMatrix.hstack(v_parts)
-    return Decomposition("blockdiag", v, _block_diagonal(m_parts), blocks)
+    return _assemble("blockdiag", _eigenspace_blocks(matrix, ladders))
 
 
 def block_diagonalize(
@@ -146,14 +149,11 @@ def _block_diagonal(mats: Sequence[ExactMatrix]) -> ExactMatrix:
 
 
 def _blocktri(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
-    v_parts, u_parts, blocks = [], [], []
+    parts = []
     for block, v_j, m_j in _eigenspace_blocks(matrix, ladders):
         w_j, u_j = _triangularize(m_j, [block.eigenvalue] * block.size)
-        v_parts.append(v_j * w_j)
-        u_parts.append(u_j)
-        blocks.append(block)
-    v = ExactMatrix.hstack(v_parts)
-    return Decomposition("blocktri", v, _block_diagonal(u_parts), tuple(blocks))
+        parts.append((block, v_j * w_j, u_j))
+    return _assemble("blocktri", parts)
 
 
 def blockwise_trigonalize(
@@ -170,7 +170,13 @@ def blockwise_trigonalize(
 
 def jordan_chains(matrix: ExactMatrix, ladder: StageLadder) -> List[JordanChain]:
     """All Jordan chains for one eigenvalue, in decreasing length, seeded
-    from its stage ladder by ``matrices.kernel_chains``."""
+    from its stage ladder by ``matrices.kernel_chains``.  A ladder with no
+    stage is InvalidStructure, and one whose stages are not in the matrix's
+    dimension DimensionMismatch."""
+    if not ladder.stage_bases:
+        raise InvalidStructure("a stage ladder needs at least one stage")
+    if any(basis.ambient_dim != matrix.rows for basis in ladder.stage_bases):
+        raise DimensionMismatch(f"stage ladder bases must be in dimension {matrix.rows}")
     chains = [
         JordanChain(ladder.eigenvalue, tuple(vectors))
         for vectors in kernel_chains(shift_by(matrix, ladder.eigenvalue), ladder.stage_bases)
@@ -188,27 +194,18 @@ def jordan_matrix(blocks: Sequence[Block]) -> ExactMatrix:
     """The Jordan matrix with the given blocks, in the given order."""
     if not all(is_int(block.size) and block.size >= 1 for block in blocks):
         raise InvalidStructure("Jordan block sizes must be integers, each at least 1")
-    n = sum(block.size for block in blocks)
-    rows = [[ZERO] * n for _ in range(n)]
-    offset = 0
-    for block in blocks:
-        for k in range(block.size):
-            rows[offset + k][offset + k] = block.eigenvalue
-            if k + 1 < block.size:
-                rows[offset + k][offset + k + 1] = ONE
-        offset += block.size
-    return ExactMatrix(rows)
+    return _block_diagonal([ExactMatrix([[lam if j == i else ONE if j == i + 1 else ZERO
+                                          for j in range(s)] for i in range(s)])
+                            for lam, s in blocks])
 
 
 def _jordan(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
-    columns: List[ExactMatrix] = []
-    blocks: List[Block] = []
+    parts = []
     for ladder in ladders:
         for chain in jordan_chains(matrix, ladder):
-            columns.extend(chain.vectors)
-            blocks.append(Block(ladder.eigenvalue, chain.length))
-    v = ExactMatrix.hstack(columns)
-    return Decomposition("jordan", v, jordan_matrix(blocks), tuple(blocks))
+            block = Block(ladder.eigenvalue, chain.length)
+            parts.append((block, ExactMatrix.hstack(chain.vectors), jordan_matrix([block])))
+    return _assemble("jordan", parts)
 
 
 def jordan_decomposition(

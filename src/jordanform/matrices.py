@@ -28,7 +28,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
 from .polynomials import Polynomial, poly_lcm
-from .scalars import ONE, ZERO, GaussianRational, _coerce, _reduced, format_scalar, parse_scalar
+from .scalars import (
+    ONE, ZERO, GaussianRational, _coerce, _reduced, format_scalar, is_int, parse_scalar
+)
 
 Packed = Tuple[List[int], List[int], int]
 Row = Tuple[int, List[int], List[int], int, List[int]]  # (pivot, re, im, d, support)
@@ -77,6 +79,13 @@ def _product(rows: Iterable[Packed], columns: Columns) -> List[Packed]:
     return out
 
 
+def _size(value, name: str) -> int:
+    """A size or dimension: an int >= 0, else DimensionMismatch."""
+    if not (is_int(value) and value >= 0):
+        raise DimensionMismatch(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
 class ExactMatrix:
     """An immutable dense matrix of Gaussian rationals.
 
@@ -89,6 +98,9 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __new__(cls, data: Iterable[Iterable]) -> "ExactMatrix":
+        data = list(data)
+        if any(isinstance(row, str) for row in data):
+            raise TypeError("cannot use str as a matrix row")
         table = tuple(tuple(parse_scalar(x) if isinstance(x, str) else _coerce(x, "matrix entry")
                             for x in row) for row in data)
         width = len(table[0]) if table else 0
@@ -115,15 +127,20 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        table = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        table = [[ONE if i == j else ZERO for j in range(n)] for i in range(_size(n, "n"))]
         return cls._trusted(table, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
+        _size(rows, "rows")
+        _size(cols, "cols")
         return cls._trusted([[ZERO] * cols for _ in range(rows)], cols)
 
     @classmethod
     def basis_vector(cls, n: int, index: int) -> "ExactMatrix":
+        _size(n, "n")
+        if not (is_int(index) and 0 <= index < n):
+            raise DimensionMismatch(f"index must be an integer in [0, {n}), got {index!r}")
         return cls._trusted([[ONE if i == index else ZERO] for i in range(n)], 1)
 
     @classmethod
@@ -244,15 +261,21 @@ class Basis:
     free-variable construction, so the same subspace always gets
     byte-identical vectors.  Such a basis keeps the reversed packed rows
     ``_kernel_rows`` gave, and builds its vectors only when they are read.
+    ambient_dim is an int >= 0 and each vector an ambient_dim x 1
+    ``ExactMatrix``, else DimensionMismatch.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_vectors")
     _fields = ("ambient_dim", "vectors")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[ExactMatrix]):
+        vectors = tuple(vectors)
+        shape = (_size(ambient_dim, "ambient_dim"), 1)
+        if not all(isinstance(v, ExactMatrix) and (v.rows, v.cols) == shape for v in vectors):
+            raise DimensionMismatch(f"basis vectors must be {ambient_dim}x1 matrices")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_vectors", tuple(vectors))
+        object.__setattr__(self, "_vectors", vectors)
 
     @classmethod
     def _of_rows(cls, rows: List[Row], cols: int) -> "Basis":
@@ -287,6 +310,13 @@ class Basis:
     @property
     def dimension(self) -> int:
         return len(self._vectors if self._rows is None else self._rows)
+
+    @property
+    def free_columns(self) -> Tuple[int, ...]:
+        """The free columns of the span's canonical basis, ascending as its vectors
+        are: a canonical vector is 1 at its own, its last nonzero entry, and 0 at
+        the others.  They are ``_reversed_rows``' pivots counted from the end."""
+        return tuple(self.ambient_dim - 1 - row[0] for row in reversed(self._reversed_rows()))
 
     def _reversed_rows(self) -> List[Row]:
         """The vectors reversed, as the RREF rows of their span in
@@ -526,22 +556,13 @@ def inverse(matrix: ExactMatrix) -> ExactMatrix:
 def complete_basis(partial: Basis) -> ExactMatrix:
     """Extend a partial basis to an invertible square matrix.
 
-    The given vectors stay in front; the remaining columns are standard
-    basis vectors taken greedily in index order, skipping any that is
-    already dependent on the columns collected so far.
+    The given vectors stay in front, then each e_i whose i is no free column
+    of their span: the greedy rule, as e_i lies in span + span(e_0 ... e_(i-1))
+    exactly when some vector of the span has its last nonzero entry at i.
     """
-    n = partial.ambient_dim
-    span = Echelon()
-    if not all(span.insert(v.column_entries()) for v in partial.vectors):
-        raise DependentInput("the given vectors are not linearly independent")
-    columns = list(partial.vectors)
-    for index in range(n):
-        if len(columns) == n:
-            break
-        candidate = ExactMatrix.basis_vector(n, index)
-        if span.insert(candidate.column_entries()):
-            columns.append(candidate)
-    return ExactMatrix.hstack(columns)
+    n, free = partial.ambient_dim, partial.free_columns
+    standard = [ExactMatrix.basis_vector(n, i) for i in range(n) if i not in free]
+    return ExactMatrix.hstack([*partial.vectors, *standard])
 
 
 def _krylov_run(

@@ -58,7 +58,8 @@ class JordanStructure(_Structure):
     """Target block structure: per eigenvalue, a multiset of chain lengths.
 
     Stored canonically (eigenvalues ascending, lengths descending), so two
-    descriptions of the same structure compare equal.
+    descriptions of the same structure compare equal.  An eigenvalue is a
+    scalar, an int or a Fraction; anything else is a TypeError.
     """
 
     __slots__ = ()
@@ -69,6 +70,7 @@ class JordanStructure(_Structure):
         if not entries:
             raise InvalidStructure("a structure needs at least one eigenvalue")
         for eigenvalue, lengths in entries:
+            eigenvalue = _coerce(eigenvalue, "structure eigenvalue")
             if eigenvalue in seen:
                 raise InvalidStructure(
                     f"duplicate eigenvalue {format_scalar(eigenvalue)}"

@@ -14,8 +14,10 @@ from jordanform import (
     Block,
     Decomposition,
     DependentInput,
+    DimensionMismatch,
     ExactMatrix,
     InternalInvariantViolation,
+    InvalidStructure,
     NotAnEigenvalue,
     StageLadder,
     ZeroVector,
@@ -507,6 +509,17 @@ def test_chains_from_a_dependent_basis_raise_dependent_input():
     bad = StageLadder(gr("3"), good.stage_bases[:-1] + (Basis(3, [top[0], top[0], top[1]]),))
     with pytest.raises(DependentInput):
         jordan_chains(DENSE3, bad)
+
+
+def test_chains_from_a_ladder_of_another_size_raise_dimension_mismatch():
+    ladder = stage_ladder(UPPER3, gr("1"))  # in dimension 3, not SHEAR2's 2
+    with pytest.raises(DimensionMismatch, match="stage ladder bases must be in dimension 2"):
+        jordan_chains(SHEAR2, ladder)
+
+
+def test_chains_from_a_ladder_with_no_stage_raise_invalid_structure():
+    with pytest.raises(InvalidStructure, match="a stage ladder needs at least one stage"):
+        jordan_chains(SHEAR2, StageLadder(gr("1"), ()))
 
 
 def test_chains_of_a_stage_are_extended_by_one_product(monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 from jordanform import (
     Basis,
     Block,
+    DimensionMismatch,
     ExactMatrix,
     Polynomial,
     check_decomposition,
@@ -377,7 +378,9 @@ def test_bases_compare_by_their_vectors():
     rebuilt = Basis(first.ambient_dim, first.vectors)
     assert rebuilt == first and hash(rebuilt) == hash(first) and repr(rebuilt) == repr(first)
     assert repr(first).startswith(f"Basis(ambient_dim={n}, vectors=(ExactMatrix(")
-    assert Basis(n, first.vectors[:-1]) != first and Basis(n + 1, first.vectors) != first
+    assert Basis(n, first.vectors[:-1]) != first and Basis(n + 1, ()) != Basis(n, ())
+    with pytest.raises(DimensionMismatch):  # vectors of another dimension are no basis
+        Basis(n + 1, first.vectors)
     assert first != (first.ambient_dim, first.vectors)
     assert stage_ladder(matrix, lam) == stage_ladder(matrix, lam)
     assert stage_ladder(matrix, lam) != stage_ladder(matrix, blocks[-1].eigenvalue)

@@ -14,17 +14,20 @@ from jordanform import (
     SingularMatrix,
     ZeroVector,
     complete_basis,
+    elementary_conjugator,
     inverse,
     krylov_annihilator,
     nullspace_basis,
     poly_apply,
     rank,
     rref,
+    shift_by,
 )
-from jordanform.matrices import Echelon
+from jordanform.matrices import Echelon, kernel_ladder
 
 from conftest import (
-    DENSE3, ROTATION2, SHEAR2, UPPER3, col, gr, mat, rand_matrix, rand_ranked_matrix
+    DENSE3, ROTATION2, SHEAR2, UPPER3, as_matrix, col, gr, mat, rand_matrix, rand_ranked_matrix,
+    rand_scalar,
 )
 
 
@@ -248,14 +251,26 @@ def test_nullspace_vectors_are_in_the_kernel_seeded():
 def test_nullspace_vectors_are_one_at_their_own_free_column_seeded():
     # A vector's last nonzero entry is 1, and every other vector is 0 there:
     # the coordinates of a vector of the span are its entries at these indices.
+    # free_columns lists them in the vectors' order, for the canonical basis
+    # and for any other basis of the same span.
     rng = random.Random(23)
-    for _ in range(100):
+    mixed = 0
+    for trial in range(100):
         n = rng.randint(2, 6)
         basis = nullspace_basis(rand_ranked_matrix(rng, rng.randint(1, n - 1), n))
+        last_nonzero = []
         for k, v in enumerate(basis.vectors):
             free = max(i for i, x in enumerate(v.column_entries()) if x)
             assert v[free, 0] == gr(1)
             assert all(u[free, 0].is_zero() for j, u in enumerate(basis.vectors) if j != k)
+            last_nonzero.append(free)
+        assert basis.free_columns == tuple(last_nonzero)
+        mix, _ = elementary_conjugator(basis.dimension, trial, 2)
+        columns = as_matrix(basis) * mix * gr("-2/3+1i")
+        hand_made = Basis(n, [columns.submatrix(0, n, j, j + 1) for j in range(columns.cols)][::-1])
+        assert hand_made.free_columns == tuple(last_nonzero)
+        mixed += hand_made.vectors != basis.vectors
+    assert mixed >= 50
 
 
 # --- inverse ----------------------------------------------------------------
@@ -305,6 +320,55 @@ def test_complete_basis_skips_dependent_candidates():
 def test_complete_basis_rejects_dependent_input():
     with pytest.raises(DependentInput):
         complete_basis(Basis(2, (col([1, 2]), col([2, 4]))))
+
+
+def greedy_completion(partial):
+    """The greedy rule, independent of free columns: the given vectors, then
+    e_0, e_1, ... each unless the columns so far and it have deficient rank."""
+    n = partial.ambient_dim
+    columns = list(partial.vectors)
+    if columns and rank(ExactMatrix.hstack(columns)) < len(columns):
+        raise DependentInput("the given vectors are not linearly independent")
+    for index in range(n):
+        candidate = ExactMatrix.basis_vector(n, index)
+        if rank(ExactMatrix.hstack(columns + [candidate])) == len(columns) + 1:
+            columns.append(candidate)
+    return ExactMatrix.hstack(columns)
+
+
+def test_complete_basis_is_the_greedy_completion_seeded():
+    rng = random.Random(40)
+    outcomes = {"matrix": 0, "dependent": 0, "zero": 0}
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        vectors = []
+        for _ in range(rng.randint(0, n)):
+            roll = rng.random()
+            if roll < 0.04:
+                vectors.append(ExactMatrix.zeros(n, 1))
+            elif roll < 0.12 and vectors:  # dependent: a multiple of one given
+                vectors.append(rng.choice(vectors) * gr("3/2"))
+            else:  # sparse, so that the free columns vary
+                vectors.append(ExactMatrix(
+                    [[rand_scalar(rng, 4) if rng.random() < 0.5 else 0] for _ in range(n)]
+                ))
+        partial = Basis(n, vectors)
+        if any(v.is_zero() for v in vectors):
+            with pytest.raises(ZeroVector):
+                complete_basis(partial)
+            outcomes["zero"] += 1
+            continue
+        try:
+            expected = greedy_completion(partial)
+        except DependentInput:
+            with pytest.raises(DependentInput):
+                complete_basis(partial)
+            outcomes["dependent"] += 1
+            continue
+        got = complete_basis(partial)
+        assert got == expected and got.entries_str() == expected.entries_str()
+        outcomes["matrix"] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def test_complete_basis_is_invertible_seeded():
@@ -381,3 +445,84 @@ def test_matrix_is_immutable():
 def test_matrix_multiplication_shape_check():
     with pytest.raises(DimensionMismatch):
         _ = DENSE3 * ExactMatrix.identity(2)
+
+
+WIDE = mat([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExactMatrix.hstack([]), "hstack of an empty sequence"),
+    (lambda: ExactMatrix.hstack([DENSE3, SHEAR2]), "hstack of matrices with different row counts"),
+    (lambda: WIDE.trace(), "trace of a non-square matrix"),
+    (lambda: DENSE3 + SHEAR2, "matrix addition with different shapes"),
+    (lambda: shift_by(WIDE, gr(1)), "shift of a non-square matrix"),
+    (lambda: kernel_ladder(WIDE), "kernel ladder of a non-square matrix"),
+    (lambda: inverse(WIDE), "inverse of a non-square matrix"),
+    (lambda: krylov_annihilator(WIDE, col([1, 0])), "krylov_annihilator needs a square matrix"),
+    (lambda: krylov_annihilator(DENSE3, col([1, 0])), "vector shape does not match the matrix"),
+    (lambda: krylov_annihilator(DENSE3, mat([[1, 0, 0]])),
+     "vector shape does not match the matrix"),
+], ids=["hstack-nothing", "hstack-rows", "trace", "add", "shift_by", "kernel_ladder",
+        "inverse", "krylov-matrix", "krylov-vector-rows", "krylov-vector-cols"])
+def test_each_shape_error_names_what_is_wrong(call, message):
+    with pytest.raises(DimensionMismatch) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExactMatrix.identity(True), "n must be an integer >= 0, got True"),
+    (lambda: ExactMatrix.identity(-1), "n must be an integer >= 0, got -1"),
+    (lambda: ExactMatrix.identity(2.0), "n must be an integer >= 0, got 2.0"),
+    (lambda: ExactMatrix.zeros(2, -1), "cols must be an integer >= 0, got -1"),
+    (lambda: ExactMatrix.zeros(-1, 2), "rows must be an integer >= 0, got -1"),
+    (lambda: ExactMatrix.zeros(2, True), "cols must be an integer >= 0, got True"),
+    (lambda: ExactMatrix.basis_vector(2, 5), "index must be an integer in [0, 2), got 5"),
+    (lambda: ExactMatrix.basis_vector(2, 2), "index must be an integer in [0, 2), got 2"),
+    (lambda: ExactMatrix.basis_vector(2, -1), "index must be an integer in [0, 2), got -1"),
+    (lambda: ExactMatrix.basis_vector(2, False), "index must be an integer in [0, 2), got False"),
+    (lambda: ExactMatrix.basis_vector(-1, 0), "n must be an integer >= 0, got -1"),
+], ids=["identity-True", "identity-negative", "identity-float", "zeros-negative-cols",
+        "zeros-negative-rows", "zeros-True", "basis_vector-past-n", "basis_vector-at-n",
+        "basis_vector-negative", "basis_vector-False", "basis_vector-negative-n"])
+def test_size_constructors_take_ints_in_range(call, message):
+    with pytest.raises(DimensionMismatch) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_size_constructors_at_the_edges():
+    assert (ExactMatrix.identity(0).rows, ExactMatrix.identity(0).cols) == (0, 0)
+    assert (ExactMatrix.zeros(0, 3).rows, ExactMatrix.zeros(2, 0).cols) == (0, 0)
+    assert ExactMatrix.basis_vector(2, 0) == col([1, 0])
+    assert ExactMatrix.basis_vector(2, 1) == col([0, 1])
+
+
+def test_a_string_is_no_matrix_row():
+    for data in (["12"], [[1, 2], "34"], "12"):
+        with pytest.raises(TypeError, match="cannot use str as a matrix row"):
+            ExactMatrix(data)
+    with pytest.raises(TypeError, match="cannot use float as a matrix entry"):
+        ExactMatrix([[1.5]])
+    assert ExactMatrix([["12"]]) == mat([[12]])  # a string entry is still a scalar
+
+
+@pytest.mark.parametrize("ambient_dim, vectors", [
+    (True, ()),
+    (-1, ()),
+    (2.0, ()),
+    ("2", ()),
+    (None, ()),
+    (2, [col([1, 2, 3])]),
+    (2, [col([1])]),
+    (2, [mat([[1, 0], [0, 1]])]),
+    (2, [mat([[1, 2]])]),
+    (2, [[1, 2]]),
+    (2, [col([1, 0]), (1, 0)]),
+], ids=["dim-True", "dim-negative", "dim-float", "dim-str", "dim-None", "vector-too-long",
+        "vector-too-short", "vector-square", "vector-row", "vector-list", "vector-tuple"])
+def test_basis_refuses_a_dimension_or_vector_of_the_wrong_kind(ambient_dim, vectors):
+    # Vectors of another size would reach jordan_chains, which would build
+    # chains of that size for the matrix.
+    with pytest.raises(DimensionMismatch):
+        Basis(ambient_dim, vectors)

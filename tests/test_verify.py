@@ -60,6 +60,17 @@ def test_structure_validation(entries):
         JordanStructure(entries)
 
 
+def test_structure_eigenvalues_are_scalars_when_the_structure_is_built():
+    for value in (1.5, "x", "1", None):
+        with pytest.raises(TypeError, match="as a structure eigenvalue"):
+            JordanStructure(((value, (2,)),))
+    # An int or a Fraction is the scalar it stands for, also when deduplicating.
+    assert JordanStructure(((1, (2,)),)) == JordanStructure(((gr("1"), (2,)),))
+    assert type(JordanStructure(((1, (2,)),)).entries[0][0]) is type(gr("1"))
+    with pytest.raises(InvalidStructure, match="duplicate eigenvalue 1"):
+        JordanStructure(((1, (2,)), (gr("1"), (1,))))
+
+
 def test_parse_structure():
     parsed = parse_structure("0:2,1;1:1")
     assert parsed == JordanStructure(((gr("0"), (2, 1)), (gr("1"), (1,))))
