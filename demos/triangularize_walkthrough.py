@@ -6,7 +6,7 @@ deflate that block in closed form at the eigenvector's last nonzero index.
 At the end A * V == V * U holds entry for entry, no tolerances anywhere.
 """
 
-from jordanform import ExactMatrix, find_eigenvalue, inverse, trigonalize
+from jordanform import ExactMatrix, inverse, spectrum, trigonalize
 from jordanform.cli import pretty_matrix
 
 A = ExactMatrix.from_rows([[2, 1, 1], [-4, 5, 4], [1, 0, 2]])
@@ -15,7 +15,7 @@ print("A:")
 print(pretty_matrix(A))
 print()
 
-lam = find_eigenvalue(A)
+lam = spectrum(A).entries[0].eigenvalue
 print(f"canonically smallest eigenvalue: {lam}")
 print()
 

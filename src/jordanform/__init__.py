@@ -58,7 +58,6 @@ _EXPORTS = {
     "Spectrum": "spectral",
     "SpectrumEntry": "spectral",
     "StageLadder": "spectral",
-    "find_eigenvalue": "spectral",
     "poly_apply": "spectral",
     "spectrum": "spectral",
     "stage_ladder": "spectral",

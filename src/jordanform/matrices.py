@@ -97,12 +97,17 @@ class ExactMatrix:
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __new__(cls, data: Iterable[Iterable]) -> "ExactMatrix":
-        data = list(data)
-        if any(isinstance(row, str) for row in data):
-            raise TypeError("cannot use str as a matrix row")
+    def __new__(cls, data: Iterable[Sequence]) -> "ExactMatrix":
+        # A row is a list or a tuple: a str, bytes or dict row would read as
+        # its items, and a set of rows or entries is ordered by the hash seed.
+        if isinstance(data, (set, frozenset)):
+            raise TypeError(f"cannot use {type(data).__name__} as a matrix row")
+        rows = list(data)
+        for row in rows:
+            if not isinstance(row, (list, tuple)):
+                raise TypeError(f"cannot use {type(row).__name__} as a matrix row")
         table = tuple(tuple(parse_scalar(x) if isinstance(x, str) else _coerce(x, "matrix entry")
-                            for x in row) for row in data)
+                            for x in row) for row in rows)
         width = len(table[0]) if table else 0
         if any(len(row) != width for row in table):
             raise DimensionMismatch("rows of unequal length")

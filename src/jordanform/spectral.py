@@ -212,8 +212,3 @@ def spectrum(
     return Spectrum(tuple(
         _entry(lam, _dims(matrix, lam, m)) for lam, m in _eigenvalues(matrix, provided)
     ))
-
-
-def find_eigenvalue(matrix: ExactMatrix) -> GaussianRational:
-    """The canonically smallest eigenvalue of the matrix, with no kernel built."""
-    return _eigenvalues(matrix)[0][0]

@@ -224,8 +224,7 @@ _SHAPES = {
 }
 
 
-def _shape_ok(decomposition: Decomposition) -> Tuple[bool, str]:
-    kind, _, m, blocks = decomposition
+def _shape_ok(kind, m: ExactMatrix, blocks: Sequence[Block]) -> Tuple[bool, str]:
     if not isinstance(kind, str) or kind not in _SHAPES:
         return False, f"unknown kind {kind!r}"
     # owner[i]: the index and eigenvalue of the declared block that holds i.
@@ -284,6 +283,14 @@ def _check_names(kind) -> List[str]:
     return names + ["chain-counts"] * (kind == "jordan")
 
 
+def _report(names: List[str], verdicts: Dict[str, Tuple[bool, str]], unread: str) -> CheckReport:
+    """Each check in names with its verdict; a check with none fails with
+    unread, which says what part of the claim it could not read."""
+    return CheckReport(
+        tuple(CheckResult(name, *verdicts.get(name, (False, unread))) for name in names)
+    )
+
+
 def check_decomposition(
     matrix: ExactMatrix, decomposition: Decomposition
 ) -> CheckReport:
@@ -301,12 +308,11 @@ def check_decomposition(
     (Horn & Johnson, Matrix Analysis, 3.1).
     """
     fields = tuple(decomposition) if isinstance(decomposition, (tuple, list)) else ()
+    names = _check_names(fields[0] if fields else None)
     if len(fields) != 4:
-        malformed = "claim is not a (kind, V, M, blocks) tuple"
-        names = _check_names(fields[0] if fields else None)
-        return CheckReport(tuple(CheckResult(x, False, malformed) for x in names))
+        return _report(names, {}, "claim is not a (kind, V, M, blocks) tuple")
     kind, v, m, blocks = fields
-    results: List[CheckResult] = []
+    verdicts: Dict[str, Tuple[bool, str]] = {}
     strangers = [k for k, x in zip("AVM", (matrix, v, m)) if not isinstance(x, ExactMatrix)]
     named = ", ".join(strangers[:-1]) + " and " * (len(strangers) > 1) + "".join(strangers[-1:])
     unreadable = strangers and f"{named} not an ExactMatrix"
@@ -317,12 +323,9 @@ def check_decomposition(
 
     if shapes_match:
         similar = matrix * v == v * m
-        results.append(
-            CheckResult("similarity", similar, "A*V == V*M" if similar else "A*V != V*M")
-        )
+        verdicts["similarity"] = similar, "A*V == V*M" if similar else "A*V != V*M"
     else:
-        detail = unreadable or f"A, V and M are not all {n} x {n}"
-        results.append(CheckResult("similarity", False, detail))
+        verdicts["similarity"] = False, unreadable or f"A, V and M are not all {n} x {n}"
 
     v_rank = rank(v) if isinstance(v, ExactMatrix) and v.is_square() else None
     if not isinstance(v, ExactMatrix):
@@ -333,41 +336,34 @@ def check_decomposition(
         detail = f"V not invertible: matrix of rank {v_rank} < {v.rows}"
     else:
         detail = "V has an exact inverse"
-    results.append(CheckResult("invertible", v_rank is not None and v_rank == v.rows, detail))
+    verdicts["invertible"] = v_rank is not None and v_rank == v.rows, detail
 
     if not isinstance(blocks, (tuple, list)) or not all(
         isinstance(b, Block) and _coerce(b.eigenvalue) is not None and is_int(b.size)
         for b in blocks
     ):
-        malformed = "declared blocks are not (scalar, int size) pairs"
-        names = _check_names(kind)[len(results):]
-        return CheckReport(tuple(results + [CheckResult(x, False, malformed) for x in names]))
+        return _report(names, verdicts, "declared blocks are not (scalar, int size) pairs")
 
     total = sum(block.size for block in blocks)
     detail = f"block sizes sum to {total} of {n}" if square else not_square
-    results.append(CheckResult("multiplicity-sum", square and total == n, detail))
+    verdicts["multiplicity-sum"] = square and total == n, detail
 
-    shape = _shape_ok(fields) if shapes_match else (False, unreadable or "wrong shape")
-    results.append(CheckResult("shape", *shape))
+    verdicts["shape"] = (
+        _shape_ok(kind, m, blocks) if shapes_match else (False, unreadable or "wrong shape")
+    )
 
     weighted = sum((block.eigenvalue * block.size for block in blocks), ZERO)
     trace_ok = square and matrix.trace() == weighted
-    results.append(
-        CheckResult(
-            "trace",
-            trace_ok,
-            "trace(A) equals the multiplicity-weighted eigenvalue sum"
-            if trace_ok
-            else "trace identity failed",
-        )
+    verdicts["trace"] = trace_ok, (
+        "trace(A) equals the multiplicity-weighted eigenvalue sum" if trace_ok
+        else "trace identity failed"
     )
 
-    if kind == "jordan":
-        proven = all(r.passed for r in results if r.name in ("similarity", "invertible", "shape"))
-        chain_counts = (
+    if "chain-counts" in names:
+        proven = all(verdicts[name][0] for name in ("similarity", "invertible", "shape"))
+        verdicts["chain-counts"] = (
             (True, _CHAIN_COUNTS_MATCH) if proven
             else _chain_counts_ok(matrix, blocks) if square else (False, not_square)
         )
-        results.append(CheckResult("chain-counts", *chain_counts))
 
-    return CheckReport(tuple(results))
+    return _report(names, verdicts, "")

@@ -522,6 +522,18 @@ def test_chains_from_a_ladder_with_no_stage_raise_invalid_structure():
         jordan_chains(SHEAR2, StageLadder(gr("1"), ()))
 
 
+def test_chains_that_miss_the_ladder_dimensions_are_an_internal_error(monkeypatch):
+    matrix, _ = generate_case(parse_structure("1i:3,1;2:1"), 3, 3)
+    ladder = stage_ladder(matrix, gr("1i"))
+    real_chains = jordanform.decomp.kernel_chains
+    monkeypatch.setattr(jordanform.decomp, "kernel_chains", lambda *args: real_chains(*args)[1:])
+    with pytest.raises(
+        InternalInvariantViolation,
+        match=r"^chain counts for 1i disagree with the ladder dimensions \[2, 3, 4\]$",
+    ):
+        jordan_chains(matrix, ladder)
+
+
 def test_chains_of_a_stage_are_extended_by_one_product(monkeypatch):
     matrix, expected = generate_case(parse_structure("0:3,3,3;1:1"), 5, 3)
     ladder = stage_ladder(matrix, gr("0"))

@@ -507,6 +507,18 @@ def test_a_string_is_no_matrix_row():
     assert ExactMatrix([["12"]]) == mat([[12]])  # a string entry is still a scalar
 
 
+@pytest.mark.parametrize("data, refused", [
+    ([b"12"], "bytes"),  # once [[49, 50]], the byte values
+    ([{3: "a", 1: "b"}], "dict"),  # once [[3, 1]], the keys
+    ([{"1", "2", "3"}], "set"),  # once ordered by the hash seed
+    ({("1", "0"), ("0", "1"), ("2", "2")}, "set"),  # rows ordered by the hash seed
+    (frozenset({(1, 2)}), "frozenset"),
+], ids=["bytes-row", "dict-row", "set-row", "set-of-rows", "frozenset-of-rows"])
+def test_a_row_is_a_list_or_a_tuple(data, refused):
+    with pytest.raises(TypeError, match=f"^cannot use {refused} as a matrix row$"):
+        ExactMatrix(data)
+
+
 @pytest.mark.parametrize("ambient_dim, vectors", [
     (True, ()),
     (-1, ()),

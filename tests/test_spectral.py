@@ -16,11 +16,9 @@ from jordanform import (
     SpectrumNotRepresentable,
     exhaustive_structures,
     elementary_conjugator,
-    find_eigenvalue,
     generate_case,
     jordan_chains,
     minimal_polynomial,
-    parse_structure,
     poly_apply,
     poly_roots_exact,
     spectrum,
@@ -139,36 +137,6 @@ def test_constant_rejected():
         poly_roots_exact(Polynomial([5]))
 
 
-# --- find_eigenvalue ------------------------------------------------------------
-
-def test_find_eigenvalue_shear():
-    assert find_eigenvalue(SHEAR2) == gr("1")
-
-
-def test_find_eigenvalue_dense3():
-    assert find_eigenvalue(DENSE3) == gr("3")
-
-
-def test_find_eigenvalue_rotation_takes_canonical_smallest():
-    assert find_eigenvalue(ROTATION2) == gr("-1i")
-
-
-def test_find_eigenvalue_builds_no_kernel_and_takes_no_rank(monkeypatch):
-    # The smallest root of the Krylov factors is the answer; no ladder and no
-    # rank is needed to read it.
-    def refused(*args):
-        raise AssertionError("a kernel or a rank was computed")
-
-    monkeypatch.setattr(spectral, "kernel_ladder", refused)
-    monkeypatch.setattr(spectral, "rank", refused)
-    assert find_eigenvalue(UPPER3) == gr("1")
-    assert find_eigenvalue(DENSE3) == gr("3")
-    matrix, _ = generate_case(parse_structure("1i:2;-1i:2;1/2:1"), 5, 3)
-    assert find_eigenvalue(matrix) == gr("-1i")
-    with pytest.raises(SpectrumNotRepresentable):
-        find_eigenvalue(CUBE_COMPANION)
-
-
 # --- minimal polynomial ----------------------------------------------------------
 
 def test_minimal_polynomial_upper3():
@@ -207,8 +175,6 @@ def test_empty_matrix_is_a_dimension_error():
         spectrum(empty)
     with pytest.raises(DimensionMismatch):
         spectrum_with_ladders(empty, [])
-    with pytest.raises(DimensionMismatch):
-        find_eigenvalue(empty)
 
 
 @pytest.mark.parametrize("provided", [None, [], [gr("1")]])

@@ -532,6 +532,43 @@ def test_a_claim_that_is_no_four_tuple_fails_every_check_of_its_kind_without_rai
         ), kind
 
 
+def _claims():
+    """(A, claim) pairs: every mix of a good or broken kind, A, V, M and
+    blocks around A = V*M*V^-1, M one Jordan block of 1, then claims that
+    are not 4-tuples."""
+    a, v, m = mat([[0, 1], [-1, 2]]), mat([[1, 1], [1, 2]]), mat([[1, 1], [0, 1]])
+    good = (Block(gr("1"), 2),)
+
+    def broken(x):  # x, no matrix, non-square, the wrong size
+        return [x, None, mat([[1, 0, 0], [0, 1, 0]]), ExactMatrix.identity(3)]
+
+    blocks = [
+        good, None, (), list(good), (Block(1.0, 2),),
+        (Block(gr("1"), True), Block(gr("1"), True)),
+        (Block(gr("1"), 0), Block(gr("1"), 2)),
+        ((1, 2),), (1, 2), (Block(gr("2"), 2),),
+    ]
+    kinds = [*STAGES, "frobenius", ["jordan"], None, 7]
+    singular = mat([[1, 1], [1, 1]])
+    for claim in itertools.product(kinds, broken(v) + [singular], broken(m), blocks):
+        for matrix in broken(a):
+            yield matrix, claim
+    for kind in kinds:
+        yield a, (kind, v, m)
+        yield a, (kind, v, m, good, None)
+        yield a, [kind, v, m, good]
+    yield a, None
+    yield a, "jordan"
+
+
+def test_reports_on_a_fixed_product_of_claims_keep_their_bytes():
+    # Pins every check's name, order, verdict and detail on 6426 claims.
+    reports = "\n".join(repr(check_decomposition(*pair).results) for pair in _claims())
+    assert hashlib.sha256(reports.encode()).hexdigest() == (
+        "f604cae462e672872c2d3656ce0e14566acc34763f620752434e59b1499266e9"
+    )
+
+
 def test_blockdiag_claim_with_swapped_labels_fails(two_eigenvalues):
     truth = block_diagonalize(two_eigenvalues)
     claim = truth._replace(
