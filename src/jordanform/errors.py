@@ -36,11 +36,9 @@ class SpectrumNotRepresentable(JordanFormError):
     callers can report precisely what could not be solved.
     """
 
-    def __init__(self, factor, message=None):
+    def __init__(self, factor):
         self.factor = factor
-        if message is None:
-            message = f"no root in Q(i) for the remaining factor {factor}"
-        super().__init__(message)
+        super().__init__(f"no root in Q(i) for the remaining factor {factor}")
 
 
 class InvalidProvidedEigenvalue(JordanFormError, ValueError):

@@ -26,7 +26,9 @@ from math import gcd, lcm
 from operator import mul, or_
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import DependentInput, DimensionMismatch, SingularMatrix, ZeroVector
+from .errors import (
+    DependentInput, DimensionMismatch, InternalInvariantViolation, SingularMatrix, ZeroVector
+)
 from .polynomials import Polynomial, poly_lcm
 from .scalars import (
     ONE, ZERO, GaussianRational, _coerce, _reduced, format_scalar, is_int, parse_scalar
@@ -171,6 +173,10 @@ class ExactMatrix:
         return tuple(self._data[i][j] for i in range(self.rows))
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
+        if not (all(map(is_int, (r0, r1, c0, c1)))
+                and 0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise DimensionMismatch(f"submatrix [{r0!r}:{r1!r}, {c0!r}:{c1!r}] "
+                                    f"outside a {self.rows}x{self.cols} matrix")
         return ExactMatrix._trusted([row[c0:c1] for row in self._data[r0:r1]], c1 - c0)
 
     def trace(self) -> GaussianRational:
@@ -572,13 +578,13 @@ def complete_basis(partial: Basis) -> ExactMatrix:
 
 def _krylov_run(
     transposed: Columns, start: Packed, span: Sequence[Row] = ()
-) -> Tuple[Polynomial, Echelon]:
+) -> Tuple[Polynomial, List[Row]]:
     """The annihilator of a packed vector v under A relative to the span of
     echelon rows: the monic p of least degree with p(A) v in that span (the
     Krylov annihilator of v for an empty span).  A v is the row v^T A^T,
-    given A^T as columns, which are A's rows.  Also returns an echelon whose
-    rows, cut to their first n entries, are the span's followed by the run's;
-    the other n + 1 entries are power coefficients, 0 on the span's rows."""
+    given A^T as columns, which are A's rows.  Also returns the run's own
+    echelon rows, primitive with supports, less the n + 1 power coefficients
+    they carry in the run (0 on the span's rows)."""
     re, im, d = start
     n = len(re)
     pad = [0] * (n + 1)
@@ -589,10 +595,12 @@ def _krylov_run(
         x_re, x_im, x_d = echelon.reduce(re + tag, im + pad, d)
         if not (any(x_re[:n]) or any(x_im[:n])):
             # 0 = sum of c_k * A^k v with c_degree = 1, modulo the span.
-            return Polynomial(_unpack(x_re[n:], x_im[n:], x_d)), echelon
+            return Polynomial(_unpack(x_re[n:], x_im[n:], x_d)), [
+                _row(pivot, *_primitive(y_re[:n], y_im[:n], e))
+                for pivot, y_re, y_im, e, _ in echelon.packed[len(span):]]
         echelon.add(x_re, x_im, x_d)
         re, im, d = _primitive(*_product([(re, im, d)], transposed)[0])
-    raise AssertionError("n+1 Krylov vectors cannot stay independent")
+    raise InternalInvariantViolation("n+1 Krylov vectors cannot stay independent")
 
 
 def krylov_factors(matrix: ExactMatrix) -> List[Polynomial]:
@@ -618,8 +626,7 @@ def krylov_factors(matrix: ExactMatrix) -> List[Polynomial]:
         factor, run = _krylov_run(transposed, start, span)
         if factor.degree > 0:
             factors.append(factor)
-            span += [_row(pivot, *_primitive(re[:n], im[:n], d))
-                     for pivot, re, im, d, _ in run.packed[len(span):]]
+            span += run
     return factors
 
 
@@ -653,7 +660,7 @@ def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
         start = ([int(i == index) for i in range(n)], [0] * n, 1)
         if len(span.packed) < n and span.add(*start):
             annihilator, cyclic = _krylov_run(transposed, start)
-            for _, re, im, d, _ in cyclic.packed:
-                span.add(re[:n], im[:n], d)
+            for _, re, im, d, _ in cyclic:
+                span.add(re, im, d)
             result = poly_lcm(result, annihilator)
     return result

@@ -8,7 +8,8 @@ it conjugates a known Jordan matrix with an exactly invertible transform,
 giving an independent oracle for what the decomposition must recover.
 
 The shape is read off the declared blocks, whose positive sizes must add up
-to n.  A jordan M must be their Jordan matrix.  A schur or blocktri M is
+to n; that is tested on the sizes alone, before anything of size n is
+built.  A jordan M must be their Jordan matrix.  A schur or blocktri M is
 upper triangular, each diagonal entry the eigenvalue of the block holding
 it; a blockdiag or blocktri M is zero wherever row and column lie in
 different blocks, and (M_j - lambda_j I)^(s_j) = 0 for each s_j x s_j
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .decomp import Block, Decomposition, jordan_matrix
@@ -227,35 +228,31 @@ _SHAPES = {
 def _shape_ok(kind, m: ExactMatrix, blocks: Sequence[Block]) -> Tuple[bool, str]:
     if not isinstance(kind, str) or kind not in _SHAPES:
         return False, f"unknown kind {kind!r}"
-    # owner[i]: the index and eigenvalue of the declared block that holds i.
-    owner = [
-        (k, block.eigenvalue) for k, block in enumerate(blocks) for _ in range(block.size)
-    ]
-    if len(owner) != m.rows or any(block.size < 1 for block in blocks):
+    sizes = [block.size for block in blocks]
+    if any(size < 1 for size in sizes) or sum(sizes) != m.rows:
         return False, "declared block sizes do not partition M"
+    # Each block with its span: its first index and one past its last.
+    spans = [(block, end - block.size, end) for block, end in zip(blocks, accumulate(sizes))]
     if kind == "jordan" and m != jordan_matrix(blocks):
         return False, "M is not the Jordan matrix of the declared blocks"
     if kind in ("schur", "blocktri"):
         if not m.is_upper_triangular():
             return False, "nonzero entry below the diagonal"
-        if any(m[i, i] != lam for i, (_, lam) in enumerate(owner)):
+        if any(m[i, i] != block.eigenvalue for block, start, end in spans
+               for i in range(start, end)):
             return False, "diagonal entry is not its block's eigenvalue"
     if kind in ("blockdiag", "blocktri") and any(
-        owner[i][0] != owner[j][0] and not m[i, j].is_zero()
-        for i in range(m.rows)
-        for j in range(m.cols)
+        not x.is_zero() for _, start, end in spans for i in range(start, end)
+        for x in m.row(i)[:start] + m.row(i)[end:]
     ):
         return False, "nonzero entry outside the declared blocks"
     if kind == "blockdiag":
-        offset = 0
-        for block in blocks:
-            end = offset + block.size
-            power = shift_by(m.submatrix(offset, end, offset, end), block.eigenvalue)
+        for block, start, end in spans:
+            power = shift_by(m.submatrix(start, end, start, end), block.eigenvalue)
             for _ in range((block.size - 1).bit_length()):  # to a power >= s_j
                 power = power * power
             if not power.is_zero():
                 return False, "a block less its eigenvalue is not nilpotent"
-            offset = end
     return True, _SHAPES[kind]
 
 

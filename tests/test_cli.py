@@ -15,7 +15,7 @@ from jordanform import (
     jordan_decomposition,
     parse_structure,
 )
-from jordanform import cli, decomp, errors
+from jordanform import cli, decomp, errors, matrices
 from jordanform.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INTERNAL,
@@ -297,6 +297,19 @@ def test_internal_error_exit_code(dense3_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "jordanform jordan: InternalInvariantViolation: chain count mismatch\n"
+    )
+
+
+def test_a_krylov_run_that_never_ends_is_an_internal_error(dense3_path, monkeypatch, capsys):
+    # An echelon that keeps no row lets n + 1 Krylov vectors stay independent,
+    # which no real echelon allows.
+    monkeypatch.setattr(matrices.Echelon, "add", lambda self, re, im, d: True)
+    assert run(["spectrum", dense3_path]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "jordanform spectrum: InternalInvariantViolation: "
+        "n+1 Krylov vectors cannot stay independent\n"
     )
 
 

@@ -247,6 +247,38 @@ def test_the_integer_rule_check_sees_each_spelling(source):
     assert len(integer_rule_spellings(ast.parse(source))) == 1
 
 
+def assertions(tree):
+    """Where a module asserts or names AssertionError, by line."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Name) and node.id == "AssertionError"
+        or isinstance(node, ast.Attribute) and node.attr == "AssertionError"
+    ]
+
+
+def test_the_package_neither_asserts_nor_raises_assertion_error():
+    # python -O strips assert statements, and the CLI maps only the package's
+    # typed errors to exit codes: a broken invariant is an
+    # InternalInvariantViolation (exit 4).
+    offences = [
+        f"{path.name}:{line}"
+        for path in sorted((SRC / "jordanform").glob("*.py"))
+        for line in assertions(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offences == []
+
+
+@pytest.mark.parametrize("source", [
+    "assert n > 0",
+    'raise AssertionError("unreachable")',
+    "try:\n    f()\nexcept AssertionError:\n    pass",
+    "builtins.AssertionError",
+])
+def test_the_assertion_check_sees_each_spelling(source):
+    assert len(assertions(ast.parse(source))) == 1
+
+
 def test_no_package_line_is_longer_than_99_characters():
     offences = [
         f"{path.name}:{number} has {len(line)} characters"

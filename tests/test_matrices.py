@@ -491,6 +491,30 @@ def test_size_constructors_take_ints_in_range(call, message):
     assert str(err.value) == message
 
 
+SQUARE2 = mat([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("bounds", [
+    (0, 2, 0, 5),  # once reported cols == 5 over rows of length 2
+    (0, 2, -1, 2),  # once reported cols == 3 over rows [2] and [4]
+    (0, 3, 0, 2),  # a row bound past the end
+    (2, 1, 0, 2),  # r0 > r1
+    (0, 2, 0, 1.0),  # a float bound
+], ids=["cols-past-the-end", "negative-c0", "rows-past-the-end", "r0-above-r1", "float"])
+def test_submatrix_refuses_bounds_outside_the_matrix(bounds):
+    with pytest.raises(DimensionMismatch) as err:
+        SQUARE2.submatrix(*bounds)
+    r0, r1, c0, c1 = map(repr, bounds)
+    assert str(err.value) == f"submatrix [{r0}:{r1}, {c0}:{c1}] outside a 2x2 matrix"
+
+
+def test_submatrix_takes_every_bound_inside_the_matrix():
+    assert SQUARE2.submatrix(0, 2, 0, 2) == SQUARE2
+    assert SQUARE2.submatrix(1, 2, 0, 1) == mat([[3]])
+    empty = SQUARE2.submatrix(2, 2, 1, 1)
+    assert (empty.rows, empty.cols) == (0, 0)
+
+
 def test_size_constructors_at_the_edges():
     assert (ExactMatrix.identity(0).rows, ExactMatrix.identity(0).cols) == (0, 0)
     assert (ExactMatrix.zeros(0, 3).rows, ExactMatrix.zeros(2, 0).cols) == (0, 0)

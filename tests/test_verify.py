@@ -425,6 +425,19 @@ def test_non_positive_block_size_fails_shape_for_every_kind(sizes):
         ), kind
 
 
+def test_block_sizes_are_tested_before_anything_of_their_size_is_built():
+    # One block of size 10^15 on a 2x2 claim: the shape check reads the sizes
+    # alone, so the report costs what M costs, not what the sizes claim.
+    identity = ExactMatrix.identity(2)
+    for kind in STAGES:
+        claim = Decomposition(kind, identity, identity, (Block(ONE, 10**15),))
+        verdicts = {r.name: r[1:] for r in check_decomposition(identity, claim).results}
+        assert verdicts["multiplicity-sum"] == (
+            False, "block sizes sum to 1000000000000000 of 2"
+        ), kind
+        assert verdicts["shape"] == (False, "declared block sizes do not partition M"), kind
+
+
 MALFORMED = "declared blocks are not (scalar, int size) pairs"
 
 
@@ -578,6 +591,25 @@ def test_blockdiag_claim_with_swapped_labels_fails(two_eigenvalues):
     assert report.failures() == [
         ("shape", False, "a block less its eigenvalue is not nilpotent")
     ]
+
+
+@pytest.mark.parametrize("sizes", [(1, 2), (2, 1), (1, 1, 1)], ids=["1-2", "2-1", "1-1-1"])
+def test_each_entry_outside_the_blocks_fails_shape(sizes):
+    # I with one more 1 where row and column lie in different blocks: blockdiag
+    # finds it outside the blocks, and so does blocktri above the diagonal
+    # (below it, the triangle rule speaks first).
+    blocks = tuple(Block(ONE, size) for size in sizes)
+    owner = [k for k, size in enumerate(sizes) for _ in range(size)]
+    identity = ExactMatrix.identity(3)
+    for i, j in itertools.product(range(3), repeat=2):
+        if owner[i] != owner[j]:
+            m = with_entry(identity, i, j, ONE)
+            for kind in ("blockdiag", "blocktri"):
+                below = kind == "blocktri" and i > j
+                detail = "nonzero entry below the diagonal" if below else (
+                    "nonzero entry outside the declared blocks")
+                claim = Decomposition(kind, identity, m, blocks)
+                assert shape_check(m, claim) == ("shape", False, detail), (kind, i, j)
 
 
 def test_jordan_matrix_assembly():
