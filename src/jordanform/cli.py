@@ -186,36 +186,30 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="jordanform", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument(
+        "matrix",
+        nargs="?",
+        default="-",
+        help="path to a matrix JSON document, or - for stdin (default)",
+    )
+    matrix.add_argument(
+        "--spectrum",
+        dest="provided",
+        metavar="LAMBDAS",
+        help="comma-separated eigenvalues the matrix must have, checked against root finding",
+    )
+    matrix.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
-    def add_matrix_command(name: str, help_text: str, check_flag: bool = True):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument(
-            "matrix",
-            nargs="?",
-            default="-",
-            help="path to a matrix JSON document, or - for stdin (default)",
-        )
-        cmd.add_argument(
-            "--spectrum",
-            dest="provided",
-            metavar="LAMBDAS",
-            help="comma-separated eigenvalues the matrix must have, checked against root finding",
-        )
-        cmd.add_argument(
-            "--format", choices=("json", "pretty"), default="pretty"
-        )
-        if check_flag:
-            cmd.add_argument(
-                "--check",
-                action="store_true",
-                help="append a verification report; failures set exit code 3",
-            )
-        return cmd
-
-    add_matrix_command("spectrum", "eigenvalues with multiplicities", check_flag=False)
+    sub.add_parser("spectrum", parents=[matrix], help="eigenvalues with multiplicities")
     for kind in STAGES:
-        add_matrix_command(kind, f"compute the {kind} decomposition")
-    add_matrix_command("verify", "run all decompositions and their checks", check_flag=False)
+        stage = sub.add_parser(kind, parents=[matrix], help=f"compute the {kind} decomposition")
+        stage.add_argument(
+            "--check",
+            action="store_true",
+            help="append a verification report; failures set exit code 3",
+        )
+    sub.add_parser("verify", parents=[matrix], help="run all decompositions and their checks")
 
     gen = sub.add_parser("gen", help="generate a matrix with known structure")
     gen.add_argument(

@@ -191,9 +191,11 @@ def jordan_chains(matrix: ExactMatrix, ladder: StageLadder) -> List[JordanChain]
 
 
 def jordan_matrix(blocks: Sequence[Block]) -> ExactMatrix:
-    """The Jordan matrix with the given blocks, in the given order."""
-    if not all(is_int(block.size) and block.size >= 1 for block in blocks):
-        raise InvalidStructure("Jordan block sizes must be integers, each at least 1")
+    """The Jordan matrix with the given blocks, in the given order: each a
+    ``Block`` of int size at least 1, else InvalidStructure."""
+    if not all(isinstance(block, Block) and is_int(block.size) and block.size >= 1
+               for block in blocks):
+        raise InvalidStructure("Jordan blocks must be Blocks of integer size, each at least 1")
     return _block_diagonal([ExactMatrix([[lam if j == i else ONE if j == i + 1 else ZERO
                                           for j in range(s)] for i in range(s)])
                             for lam, s in blocks])

@@ -268,12 +268,17 @@ def shift_by(matrix: ExactMatrix, scalar: GaussianRational) -> ExactMatrix:
 class Basis:
     """An ordered, linearly independent family of column vectors; immutable.
 
-    Bases produced in this package are canonical: they come out of the RREF
+    A basis holds the canonical rows of its span from the moment it is built:
+    its vectors reversed, as the RREF rows of their span in ``_kernel_rows``'
+    order, unique to the span, so a kernel's vectors, however scaled, mixed
+    or ordered, get its canonical echelon rows.  Independence is checked
+    there: a zero vector is ZeroVector, another dependent family
+    DependentInput.  Bases produced in this package are canonical (the RREF
     free-variable construction, so the same subspace always gets
-    byte-identical vectors.  Such a basis keeps the reversed packed rows
-    ``_kernel_rows`` gave, and builds its vectors only when they are read.
-    ambient_dim is an int >= 0 and each vector an ambient_dim x 1
-    ``ExactMatrix``, else DimensionMismatch.
+    byte-identical vectors); ``_of_rows`` builds one from the rows
+    ``_kernel_rows`` gave, with no elimination, and its vectors are built
+    only when they are read.  ambient_dim is an int >= 0 and each vector an
+    ambient_dim x 1 ``ExactMatrix``, else DimensionMismatch.
     """
 
     __slots__ = ("ambient_dim", "_rows", "_vectors")
@@ -284,14 +289,20 @@ class Basis:
         shape = (_size(ambient_dim, "ambient_dim"), 1)
         if not all(isinstance(v, ExactMatrix) and (v.rows, v.cols) == shape for v in vectors):
             raise DimensionMismatch(f"basis vectors must be {ambient_dim}x1 matrices")
+        rows = _rref_rows(_pack(v.column_entries()[::-1]) for v in vectors)
+        if len(rows) < len(vectors):
+            if any(v.is_zero() for v in vectors):
+                raise ZeroVector("the basis holds the zero vector")
+            raise DependentInput("the basis vectors are linearly dependent")
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_vectors", vectors)
 
     @classmethod
     def _of_rows(cls, rows: List[Row], cols: int) -> "Basis":
-        """The basis that reversed rows (``_kernel_rows``) stand for."""
-        basis = cls(cols, ())
+        """The basis that canonical rows (``_kernel_rows``) stand for."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "ambient_dim", cols)
         object.__setattr__(basis, "_rows", rows)
         object.__setattr__(basis, "_vectors", None)
         return basis
@@ -320,28 +331,14 @@ class Basis:
 
     @property
     def dimension(self) -> int:
-        return len(self._vectors if self._rows is None else self._rows)
+        return len(self._rows)
 
     @property
     def free_columns(self) -> Tuple[int, ...]:
         """The free columns of the span's canonical basis, ascending as its vectors
         are: a canonical vector is 1 at its own, its last nonzero entry, and 0 at
-        the others.  They are ``_reversed_rows``' pivots counted from the end."""
-        return tuple(self.ambient_dim - 1 - row[0] for row in reversed(self._reversed_rows()))
-
-    def _reversed_rows(self) -> List[Row]:
-        """The vectors reversed, as the RREF rows of their span in
-        ``_kernel_rows``' order: unique to the span, so a kernel's vectors,
-        however scaled, mixed or ordered, get its canonical echelon rows.  A
-        zero vector is ZeroVector, another dependent family DependentInput."""
-        if self._rows is not None:
-            return self._rows
-        rows = _rref_rows(_pack(v.column_entries()[::-1]) for v in self._vectors)
-        if len(rows) < len(self._vectors):
-            if any(v.is_zero() for v in self._vectors):
-                raise ZeroVector("the basis holds the zero vector")
-            raise DependentInput("the basis vectors are linearly dependent")
-        return rows
+        the others.  They are the canonical rows' pivots counted from the end."""
+        return tuple(self.ambient_dim - 1 - row[0] for row in reversed(self._rows))
 
 
 class Echelon:
@@ -540,13 +537,13 @@ def kernel_chains(matrix: ExactMatrix, stages: Sequence[Basis]) -> List[List[Exa
     transposed = _columns(list(map(_pack, matrix._data)))
     chains: List[List[Packed]] = []
     for k in range(len(stages), 0, -1):
-        used = Echelon(stages[k - 2]._reversed_rows() if k > 1 else ())
+        used = Echelon(stages[k - 2]._rows if k > 1 else ())
         if chains:
             for chain, x in zip(chains, _product([c[-1] for c in chains], transposed)):
                 re, im, d = _primitive(*x)
                 chain.append((re, im, d))
                 used.add(re[::-1], im[::-1], d)
-        for _, re, im, d, _ in stages[k - 1]._reversed_rows()[::-1]:
+        for _, re, im, d, _ in stages[k - 1]._rows[::-1]:
             if used.add(re, im, d):
                 chains.append([(re[::-1], im[::-1], d)])
     return [[ExactMatrix._trusted([[x] for x in _unpack(*v)], 1) for v in reversed(chain)]

@@ -720,6 +720,16 @@ def test_spectrum_flag_without_a_value(dense3_path, capsys):
     assert captured.err == "jordanform: error: argument --spectrum: expected one argument\n"
 
 
+@pytest.mark.parametrize("command", ["spectrum", *decomp.STAGES, "verify"])
+def test_every_matrix_command_takes_the_shared_options(capsys, command):
+    # Option lines only: argparse words its headings differently across versions.
+    assert run([command, "--help"]) == EXIT_OK
+    options = {line.strip().split("  ")[0] for line in capsys.readouterr().out.splitlines()
+               if line.strip().startswith("--")}
+    shared = {"--spectrum LAMBDAS", "--format {json,pretty}"}
+    assert options == (shared | {"--check"} if command in decomp.STAGES else shared)
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "jordan" in capsys.readouterr().out

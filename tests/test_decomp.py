@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -469,12 +468,19 @@ def test_chains_identity():
 
 def test_chains_from_a_basis_with_the_zero_vector_raise_zero_vector():
     good = stage_ladder(DENSE3, gr("3"))
-    bad = StageLadder(gr("3"), (Basis(3, [col([0, 0, 0])]),) + good.stage_bases[1:])
+
+    def chains(zero_first_stage):
+        # The zero basis is refused where it is built, inside the call.
+        if not zero_first_stage:
+            return jordan_chains(DENSE3, good)
+        bad = StageLadder(gr("3"), (Basis(3, [col([0, 0, 0])]),) + good.stage_bases[1:])
+        return jordan_chains(DENSE3, bad)
+
     with pytest.raises(ZeroVector):
-        jordan_chains(DENSE3, bad)
+        chains(True)
     # A bare StopIteration here would end map early and drop the third result.
     with pytest.raises(ZeroVector):
-        list(map(partial(jordan_chains, DENSE3), [good, bad, good]))
+        list(map(chains, [False, True, False]))
 
 
 def test_chains_from_recombined_stage_bases_are_the_canonical_chains():
@@ -503,11 +509,36 @@ def test_chains_from_recombined_stage_bases_are_the_canonical_chains():
     assert recombined_stages >= 20
 
 
+def test_a_hand_made_ladder_is_reduced_once_where_it_is_built(monkeypatch):
+    # Each stage basis is a recombined, scaled kernel, so Basis(...) reduces it
+    # to the kernel's canonical rows; after that no read runs an elimination.
+    matrix = generate_case(parse_structure("0:3,1;1:2,2"), 7, 3)[0]
+    ladder = stage_ladder(matrix, gr("0"))
+    bases = []
+    for basis in ladder.stage_bases:
+        mix, _ = elementary_conjugator(basis.dimension, len(bases), 2)
+        columns = as_matrix(basis) * mix * gr("-2/3")
+        bases.append(Basis(basis.ambient_dim, [
+            columns.submatrix(0, columns.rows, j, j + 1) for j in range(columns.cols)
+        ]))
+    assert all(made != basis for made, basis in zip(bases, ladder.stage_bases))
+    expected = [vec_strs(c.vectors) for c in jordan_chains(matrix, ladder)]
+
+    def rref_rows(rows):
+        raise AssertionError("a built basis ran an elimination")
+
+    monkeypatch.setattr(matrices, "_rref_rows", rref_rows)
+    hand_made = StageLadder(ladder.eigenvalue, tuple(bases))
+    assert hand_made.dims() == ladder.dims() == [2, 3, 4]
+    assert [b.free_columns for b in bases] == [b.free_columns for b in ladder.stage_bases]
+    assert [vec_strs(c.vectors) for c in jordan_chains(matrix, hand_made)] == expected
+
+
 def test_chains_from_a_dependent_basis_raise_dependent_input():
     good = stage_ladder(DENSE3, gr("3"))
     top = good.stage_bases[-1].vectors
-    bad = StageLadder(gr("3"), good.stage_bases[:-1] + (Basis(3, [top[0], top[0], top[1]]),))
     with pytest.raises(DependentInput):
+        bad = StageLadder(gr("3"), good.stage_bases[:-1] + (Basis(3, [top[0], top[0], top[1]]),))
         jordan_chains(DENSE3, bad)
 
 

@@ -322,11 +322,10 @@ def test_complete_basis_rejects_dependent_input():
         complete_basis(Basis(2, (col([1, 2]), col([2, 4]))))
 
 
-def greedy_completion(partial):
+def greedy_completion(n, vectors):
     """The greedy rule, independent of free columns: the given vectors, then
     e_0, e_1, ... each unless the columns so far and it have deficient rank."""
-    n = partial.ambient_dim
-    columns = list(partial.vectors)
+    columns = list(vectors)
     if columns and rank(ExactMatrix.hstack(columns)) < len(columns):
         raise DependentInput("the given vectors are not linearly independent")
     for index in range(n):
@@ -352,20 +351,19 @@ def test_complete_basis_is_the_greedy_completion_seeded():
                 vectors.append(ExactMatrix(
                     [[rand_scalar(rng, 4) if rng.random() < 0.5 else 0] for _ in range(n)]
                 ))
-        partial = Basis(n, vectors)
         if any(v.is_zero() for v in vectors):
             with pytest.raises(ZeroVector):
-                complete_basis(partial)
+                complete_basis(Basis(n, vectors))
             outcomes["zero"] += 1
             continue
         try:
-            expected = greedy_completion(partial)
+            expected = greedy_completion(n, vectors)
         except DependentInput:
             with pytest.raises(DependentInput):
-                complete_basis(partial)
+                complete_basis(Basis(n, vectors))
             outcomes["dependent"] += 1
             continue
-        got = complete_basis(partial)
+        got = complete_basis(Basis(n, vectors))
         assert got == expected and got.entries_str() == expected.entries_str()
         outcomes["matrix"] += 1
     assert min(outcomes.values()) >= 10, outcomes
@@ -562,3 +560,11 @@ def test_basis_refuses_a_dimension_or_vector_of_the_wrong_kind(ambient_dim, vect
     # chains of that size for the matrix.
     with pytest.raises(DimensionMismatch):
         Basis(ambient_dim, vectors)
+
+
+def test_a_dependent_family_is_refused_where_the_basis_is_built():
+    # Built, either would report a dimension above that of its span.
+    with pytest.raises(DependentInput, match="^the basis vectors are linearly dependent$"):
+        Basis(2, [col([1, 2]), col([2, 4])])
+    with pytest.raises(ZeroVector, match="^the basis holds the zero vector$"):
+        Basis(2, [col([0, 0])])

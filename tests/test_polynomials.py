@@ -18,6 +18,7 @@ def rand_poly(rng, max_degree=4):
 
 def test_trailing_zeros_are_stripped():
     assert poly(1, 2, 0, 0) == poly(1, 2)
+    assert hash(poly(1, 2, 0, 0)) == hash(poly(gr("2/2"), 2))
     assert poly(0, 0).is_zero()
     assert Polynomial().degree == -1
     assert poly(5).degree == 0
@@ -51,6 +52,8 @@ def test_gcd_and_lcm():
     l = poly_lcm(a, b)
     assert l == from_roots(1, 1, -1, 2)
     assert l.leading == gr("1")
+    with pytest.raises(ValueError, match="the zero polynomial has no leading coefficient"):
+        Polynomial().leading
 
 
 def test_gcd_and_lcm_with_zero_and_constants():
@@ -121,3 +124,4 @@ def test_monic():
 )
 def test_format_polynomial(p, text):
     assert format_polynomial(p) == text
+    assert repr(p) == f"Polynomial<{text}>"

@@ -136,6 +136,7 @@ def test_conjugate_and_norm():
     assert v.conjugate() == gr("3+4i")
     assert norm_sq(v) == Fraction(25)
     assert v * v.conjugate() == GaussianRational(25)
+    assert +v is v
 
 
 # --- the public edge: Fractions in and out, floats refused -------------------
@@ -156,6 +157,10 @@ def test_fractions_as_entries_coefficients_and_factors():
     half = Fraction(1, 2)
     assert gr("1i") + half == half + gr("1i") == gr("1/2+1i")
     assert gr("1/2") == half and gr("1/3") < half
+    assert 3 - GaussianRational(1, 2) == gr("2-2i")
+    assert half / GaussianRational(1, 2) == gr("1/10-1/5i")
+    assert GaussianRational(1, 2).__rsub__("x") is NotImplemented
+    assert GaussianRational(1, 2).__rtruediv__("x") is NotImplemented
     assert ExactMatrix([[half, 1], [0, "1i"]]) == ExactMatrix([["1/2", "1"], ["0", "1i"]])
     assert Polynomial([half, 1]) == Polynomial([gr("1/2"), gr("1")])
     assert Polynomial([1, 2]) * half == half * Polynomial([1, 2]) == Polynomial([half, 1])

@@ -633,6 +633,13 @@ def test_jordan_matrix_rejects_a_block_size_that_is_no_int(size):
         jordan_matrix([Block(gr("2"), size)])
 
 
+@pytest.mark.parametrize("blocks", [[(1, 2)], [[1, 2]], [None]], ids=["pair", "list", "None"])
+def test_jordan_matrix_refuses_an_item_that_is_no_block(blocks):
+    # The size rule reads .size, which a pair or a list lacks: no bare AttributeError.
+    with pytest.raises(InvalidStructure, match="^Jordan blocks must be Blocks"):
+        jordan_matrix(blocks)
+
+
 @pytest.mark.parametrize("size", [2, 1, 0, -1, True, False, 2.0, "2", None], ids=repr)
 def test_every_site_agrees_on_what_a_block_size_is(size):
     # The rule scalars.is_int spells, pinned by behaviour: JordanStructure,
