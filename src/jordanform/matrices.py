@@ -581,12 +581,11 @@ def _krylov_run(
     Krylov annihilator of v for an empty span).  A v is the row v^T A^T,
     given A^T as columns, which are A's rows.  Also returns the run's own
     echelon rows, primitive with supports, less the n + 1 power coefficients
-    they carry in the run (0 on the span's rows)."""
+    they carry in the run (none on the span's rows, whose supports lie below n)."""
     re, im, d = start
     n = len(re)
     pad = [0] * (n + 1)
-    echelon = Echelon((pivot, y_re + pad, y_im + pad, e, support)
-                      for pivot, y_re, y_im, e, support in span)
+    echelon = Echelon(span)
     for degree in range(n + 1):
         tag = [0] * degree + [d] + [0] * (n - degree)
         x_re, x_im, x_d = echelon.reduce(re + tag, im + pad, d)

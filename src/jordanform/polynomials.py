@@ -263,32 +263,19 @@ def poly_roots_exact(poly: Polynomial) -> Tuple[List[Tuple[GaussianRational, int
 
 def format_polynomial(poly: Polynomial) -> str:
     """Human form with terms in descending degree, e.g. ``z^3 - 2``."""
-    if poly.is_zero():
-        return "0"
-    parts = []
+    out = ""
     for k in range(poly.degree, -1, -1):
         coefficient = poly.coefficients[k]
         if coefficient.is_zero():
             continue
-        if k == 0:
-            text = format_scalar(coefficient)
-            if coefficient._a and coefficient._b:
-                text = f"({text})"
-        else:
-            power = "z" if k == 1 else f"z^{k}"
-            if coefficient == ONE:
-                text = power
-            elif coefficient == -ONE:
-                text = f"-{power}"
-            elif coefficient._a and coefficient._b:
-                text = f"({format_scalar(coefficient)}){power}"
-            else:
-                text = f"{format_scalar(coefficient)}{power}"
-        parts.append(text)
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+        text = format_scalar(coefficient)
+        if coefficient._a and coefficient._b:
+            text = f"({text})"
+        elif k and text in ("1", "-1"):
+            text = text[:-1]  # before a power, 1 and -1 keep only their sign
+        if k:
+            text += "z" if k == 1 else f"z^{k}"
+        if out:
+            text = f" - {text[1:]}" if text[0] == "-" else f" + {text}"
+        out += text
+    return out or "0"

@@ -15,8 +15,8 @@ for only once it is loaded, as one cannot exist before.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import re
 import sys
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -36,22 +36,7 @@ _gcd = math.gcd
 _new = object.__new__
 
 
-def _order(test):
-    """One comparison operator: ``test`` on the (re, im) key of both sides,
-    cross-multiplied by the other side's (positive) denominator."""
-
-    def compare(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return test(
-            (self._a * other._d, self._b * other._d),
-            (other._a * self._d, other._b * self._d),
-        )
-
-    return compare
-
-
+@functools.total_ordering
 class GaussianRational:
     """A complex scalar a + bi with exact rational real and imaginary parts.
 
@@ -168,10 +153,13 @@ class GaussianRational:
         value = value if a >= 0 else -value
         return -2 if value == -1 else value
 
-    __lt__ = _order(operator.lt)
-    __le__ = _order(operator.le)
-    __gt__ = _order(operator.gt)
-    __ge__ = _order(operator.ge)
+    def __lt__(self, other):
+        # The (re, im) keys of both sides, each times the other's (positive) denominator.
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return (self._a * other._d, self._b * other._d) < (other._a * self._d, other._b * self._d)
 
     def __bool__(self):
         return bool(self._a or self._b)

@@ -18,7 +18,6 @@ blockdiag block M_j.
 
 from __future__ import annotations
 
-import random
 import re
 from itertools import accumulate, combinations_with_replacement
 from typing import Dict, List, NamedTuple, Sequence, Tuple
@@ -137,6 +136,7 @@ def elementary_conjugator(
         raise InvalidStructure(f"n must be >= 0, got {n}")
     if entry_bound < 1:
         raise InvalidStructure("entry_bound must be >= 1")
+    import random  # here, its one user, so that verify and --check leave it unloaded
     rng = random.Random(seed)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     columns = [row[:] for row in rows]  # of S^-1

@@ -116,13 +116,13 @@ def test_cli_import_loads_every_module_that_binds_a_wrapped_function(footprint):
 
 
 # Run one command in a new interpreter, in process through ``cli.run``, and
-# print its exit code and whether it loaded jordanform.verify.
+# print its exit code and whether it loaded jordanform.verify and random.
 COMMAND = """
 import contextlib, io, sys
 from jordanform import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[1:])
-print(code, "jordanform.verify" in sys.modules)
+print(code, "jordanform.verify" in sys.modules, "random" in sys.modules)
 """
 
 
@@ -135,14 +135,16 @@ print(code, "jordanform.verify" in sys.modules)
     (["gen", "--structure", "0:2,1"], True),
 ])
 def test_only_checks_and_gen_load_verify(argv, loads_verify, tmp_path):
+    # Only gen draws random numbers, so only gen loads random.  -S skips
+    # site-packages, whose .pth files may import random at every start.
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(matrix_to_document(DENSE3)))
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
-        [sys.executable, "-c", COMMAND, *[arg.format(path=path) for arg in argv]],
+        [sys.executable, "-S", "-c", COMMAND, *[arg.format(path=path) for arg in argv]],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert done.stdout == f"0 {loads_verify}\n"
+    assert done.stdout == f"0 {loads_verify} {argv[0] == 'gen'}\n"
 
 
 def test_spectral_runs_without_loading_decomp():

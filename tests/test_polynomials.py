@@ -120,6 +120,22 @@ def test_monic():
         (poly(gr("1+2i"), 1), "z + (1+2i)"),
         (Polynomial(), "0"),
         (poly(0, -1), "-z"),
+        # A complex constant after other terms, its real part either sign.
+        (poly(gr("2-3i"), 0, 1), "z^2 + (2-3i)"),
+        (poly(gr("-1-1i"), 5, 1), "z^2 + 5z + (-1-1i)"),
+        # -z and -z^k after a leading term; i and -i keep their 1.
+        (poly(0, -1, 0, 1), "z^3 - z"),
+        (poly(1, 0, -1, 1), "z^3 - z^2 + 1"),
+        (poly(0, gr("-1i"), 1), "z^2 - 1iz"),
+        (poly(gr("-1i"), 0, 0, gr("1i")), "1iz^3 - 1i"),
+        # A complex leading coefficient with a negative real part.
+        (poly(0, 1, gr("-1+2i")), "(-1+2i)z^2 + z"),
+        (poly(gr("-1-1i"), 0, gr("-2+1i")), "(-2+1i)z^2 + (-1-1i)"),
+        # Coefficients of 1/2 and -1/2 keep their numerator.
+        (poly("-1/2", "1/2", 1), "z^2 + 1/2z - 1/2"),
+        (poly(0, "-1/2"), "-1/2z"),
+        # Zero coefficients between nonzero ones print nothing.
+        (poly(3, 0, 0, 0, -2), "-2z^4 + 3"),
     ],
 )
 def test_format_polynomial(p, text):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -252,6 +253,13 @@ def test_differential_against_fraction_pairs_seeded():
         assert (x > y) == ((r1, i1) > (r2, i2))
         assert (x >= y) == ((r1, i1) >= (r2, i2))
         text = format_scalar(x)
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            # An int or a Fraction on the left takes the reflected comparison;
+            # a str is no scalar, so every comparison with one is a TypeError.
+            for left in (r1, r2, math.floor(r2)):
+                assert compare(left, x) == compare((left, 0), (r1, i1))
+            with pytest.raises(TypeError):
+                compare(x, text)
         assert text == _ref_format(r1, i1)
         # Equal values reached by different routes compare and hash equal.
         routes = [parse_scalar(text), (x + y) - y, x.conjugate().conjugate()]
