@@ -8,9 +8,9 @@ one place an outside value (an int, a ``Fraction`` or a Gaussian rational)
 becomes a scalar.  It also owns the integer rule: ``is_int`` says what an
 integer argument is (an int, never a bool), and ``DIGITS`` what the digits
 of an integer in text are (ASCII only).  ``fractions`` is met only at the
-public edge: a constructor part that is not an int, and the ``re`` and
-``im`` parts, load it on first use, and a caller's ``Fraction`` is looked
-for only once it is loaded, as one cannot exist before.
+public edge: the ``re`` and ``im`` properties load it on first use, and a
+caller's ``Fraction`` is looked for only once it is loaded, as one cannot
+exist before.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ if TYPE_CHECKING:
 
 DIGITS = "[0-9]+"  # ASCII digits only: \d matches any script's
 _RATIONAL = rf"-?{DIGITS}(?:/{DIGITS})?"
-_REAL_RE = re.compile(_RATIONAL)
-_IMAG_RE = re.compile(rf"({_RATIONAL})i")
-_PAIR_RE = re.compile(rf"({_RATIONAL})([+-])({_RATIONAL})i")
+# Groups: real, sign, imaginary (after the sign), imaginary alone.
+_SCALAR_RE = re.compile(rf"({_RATIONAL})(?:([+-])({_RATIONAL})i)?|({_RATIONAL})i")
 
 _gcd = math.gcd
 _new = object.__new__
@@ -49,17 +48,11 @@ class GaussianRational:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+    def __init__(self, re: int | Fraction | str = 0, im: int | Fraction | str = 0):
         d = 1
         if type(re) is not int or type(im) is not int:
-            from fractions import Fraction
-            if isinstance(re, float) or isinstance(im, float):
-                raise TypeError("floating-point values are not exact; use int or Fraction")
-            re, im = Fraction(re), Fraction(im)
-            q, s = re.denominator, im.denominator
-            # Over the lcm of two reduced denominators the parts stay coprime.
-            d = q if q == s else q * s // _gcd(q, s)
-            re, im = re.numerator * (d // q), im.numerator * (d // s)
+            value = _part(re) + _part(im) * _make(0, 1, 1)
+            re, im, d = value._a, value._b, value._d
         self._a, self._b, self._d = re, im, d
 
     @property
@@ -216,6 +209,21 @@ def _coerce(value, role: Optional[str] = None) -> Optional[GaussianRational]:
     raise TypeError(f"cannot use {type(value).__name__} as a {role}")
 
 
+def _part(value) -> GaussianRational:
+    """A real or imaginary part given to the constructor, as a real scalar: an
+    int, a Fraction, or the grammar's rational text ``-?digits(/digits)?``."""
+    if isinstance(value, str):
+        match = _SCALAR_RE.fullmatch(value)
+        if match is None or match.lastindex != 1:  # the real group alone matched
+            raise ParseError(f"a scalar part must be rational text, got {value!r}")
+        return parse_scalar(value)
+    if isinstance(value, float):
+        raise TypeError("floating-point values are not exact; use int or Fraction")
+    if isinstance(value, GaussianRational):  # its imaginary part would be lost
+        raise TypeError("cannot use GaussianRational as a scalar part")
+    return _coerce(value, "scalar part")
+
+
 ZERO = _make(0, 0, 1)
 ONE = _make(1, 0, 1)
 
@@ -241,19 +249,16 @@ def parse_scalar(text: str) -> GaussianRational:
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a scalar string, got {type(text).__name__}")
-    match = _PAIR_RE.fullmatch(text)
+    match = _SCALAR_RE.fullmatch(text)
     if match:
-        p, q = _parse_rational(match.group(1), text)
-        r, s = _parse_rational(match.group(3), text)
-        if match.group(2) == "-":
-            r = -r
-        return _reduced(p * s, r * q, q * s)
-    match = _IMAG_RE.fullmatch(text)
-    if match:
-        return _reduced(0, *_parse_rational(match.group(1), text))
-    if _REAL_RE.fullmatch(text):
-        p, q = _parse_rational(text, text)
-        return _reduced(p, 0, q)
+        real, sign, imag, alone = match.groups()
+        if alone is not None:
+            return _reduced(0, *_parse_rational(alone, text))
+        p, q = _parse_rational(real, text)
+        if imag is None:
+            return _reduced(p, 0, q)
+        r, s = _parse_rational(imag, text)
+        return _reduced(p * s, -r * q if sign == "-" else r * q, q * s)
     hint = " (write 1i for the imaginary unit)" if text.strip("+-") == "i" else ""
     raise ParseError(f"malformed scalar {text!r}{hint}")
 

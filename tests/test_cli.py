@@ -690,14 +690,23 @@ def test_spectrum_list_may_start_with_a_negative_value(tmp_path, capsys, command
     assert expected[command] in joined.out
 
 
-@pytest.mark.parametrize("flag, values", [("--spec", "-1,3"), ("--sp", "-1i,3"), ("--s", "-1,3")])
-def test_spectrum_flag_prefix_takes_a_negative_list(tmp_path, capsys, flag, values):
-    first = values.split(",")[0]
-    path = write_doc(tmp_path, "matrix.json", ExactMatrix.from_rows([[first, 1], [0, 3]]))
-    assert run(["spectrum", path, f"--spectrum={values}"]) == EXIT_OK
-    joined = capsys.readouterr()
-    assert run(["spectrum", path, flag, values]) == EXIT_OK
-    assert capsys.readouterr() == joined
+@pytest.mark.parametrize("flag, values", [
+    ("--spec", "-1,3"), ("--sp", "-1i,3"), ("--s", "-1,3"),
+    # No flag: a path that starts with a negative number is the matrix path.
+    pytest.param(None, "-1.json", id="path--1.json"),
+])
+def test_spectrum_flag_prefix_takes_a_negative_list(tmp_path, monkeypatch, capsys, flag, values):
+    monkeypatch.chdir(tmp_path)
+    first = values.split(",")[0] if flag else "-1"
+    write_doc(tmp_path, "-1.json", ExactMatrix.from_rows([[first, 1], [0, 3]]))
+    if flag:
+        joined, separate = ["./-1.json", f"--spectrum={values}"], ["./-1.json", flag, values]
+    else:
+        joined, separate = ["./-1.json"], [values]
+    assert run(["spectrum", *joined]) == EXIT_OK
+    expected = capsys.readouterr()
+    assert run(["spectrum", *separate]) == EXIT_OK
+    assert capsys.readouterr() == expected
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
+import hashlib
+import itertools
 import math
 import operator
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from re import fullmatch
 
 import pytest
 
@@ -47,6 +51,42 @@ def test_parse_scalar(text, re, im):
 def test_parse_scalar_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_scalar(text)
+
+
+# Every string of up to six characters over "01-+/i", and a few that other
+# readers of number text (int, Fraction, float) would take.
+SHORT_TEXTS = [
+    "".join(chars) for size in range(7) for chars in itertools.product("01-+/i", repeat=size)
+]
+SHORT_TEXTS += ["\u0663", "1e3", "0.5", " 7", "1_000", "+1", "1+i", "i"]
+
+
+def _outcome(read, text: str) -> str:
+    """What read(text) gives: the value's canonical text, or the error's type and message."""
+    try:
+        return format_scalar(read(text))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_parse_scalar_outcomes_on_short_texts_are_pinned():
+    # The digest of every outcome, so the grammar, its values and its messages stay put.
+    lines = "\n".join(f"{text!r} {_outcome(parse_scalar, text)}" for text in SHORT_TEXTS)
+    digest = "4648bdbcfe81df2cc5e56db75d7cc45e5ee6ec58cd7efeec614a9c2bed44cadb"
+    assert len(SHORT_TEXTS) == 55995
+    assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+
+def test_constructor_reads_text_parts_by_the_grammar_rational_rule():
+    # Text is a part exactly when it is the grammar's rational, and then it
+    # reads as parse_scalar reads it, a zero denominator included.
+    for text in SHORT_TEXTS:
+        if fullmatch("-?[0-9]+(/[0-9]+)?", text):
+            assert _outcome(GaussianRational, text) == _outcome(parse_scalar, text)
+        else:
+            for build in (lambda: GaussianRational(text), lambda: GaussianRational(0, text)):
+                with pytest.raises(ParseError, match="a scalar part must be rational text"):
+                    build()
 
 
 @pytest.mark.parametrize("text", ["1/0", "3/0i", "1/2+7/0i"])
@@ -145,6 +185,7 @@ def test_conjugate_and_norm():
 def test_constructor_parts_may_be_fractions_and_strings():
     assert GaussianRational(Fraction(1, 2), "1/3") == gr("1/2+1/3i")
     assert GaussianRational(Fraction(4, 2), Fraction(0)) == gr("2")
+    assert GaussianRational("-2/4", "1/3") == gr("-1/2+1/3i")
 
 
 def test_parts_read_back_as_fractions():
@@ -176,6 +217,10 @@ def test_fractions_as_entries_coefficients_and_factors():
     (lambda: GaussianRational(1, 0.5), "floating-point values are not exact; use int or Fraction"),
     (lambda: ExactMatrix([[1, 0.5]]), "cannot use float as a matrix entry"),
     (lambda: Polynomial([1, 0.5]), "cannot use float as a polynomial coefficient"),
+    # Nor is another type a part: only an int, a Fraction or rational text.
+    (lambda: GaussianRational(Decimal("0.1")), "cannot use Decimal as a scalar part"),
+    (lambda: GaussianRational(1, gr("1i")), "cannot use GaussianRational as a scalar part"),
+    (lambda: GaussianRational(None), "cannot use NoneType as a scalar part"),
 ])
 def test_floats_are_refused_with_the_role_they_were_for(build, message):
     with pytest.raises(TypeError) as caught:
