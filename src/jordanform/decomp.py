@@ -62,7 +62,7 @@ def _triangularize(
     for k, lam in enumerate(eigenvalues):
         v, p = (ONE,), 0  # a 1x1 tail needs no kernel
         if len(live) > 1:
-            kernel = nullspace_basis(shift_by(ExactMatrix._trusted(tail, len(live)), lam))
+            kernel = nullspace_basis(shift_by(ExactMatrix(tail), lam))
             if not kernel.dimension:
                 raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
             v, p = kernel.vectors[0].column_entries(), kernel.free_columns[0]
@@ -74,9 +74,8 @@ def _triangularize(
             del row[p]
         tail = [[t - x * h for t, h in zip(row, head)] if x else row
                 for row, x in zip(tail, v[:p] + v[p + 1:])]
-    hv = ExactMatrix._trusted(rows_h, n) * ExactMatrix._trusted(rows_v, n)
-    rows_u = [[ZERO] * k + list(hv.row(k)[k:]) for k in range(n)]
-    return ExactMatrix._trusted(rows_v, n), ExactMatrix._trusted(rows_u, n)
+    hv = ExactMatrix(rows_h) * (v_matrix := ExactMatrix(rows_v))
+    return v_matrix, ExactMatrix([(ZERO,) * k + hv.row(k)[k:] for k in range(n)])
 
 
 # The stages proper take the ladders spectrum_with_ladders returns, so a
@@ -110,14 +109,15 @@ def _eigenspace_blocks(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> I
     # is A-invariant: M_j is the rows of A*V_j there.
     for ladder in ladders:
         v = ExactMatrix.hstack(ladder.top.vectors)
-        rows = ExactMatrix._trusted([matrix.row(f) for f in ladder.top.free_columns], matrix.cols)
+        rows = ExactMatrix([matrix.row(f) for f in ladder.top.free_columns])
         yield Block(ladder.eigenvalue, v.cols), v, rows * v
 
 
 def _assemble(kind: str, parts: Iterable[Part]) -> Decomposition:
     """One block per part: V is the V parts side by side, M the M parts down its diagonal."""
     blocks, v_parts, m_parts = zip(*parts)
-    return Decomposition(kind, ExactMatrix.hstack(v_parts), _block_diagonal(m_parts), blocks)
+    return Decomposition(kind, ExactMatrix.hstack(v_parts), ExactMatrix.block_diagonal(m_parts),
+                         blocks)
 
 
 def _blockdiag(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
@@ -134,18 +134,6 @@ def block_diagonalize(
     eigenvalue order; block j has the size of the j-th multiplicity.
     """
     return _blockdiag(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
-
-
-def _block_diagonal(mats: Sequence[ExactMatrix]) -> ExactMatrix:
-    n = sum(m.rows for m in mats)
-    rows = []
-    offset = 0
-    for m in mats:
-        for i in range(m.rows):
-            row = [ZERO] * offset + list(m.row(i)) + [ZERO] * (n - offset - m.cols)
-            rows.append(row)
-        offset += m.cols
-    return ExactMatrix._trusted(rows, n)
 
 
 def _blocktri(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
@@ -196,9 +184,9 @@ def jordan_matrix(blocks: Sequence[Block]) -> ExactMatrix:
     if not all(isinstance(block, Block) and is_int(block.size) and block.size >= 1
                for block in blocks):
         raise InvalidStructure("Jordan blocks must be Blocks of integer size, each at least 1")
-    return _block_diagonal([ExactMatrix([[lam if j == i else ONE if j == i + 1 else ZERO
-                                          for j in range(s)] for i in range(s)])
-                            for lam, s in blocks])
+    return ExactMatrix.block_diagonal([
+        ExactMatrix([[lam if j == i else int(j == i + 1) for j in range(s)] for i in range(s)])
+        for lam, s in blocks])
 
 
 def _jordan(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:

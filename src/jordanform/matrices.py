@@ -1,16 +1,16 @@
 """Dense exact matrices over Q(i) and the elimination toolkit.
 
-``Echelon`` is the only elimination: it grows a reduced basis one vector at
-a time, and ``rref`` is built on it.  Kernels are read off the RREF, which is
-unique, so the same subspace always gets byte-identical basis vectors
-whatever order the rows arrive in.  Elimination and products run on packed
-vectors, Gaussian integers over one positive denominator: ``(re, im, d)``
-with int lists re and im.  An echelon row carries its support, and a
-reduction step is int arithmetic on that support after scaling x by the
-row's denominator over its gcd with the multiplier, so a row whose
-denominator divides the multiplier costs no scaling; x's content is divided
-out once, at the end.  Products take packed columns: A^T is A's rows.
-Scalars are built only for what callers read: a kernel ``Basis`` keeps its
+One format runs through it all: packed vectors, Gaussian integers over one
+positive denominator, ``(re, im, d)`` with int sequences re and im.  An
+``ExactMatrix`` stores its rows so, each primitive (gcd(d, *re, *im) == 1);
+scalars are built only for what callers read.  ``Echelon`` is the only
+elimination: it grows a reduced basis one vector at a time, and ``rref`` is
+built on it.  Kernels are read off the RREF, which is unique, so the same
+subspace always gets byte-identical basis vectors whatever order the rows
+arrive in.  An echelon row carries its support, and a reduction step is int
+arithmetic on that support after scaling x by the row's denominator over its
+gcd with the multiplier; x's content is divided out once, at the end.
+Products take packed columns: A^T is A's rows.  A kernel ``Basis`` keeps its
 packed rows and builds its vectors when they are read.  The format stays
 inside this module, and so do the analyses run on it: kernel ladders from
 one elimination of [N | I], Jordan chains seeded against the ladder's own
@@ -21,7 +21,7 @@ basis vectors (a spanning family, so the lcm annihilates the whole space).
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import compress, count, starmap
 from math import gcd, lcm
 from operator import mul, or_
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -34,9 +34,9 @@ from .scalars import (
     ONE, ZERO, GaussianRational, _coerce, _reduced, format_scalar, is_int, parse_scalar
 )
 
-Packed = Tuple[List[int], List[int], int]
-Row = Tuple[int, List[int], List[int], int, List[int]]  # (pivot, re, im, d, support)
-Columns = Tuple[List[List[int]], Optional[List[List[int]]], int]  # re, im (None if all 0), e
+Packed = Tuple[Sequence[int], Sequence[int], int]
+Row = Tuple[int, Sequence[int], Sequence[int], int, List[int]]  # (pivot, re, im, d, support)
+Columns = Tuple[List[Sequence[int]], Optional[List[Sequence[int]]], int]  # re, im (None if 0), e
 
 
 def _pack(entries: Sequence[GaussianRational]) -> Packed:
@@ -46,7 +46,7 @@ def _pack(entries: Sequence[GaussianRational]) -> Packed:
     return [x._a * (d // x._d) for x in entries], [x._b * (d // x._d) for x in entries], d
 
 
-def _primitive(re: List[int], im: List[int], d: int) -> Packed:
+def _primitive(re: Sequence[int], im: Sequence[int], d: int) -> Packed:
     """The same packed vector with its content gcd(d, *re, *im) divided out."""
     g = gcd(d, *re, *im)
     if g == 1:
@@ -56,6 +56,15 @@ def _primitive(re: List[int], im: List[int], d: int) -> Packed:
 
 def _unpack(re: Sequence[int], im: Sequence[int], d: int) -> List[GaussianRational]:
     return [_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, im)]
+
+
+def _joined(parts: Sequence[Packed]) -> Packed:
+    """Packed vectors end to end over the lcm e of their denominators.  Primitive
+    parts join primitive: for each prime p of e, a part whose d holds p as often
+    as e does keeps an entry that p does not divide, and no scaling adds a p."""
+    e = lcm(*[d for _, _, d in parts])
+    return ([a * (e // d) for re, _, d in parts for a in re],
+            [b * (e // d) for _, im, d in parts for b in im], e)
 
 
 def _columns(vectors: Sequence[Packed]) -> Columns:
@@ -92,9 +101,11 @@ class ExactMatrix:
     """An immutable dense matrix of Gaussian rationals.
 
     Equality is entrywise exact equality, and arithmetic never rounds.
-    Products and elimination work on packed vectors, Gaussian integers over
-    one denominator, and each reduction ends by removing the content, so the
-    integers stay near the size the exact values need.
+    ``_data`` holds one packed row (re, im, d) per matrix row, int tuples over
+    d > 0 with gcd(d, *re, *im) == 1.  Such a row is unique to its values:
+    any other row with them is it times an int k > 1, so k divides all of
+    that row.  So ``==`` and ``hash`` read the rows, and entries become
+    scalars only when they are read.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -108,21 +119,21 @@ class ExactMatrix:
         for row in rows:
             if not isinstance(row, (list, tuple)):
                 raise TypeError(f"cannot use {type(row).__name__} as a matrix row")
-        table = tuple(tuple(parse_scalar(x) if isinstance(x, str) else _coerce(x, "matrix entry")
-                            for x in row) for row in rows)
+        table = [[parse_scalar(x) if isinstance(x, str) else _coerce(x, "matrix entry")
+                  for x in row] for row in rows]
         width = len(table[0]) if table else 0
         if any(len(row) != width for row in table):
             raise DimensionMismatch("rows of unequal length")
-        return cls._trusted(table, width)
+        return cls._trusted(map(_pack, table), width)
 
     @classmethod
-    def _trusted(cls, table: Sequence[Sequence], cols: int) -> "ExactMatrix":
-        """A matrix over a rectangular table of scalars this package built,
-        taken as they are: coercion is for caller input."""
+    def _trusted(cls, rows: Iterable[Packed], cols: int) -> "ExactMatrix":
+        """A matrix over primitive packed rows that this module built, taken as they are."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", len(table))
+        data = tuple([(tuple(re), tuple(im), d) for re, im, d in rows])
+        object.__setattr__(matrix, "rows", len(data))
         object.__setattr__(matrix, "cols", cols)
-        object.__setattr__(matrix, "_data", tuple(map(tuple, table)))
+        object.__setattr__(matrix, "_data", data)
         return matrix
 
     def __setattr__(self, name, value):
@@ -134,135 +145,144 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        table = [[ONE if i == j else ZERO for j in range(n)] for i in range(_size(n, "n"))]
-        return cls._trusted(table, n)
+        zero = (0,) * _size(n, "n")
+        return cls._trusted([([int(i == j) for j in range(n)], zero, 1) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        _size(rows, "rows")
-        _size(cols, "cols")
-        return cls._trusted([[ZERO] * cols for _ in range(rows)], cols)
+        zero = (0,) * _size(cols, "cols")
+        return cls._trusted([(zero, zero, 1)] * _size(rows, "rows"), cols)
 
     @classmethod
     def basis_vector(cls, n: int, index: int) -> "ExactMatrix":
         _size(n, "n")
         if not (is_int(index) and 0 <= index < n):
             raise DimensionMismatch(f"index must be an integer in [0, {n}), got {index!r}")
-        return cls._trusted([[ONE if i == index else ZERO] for i in range(n)], 1)
+        return cls._trusted([((int(i == index),), (0,), 1) for i in range(n)], 1)
 
     @classmethod
     def hstack(cls, mats: Sequence["ExactMatrix"]) -> "ExactMatrix":
         if not mats:
             raise DimensionMismatch("hstack of an empty sequence")
-        rows = mats[0].rows
-        if any(m.rows != rows for m in mats):
+        if any(m.rows != mats[0].rows for m in mats):
             raise DimensionMismatch("hstack of matrices with different row counts")
-        return cls._trusted(
-            [[x for m in mats for x in m._data[i]] for i in range(rows)],
-            sum(m.cols for m in mats),
-        )
+        return cls._trusted(map(_joined, zip(*[m._data for m in mats])), sum(m.cols for m in mats))
+
+    @classmethod
+    def block_diagonal(cls, mats: Sequence["ExactMatrix"]) -> "ExactMatrix":
+        """The matrices down the diagonal, in order, and zeros elsewhere."""
+        width, offset, rows = sum(m.cols for m in mats), 0, []
+        for m in mats:
+            before, after = (0,) * offset, (0,) * (width - offset - m.cols)
+            rows += [(before + re + after, before + im + after, d) for re, im, d in m._data]
+            offset += m.cols
+        return cls._trusted(rows, width)
 
     def __getitem__(self, key: Tuple[int, int]) -> GaussianRational:
         i, j = key
-        return self._data[i][j]
+        re, im, d = self._data[i]
+        return _reduced(re[j], im[j], d)
 
     def row(self, i: int) -> Tuple[GaussianRational, ...]:
-        return self._data[i]
+        return tuple(_unpack(*self._data[i]))
 
     def column_entries(self, j: int = 0) -> Tuple[GaussianRational, ...]:
-        return tuple(self._data[i][j] for i in range(self.rows))
+        return tuple(_reduced(re[j], im[j], d) for re, im, d in self._data)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
         if not (all(map(is_int, (r0, r1, c0, c1)))
                 and 0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
             raise DimensionMismatch(f"submatrix [{r0!r}:{r1!r}, {c0!r}:{c1!r}] "
                                     f"outside a {self.rows}x{self.cols} matrix")
-        return ExactMatrix._trusted([row[c0:c1] for row in self._data[r0:r1]], c1 - c0)
+        return ExactMatrix._trusted(
+            [_primitive(re[c0:c1], im[c0:c1], d) for re, im, d in self._data[r0:r1]], c1 - c0)
 
     def trace(self) -> GaussianRational:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self._data[i][i] for i in range(self.rows)), ZERO)
+        return sum((self[i, i] for i in range(self.rows)), ZERO)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self._data for x in row)
+        return not any(any(re) or any(im) for re, im, _ in self._data)
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            self._data[i][j].is_zero()
-            for i in range(self.rows)
-            for j in range(min(i, self.cols))
-        )
+        return not any(any(re[:i]) or any(im[:i]) for i, (re, im, _) in enumerate(self._data))
 
     def __add__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition with different shapes")
-        return ExactMatrix._trusted(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
-            self.cols,
-        )
+        rows = []
+        for (a_re, a_im, d), (b_re, b_im, e) in zip(self._data, other._data):
+            s, t = e // gcd(d, e), d // gcd(d, e)  # d*s == e*t == lcm(d, e)
+            rows.append(_primitive([a * s + b * t for a, b in zip(a_re, b_re)],
+                                   [a * s + b * t for a, b in zip(a_im, b_im)], d * s))
+        return ExactMatrix._trusted(rows, self.cols)
 
     def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, ExactMatrix) else NotImplemented
 
     def __neg__(self):
-        return ExactMatrix._trusted([[-x for x in row] for row in self._data], self.cols)
+        return ExactMatrix._trusted(
+            [([-a for a in re], [-b for b in im], d) for re, im, d in self._data], self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             factor = _coerce(other)
             if factor is None:
                 return NotImplemented
+            f_re, f_im, e = factor._a, factor._b, factor._d
             return ExactMatrix._trusted(
-                [[x * factor if x else x for x in row] for row in self._data], self.cols
-            )
+                [_primitive([a * f_re - b * f_im for a, b in zip(re, im)],
+                            [a * f_im + b * f_re for a, b in zip(re, im)], d * e)
+                 for re, im, d in self._data], self.cols)
         if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        right = _columns([_pack(other.column_entries(j)) for j in range(other.cols)])
-        products = _product(map(_pack, self._data), right)
-        return ExactMatrix._trusted([_unpack(*row) for row in products], other.cols)
+            raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} "
+                                    f"by {other.rows}x{other.cols}")
+        rows_re, rows_im, e = _columns(other._data)  # other's rows over one denominator e
+        right = ([[r[j] for r in rows_re] for j in range(other.cols)],  # and so its columns
+                 rows_im and [[r[j] for r in rows_im] for j in range(other.cols)], e)
+        return ExactMatrix._trusted(starmap(_primitive, _product(self._data, right)), other.cols)
 
-    def __rmul__(self, other):
-        factor = _coerce(other)
-        return NotImplemented if factor is None else self * factor
+    __rmul__ = __mul__  # reached only for a non-matrix left factor, a scalar or not
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
+        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self._data))
 
     def entries_str(self) -> List[List[str]]:
-        return [[format_scalar(x) for x in row] for row in self._data]
+        return [[format_scalar(x) for x in _unpack(*row)] for row in self._data]
 
     def __repr__(self):
         return f"ExactMatrix({self.entries_str()!r})"
+
+
+def _vector(re: Sequence[int], im: Sequence[int], d: int) -> ExactMatrix:
+    """The n x 1 matrix of a packed vector, each entry a primitive row."""
+    gs = [gcd(a, b, d) for a, b in zip(re, im)]
+    return ExactMatrix._trusted([((a // g,), (b // g,), d // g) for a, b, g in zip(re, im, gs)], 1)
 
 
 def shift_by(matrix: ExactMatrix, scalar: GaussianRational) -> ExactMatrix:
     """matrix - scalar * identity."""
     if not matrix.is_square():
         raise DimensionMismatch("shift of a non-square matrix")
-    return ExactMatrix._trusted(
-        [[x - scalar if i == j else x for j, x in enumerate(row)]
-         for i, row in enumerate(matrix._data)],
-        matrix.cols,
-    )
+    shift = _coerce(scalar, "scalar")
+    rows = []
+    for i, (re, im, d) in enumerate(matrix._data):
+        s, t = shift._d // gcd(d, shift._d), d // gcd(d, shift._d)  # over lcm d*s
+        re, im = [a * s for a in re], [b * s for b in im]
+        re[i], im[i] = re[i] - shift._a * t, im[i] - shift._b * t
+        rows.append(_primitive(re, im, d * s))
+    return ExactMatrix._trusted(rows, matrix.cols)
 
 
 class Basis:
@@ -289,7 +309,7 @@ class Basis:
         shape = (_size(ambient_dim, "ambient_dim"), 1)
         if not all(isinstance(v, ExactMatrix) and (v.rows, v.cols) == shape for v in vectors):
             raise DimensionMismatch(f"basis vectors must be {ambient_dim}x1 matrices")
-        rows = _rref_rows(_pack(v.column_entries()[::-1]) for v in vectors)
+        rows = _rref_rows(_joined(v._data[::-1]) for v in vectors)  # each vector reversed
         if len(rows) < len(vectors):
             if any(v.is_zero() for v in vectors):
                 raise ZeroVector("the basis holds the zero vector")
@@ -325,8 +345,7 @@ class Basis:
     def vectors(self) -> Tuple[ExactMatrix, ...]:
         if self._vectors is None:
             object.__setattr__(self, "_vectors", tuple(
-                ExactMatrix._trusted([[x] for x in _unpack(re[::-1], im[::-1], d)], 1)
-                for _, re, im, d, _ in reversed(self._rows)))
+                _vector(re[::-1], im[::-1], d) for _, re, im, d, _ in reversed(self._rows)))
         return self._vectors
 
     @property
@@ -347,18 +366,13 @@ class Echelon:
     ``packed`` holds (pivot, re, im, d, support) in insertion order: a
     primitive packed row that is 1 at its pivot (re[pivot] == d, im[pivot]
     == 0), its first nonzero entry, and 0 at the pivot of every earlier row,
-    with its support, the indices of its nonzero entries.  ``rows`` shows
-    the same rows as (pivot, scalars) pairs.
+    with its support, the indices of its nonzero entries.
     """
 
     def __init__(self, rows: Iterable[Row] = ()):
         self.packed: List[Row] = list(rows)
 
-    @property
-    def rows(self) -> List[Tuple[int, List[GaussianRational]]]:
-        return [(pivot, _unpack(re, im, d)) for pivot, re, im, d, _ in self.packed]
-
-    def reduce(self, re: List[int], im: List[int], d: int) -> Packed:
+    def reduce(self, re: Sequence[int], im: Sequence[int], d: int) -> Packed:
         """A packed vector less its part along the rows; 0 at every pivot.
         Against a row y over e, x over d becomes (e*x - f*y)/(d*e), f the
         numerator of x at y's pivot, with e and f first divided by
@@ -378,7 +392,7 @@ class Echelon:
             if e != 1:
                 re, im, d = [a * e for a in re], [b * e for b in im], d * e
             elif not touched:
-                re, im = re[:], im[:]
+                re, im = list(re), list(im)
             touched = True
             for j in support:
                 b, c = y_re[j], y_im[j]
@@ -386,7 +400,7 @@ class Echelon:
                 im[j] -= f_re * c + f_im * b
         return _primitive(re, im, d) if touched else (re, im, d)
 
-    def add(self, re: List[int], im: List[int], d: int) -> bool:
+    def add(self, re: Sequence[int], im: Sequence[int], d: int) -> bool:
         """Add a packed vector to the span; False, rows untouched, if already in it."""
         re, im, d = self.reduce(re, im, d)
         pivot = next((j for j, (a, b) in enumerate(zip(re, im)) if a or b), None)
@@ -403,12 +417,8 @@ class Echelon:
         self.packed.append(_row(pivot, *_primitive(re, im, d)))
         return True
 
-    def insert(self, entries: Sequence[GaussianRational]) -> bool:
-        """Add a vector of scalars to the span; False if already in it."""
-        return self.add(*_pack(entries))
 
-
-def _row(pivot: int, re: List[int], im: List[int], d: int) -> Row:
+def _row(pivot: int, re: Sequence[int], im: Sequence[int], d: int) -> Row:
     """A packed row with its pivot and its support."""
     return pivot, re, im, d, list(compress(count(), map(or_, re, im)))
 
@@ -440,14 +450,14 @@ def _rref_rows(rows: Iterable[Packed]) -> List[Row]:
 def rref(matrix: ExactMatrix) -> Tuple[ExactMatrix, List[int]]:
     """Reduced row echelon form together with the pivot column indices.
     The RREF is unique, so every basis read off it depends on the row space alone."""
-    rows = _rref_rows(map(_pack, matrix._data))
-    table = [_unpack(re, im, d) for _, re, im, d, _ in rows]
-    table.extend([ZERO] * matrix.cols for _ in range(matrix.rows - len(rows)))
+    rows = _rref_rows(matrix._data)
+    zeros = ExactMatrix.zeros(matrix.rows - len(rows), matrix.cols)._data
+    table = [(re, im, d) for _, re, im, d, _ in rows] + list(zeros)
     return ExactMatrix._trusted(table, matrix.cols), [row[0] for row in rows]
 
 
 def rank(matrix: ExactMatrix) -> int:
-    return sum(map(Echelon().insert, matrix._data))
+    return sum(starmap(Echelon().add, matrix._data))
 
 
 def _kernel_rows(rows: Sequence[Row], cols: int) -> List[Row]:
@@ -471,7 +481,7 @@ def _kernel_rows(rows: Sequence[Row], cols: int) -> List[Row]:
 
 def nullspace_basis(matrix: ExactMatrix) -> Basis:
     """Canonical basis of the kernel (see ``_kernel_rows``)."""
-    rows = _kernel_rows(_rref_rows(map(_pack, matrix._data)), matrix.cols)
+    rows = _kernel_rows(_rref_rows(matrix._data), matrix.cols)
     return Basis._of_rows(rows, matrix.cols)
 
 
@@ -491,8 +501,8 @@ def kernel_ladder(matrix: ExactMatrix, top: Optional[int] = None) -> List[Basis]
     if not matrix.is_square():
         raise DimensionMismatch("kernel ladder of a non-square matrix")
     n = matrix.rows
-    forward = _forward_rows((re + [0] * i + [d] + [0] * (n - 1 - i), im + [0] * n, d)
-                            for i, (re, im, d) in enumerate(map(_pack, matrix._data)))
+    forward = _forward_rows((re + (0,) * i + (d,) + (0,) * (n - 1 - i), im + (0,) * n, d)
+                            for i, (re, im, d) in enumerate(matrix._data))
     rows = _back_substitute([row for row in forward if row[0] < n])
     stage = _kernel_rows(rows, n)
     bases = [Basis._of_rows(stage, n)]
@@ -534,7 +544,7 @@ def kernel_chains(matrix: ExactMatrix, stages: Sequence[Basis]) -> List[List[Exa
     rows' pivots, so one ``Echelon`` per stage, seeded with stage k-1's rows,
     takes the chain images and then stage k's vectors, all reversed, and a
     vector it adds is independent."""
-    transposed = _columns(list(map(_pack, matrix._data)))
+    transposed = _columns(matrix._data)
     chains: List[List[Packed]] = []
     for k in range(len(stages), 0, -1):
         used = Echelon(stages[k - 2]._rows if k > 1 else ())
@@ -546,8 +556,7 @@ def kernel_chains(matrix: ExactMatrix, stages: Sequence[Basis]) -> List[List[Exa
         for _, re, im, d, _ in stages[k - 1]._rows[::-1]:
             if used.add(re, im, d):
                 chains.append([(re[::-1], im[::-1], d)])
-    return [[ExactMatrix._trusted([[x] for x in _unpack(*v)], 1) for v in reversed(chain)]
-            for chain in chains]
+    return [[_vector(*v) for v in reversed(chain)] for chain in chains]
 
 
 def inverse(matrix: ExactMatrix) -> ExactMatrix:
@@ -612,7 +621,7 @@ def krylov_factors(matrix: ExactMatrix) -> List[Polynomial]:
     n = matrix.rows
     if n == 0 or not matrix.is_square():
         raise DimensionMismatch(f"characteristic polynomial of a {n}x{matrix.cols} matrix")
-    transposed = _columns(list(map(_pack, matrix._data)))
+    transposed = _columns(matrix._data)
     span: List[Row] = []
     factors = []
     for index in range(n):
@@ -639,7 +648,7 @@ def krylov_annihilator(matrix: ExactMatrix, vector: ExactMatrix) -> Polynomial:
         raise DimensionMismatch("vector shape does not match the matrix")
     if vector.is_zero():
         raise ZeroVector("krylov_annihilator of the zero vector")
-    return _krylov_run(_columns(list(map(_pack, matrix._data))), _pack(vector.column_entries()))[0]
+    return _krylov_run(_columns(matrix._data), _joined(vector._data))[0]
 
 
 def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
@@ -649,7 +658,7 @@ def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
     n = matrix.rows
     if n == 0 or not matrix.is_square():
         raise DimensionMismatch(f"minimal polynomial of a {n}x{matrix.cols} matrix")
-    transposed = _columns(list(map(_pack, matrix._data)))
+    transposed = _columns(matrix._data)
     span = Echelon()
     result = Polynomial([ONE])
     for index in range(n):

@@ -372,8 +372,8 @@ def reference_blocktri(matrix, ladders):
         sub = base.M.submatrix(offset, end, offset, end)
         inner.append(jordanform.decomp._triangularize(sub, [block.eigenvalue] * block.size))
         offset = end
-    v = base.V * jordanform.decomp._block_diagonal([w for w, _ in inner])
-    u = jordanform.decomp._block_diagonal([u for _, u in inner])
+    v = base.V * ExactMatrix.block_diagonal([w for w, _ in inner])
+    u = ExactMatrix.block_diagonal([u for _, u in inner])
     return Decomposition("blocktri", v, u, base.blocks)
 
 

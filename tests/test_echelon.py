@@ -34,7 +34,7 @@ from jordanform import (
 )
 from jordanform import matrices
 from jordanform.decomp import STAGES
-from jordanform.matrices import Echelon, kernel_chains, kernel_ladder
+from jordanform.matrices import Echelon, _pack, _unpack, kernel_chains, kernel_ladder
 from jordanform.spectral import spectrum_with_ladders
 
 from conftest import from_roots, gr, rand_matrix, rand_scalar
@@ -44,29 +44,33 @@ def entries(values):
     return [gr(v) for v in values]
 
 
+def scalar_rows(echelon):
+    return [(pivot, _unpack(re, im, d)) for pivot, re, im, d, _ in echelon.packed]
+
+
 def snapshot(echelon):
-    return [(pivot, list(row)) for pivot, row in echelon.rows]
+    return [(pivot, list(row)) for pivot, row in scalar_rows(echelon)]
 
 
-# --- Echelon.insert ---------------------------------------------------------------
+# --- Echelon.add of scalar vectors ------------------------------------------------
 
 def test_insert_reports_independence():
     echelon = Echelon()
-    assert echelon.insert(entries([0, 2, 4]))
-    assert echelon.insert(entries([1, 0, "1i"]))
-    assert not echelon.insert(entries([2, 3, "6+2i"]))  # 1.5 * first + 2 * second
-    assert not echelon.insert(entries([0, 0, 0]))
-    assert echelon.insert(entries([0, 0, 5]))
-    assert not echelon.insert(entries(["1/3", "-7i", 9]))
-    assert len(echelon.rows) == 3
+    assert echelon.add(*_pack(entries([0, 2, 4])))
+    assert echelon.add(*_pack(entries([1, 0, "1i"])))
+    assert not echelon.add(*_pack(entries([2, 3, "6+2i"])))  # 1.5 * first + 2 * second
+    assert not echelon.add(*_pack(entries([0, 0, 0])))
+    assert echelon.add(*_pack(entries([0, 0, 5])))
+    assert not echelon.add(*_pack(entries(["1/3", "-7i", 9])))
+    assert len(echelon.packed) == 3
 
 
 def test_dependent_insert_leaves_the_rows_unchanged():
     echelon = Echelon()
-    echelon.insert(entries([1, "1i", 0, 2]))
-    echelon.insert(entries([0, 3, 1, "-1"]))
+    echelon.add(*_pack(entries([1, "1i", 0, 2])))
+    echelon.add(*_pack(entries([0, 3, 1, "-1"])))
     before = snapshot(echelon)
-    assert not echelon.insert(entries([2, "6+2i", 2, 2]))  # 2 * first + 2 * second
+    assert not echelon.add(*_pack(entries([2, "6+2i", 2, 2])))  # 2 * first + 2 * second
     assert snapshot(echelon) == before
 
 
@@ -76,11 +80,12 @@ def test_rows_are_unit_at_their_pivot_and_clear_earlier_pivots():
         n = rng.randint(1, 6)
         echelon = Echelon()
         for _ in range(n + 2):
-            echelon.insert([rand_scalar(rng, 3) for _ in range(n)])
-        for index, (pivot, row) in enumerate(echelon.rows):
+            echelon.add(*_pack([rand_scalar(rng, 3) for _ in range(n)]))
+        rows = scalar_rows(echelon)
+        for index, (pivot, row) in enumerate(rows):
             assert row[pivot] == gr(1)
             assert not any(row[:pivot])
-            assert not any(row[p] for p, _ in echelon.rows[:index])
+            assert not any(row[p] for p, _ in rows[:index])
 
 
 def test_insert_matches_rank_growth_seeded():
@@ -99,10 +104,10 @@ def test_insert_matches_rank_growth_seeded():
             inserted.append(ExactMatrix([[x] for x in vector]))
             grew = rank(ExactMatrix.hstack(inserted)) > before
             rows = snapshot(echelon)
-            assert echelon.insert(vector) == grew
+            assert echelon.add(*_pack(vector)) == grew
             if not grew:
                 assert snapshot(echelon) == rows
-        assert len(echelon.rows) == rank(ExactMatrix.hstack(inserted))
+        assert len(echelon.packed) == rank(ExactMatrix.hstack(inserted))
 
 
 # --- Echelon.reduce and add against a Fraction reference ---------------------------
@@ -358,10 +363,10 @@ def test_kernel_chains_read_packed_and_scalar_bases_alike(seed):
 def test_a_ladder_basis_counts_without_building_vectors(monkeypatch):
     ladder = kernel_ladder(jordan_matrix([Block(gr(0), 3), Block(gr(0), 1)]))
 
-    def unpack(*args):
+    def vector(*args):
         raise AssertionError("vectors were built")
 
-    monkeypatch.setattr(matrices, "_unpack", unpack)
+    monkeypatch.setattr(matrices, "_vector", vector)
     assert [basis.dimension for basis in ladder] == [2, 3, 4]
     with pytest.raises(AssertionError, match="vectors were built"):
         ladder[0].vectors
@@ -405,7 +410,7 @@ def prime_scaled(matrix, seed):
 def test_rational_conjugates_keep_their_blocks_stages_and_ladders(text):
     structure = parse_structure(text)
     matrix = prime_scaled(generate_case(structure, 3, 3)[0], len(text))
-    assert lcm(*[x._d for row in matrix._data for x in row]).bit_length() > 64
+    assert lcm(*[x._d for i in range(matrix.rows) for x in matrix.row(i)]).bit_length() > 64
     assert jordan_decomposition(matrix).blocks == structure.blocks()
     ladders = spectrum_with_ladders(matrix)[1]
     for kind, stage in STAGES.items():

@@ -182,17 +182,17 @@ def private_imports(owner):
 
 def test_the_packed_row_format_stays_inside_matrices():
     # Only matrices.py knows packed rows: no other module imports its private
-    # helpers or reads Echelon.packed, ExactMatrix._data or the packed rows of
-    # a Basis (Basis._rows).  ExactMatrix._trusted, the package's constructor
-    # for tables it built, stays allowed.  Likewise the stages are reached
-    # through decomp.STAGES, not by private name.
+    # helpers, reads Echelon.packed, ExactMatrix._data or the packed rows of a
+    # Basis (Basis._rows), or calls ExactMatrix._trusted, which takes packed
+    # rows; scalar tables go through the public constructor.  Likewise the
+    # stages are reached through decomp.STAGES, not by private name.
     offences = private_imports("matrices") + private_imports("decomp")
     for path in sorted((SRC / "jordanform").glob("*.py")):
         if path.name == "matrices.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and node.attr in (
-                "packed", "_data", "_rows"
+                "packed", "_data", "_rows", "_trusted"
             ):
                 offences.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert offences == []

@@ -6,6 +6,7 @@ import pytest
 
 from jordanform import (
     Basis,
+    Block,
     GaussianRational,
     DependentInput,
     DimensionMismatch,
@@ -15,7 +16,9 @@ from jordanform import (
     ZeroVector,
     complete_basis,
     elementary_conjugator,
+    format_scalar,
     inverse,
+    jordan_matrix,
     krylov_annihilator,
     nullspace_basis,
     poly_apply,
@@ -23,7 +26,8 @@ from jordanform import (
     rref,
     shift_by,
 )
-from jordanform.matrices import Echelon, kernel_ladder
+from jordanform import matrices
+from jordanform.matrices import Echelon, _pack, kernel_chains, kernel_ladder
 
 from conftest import (
     DENSE3, ROTATION2, SHEAR2, UPPER3, as_matrix, col, gr, mat, rand_matrix, rand_ranked_matrix,
@@ -149,7 +153,7 @@ def test_rref_matches_an_independent_gauss_jordan_seeded():
         # the indices of their nonzero entries.
         echelon = Echelon()
         for i in range(m.rows):
-            echelon.insert(m.row(i))
+            echelon.add(*_pack(m.row(i)))
         for pivot, re, im, d, support in echelon.packed:
             assert (re[pivot], im[pivot]) == (d, 0)
             assert math.gcd(d, *re, *im) == 1
@@ -568,3 +572,86 @@ def test_a_dependent_family_is_refused_where_the_basis_is_built():
         Basis(2, [col([1, 2]), col([2, 4])])
     with pytest.raises(ZeroVector, match="^the basis holds the zero vector$"):
         Basis(2, [col([0, 0])])
+
+
+# --- packed storage -------------------------------------------------------------
+
+def assert_canonical(m):
+    # A stored row is primitive over d > 0, so equal values mean equal rows:
+    # the matrix equals, and hashes as, the one its own text builds.
+    for re, im, d in m._data:
+        assert len(re) == len(im) == m.cols and d > 0 and math.gcd(d, *re, *im) == 1
+    again = ExactMatrix(m.entries_str())
+    assert m == again and hash(m) == hash(again)
+
+
+def mixed_cells(rng, m):
+    """m's entries as strings, ints and Fractions, mixed at random."""
+    return [[format_scalar(x) if x.im or rng.random() < 0.3
+             else int(x.re) if x.re.denominator == 1 else x.re for x in m.row(i)]
+            for i in range(m.rows)]
+
+
+def nilpotent(rng, n):
+    """A conjugate of a nilpotent Jordan matrix by a random rational matrix."""
+    while True:
+        s = rand_matrix(rng, n, n)
+        if rank(s) == n:
+            break
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(3, n - sum(sizes))))
+    return s * jordan_matrix([Block(gr(0), k) for k in sizes]) * inverse(s)
+
+
+def test_every_path_stores_primitive_rows_seeded():
+    rng = random.Random(4601)
+    product_contents = 0
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        a, b = rand_matrix(rng, n, n), rand_matrix(rng, n, n + 1)
+        built = ExactMatrix(mixed_cells(rng, a))
+        assert built == a and hash(built) == hash(a)
+        lam = rand_scalar(rng)
+        results = [built, a * b, b.submatrix(0, n, 1, n + 1) * a, -a, rref(b)[0], rref(a)[0],
+                   ExactMatrix.hstack([a, b, a]), ExactMatrix.block_diagonal([a, b, a]),
+                   shift_by(a, lam), shift_by(a, Fraction(1, 2)), shift_by(a, 3),
+                   a * lam, Fraction(2, 3) * a, a * 0, a + rand_matrix(rng, n, n), a - a,
+                   a.submatrix(rng.randint(0, n - 1), n, rng.randint(0, n - 1), n),
+                   *nullspace_basis(b).vectors]
+        if rank(a) == n:  # I, from raw rows over large denominators
+            results.append(a * inverse(a))
+            assert results[-1] == ExactMatrix.identity(n)
+            assert hash(results[-1]) == hash(ExactMatrix.identity(n))
+        N = nilpotent(rng, n)
+        results += [v for chain in kernel_chains(N, kernel_ladder(N)) for v in chain]
+        results += [v for basis in kernel_ladder(N) for v in basis.vectors]
+        for m in results:
+            assert_canonical(m)
+        # Before its content goes, row i of a * b lies over d * e: d is the
+        # denominator of a's row i and e the lcm of b's.
+        e = math.lcm(*[d for _, _, d in b._data])
+        product_contents += any(x < d * e for (_, _, x), (_, _, d) in zip((a * b)._data, a._data))
+    assert product_contents >= 20  # most raw product rows had content to remove
+
+
+def test_core_routines_run_on_the_stored_rows(monkeypatch):
+    rng = random.Random(4602)
+    a, b, N = rand_matrix(rng, 4, 4), rand_matrix(rng, 4, 5), nilpotent(rng, 5)
+    lam = rand_scalar(rng)
+
+    def run():
+        ladder = kernel_ladder(N)
+        return (rank(b), nullspace_basis(b), ladder, kernel_chains(N, ladder),
+                shift_by(a, lam), a * b, a == ExactMatrix.hstack([a]))
+
+    expected = run()
+
+    def refuse(*args):
+        raise AssertionError("converted between scalars and packed rows")
+
+    monkeypatch.setattr(matrices, "_pack", refuse)
+    monkeypatch.setattr(matrices, "_unpack", refuse)
+    assert run() == expected
+    with pytest.raises(AssertionError, match="converted"):
+        a.row(0)

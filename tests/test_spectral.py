@@ -26,7 +26,6 @@ from jordanform import (
 )
 
 from jordanform import spectral
-from jordanform.decomp import _block_diagonal
 from jordanform.matrices import krylov_factors
 from jordanform.spectral import spectrum_with_ladders
 
@@ -299,7 +298,7 @@ def test_one_rest_among_several_factors_is_the_minimal_polynomials_rest(monkeypa
     for trial in range(135):
         chosen = [rng.choice(rootless)] + rng.sample(blocks, rng.randint(1, 3))
         rng.shuffle(chosen)
-        block_sum = _block_diagonal(chosen)
+        block_sum = ExactMatrix.block_diagonal(chosen)
         s, s_inv = elementary_conjugator(block_sum.rows, trial, 2)
         matrix = s * block_sum * s_inv
         factors = krylov_factors(matrix)
