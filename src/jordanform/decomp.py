@@ -114,7 +114,8 @@ def _eigenspace_blocks(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> I
 
 
 def _assemble(kind: str, parts: Iterable[Part]) -> Decomposition:
-    """One block per part: V is the V parts side by side, M the M parts down its diagonal."""
+    """One block per part: V is the V parts side by side, M the M parts down its diagonal.
+    Only blockdiag and blocktri, whose M_j is computed from their own V_j, need it."""
     blocks, v_parts, m_parts = zip(*parts)
     return Decomposition(kind, ExactMatrix.hstack(v_parts), ExactMatrix.block_diagonal(m_parts),
                          blocks)
@@ -190,12 +191,10 @@ def jordan_matrix(blocks: Sequence[Block]) -> ExactMatrix:
 
 
 def _jordan(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
-    parts = []
-    for ladder in ladders:
-        for chain in jordan_chains(matrix, ladder):
-            block = Block(ladder.eigenvalue, chain.length)
-            parts.append((block, ExactMatrix.hstack(chain.vectors), jordan_matrix([block])))
-    return _assemble("jordan", parts)
+    chains = [chain for ladder in ladders for chain in jordan_chains(matrix, ladder)]
+    blocks = tuple(Block(chain.eigenvalue, chain.length) for chain in chains)
+    v = ExactMatrix.hstack([x for chain in chains for x in chain.vectors])
+    return Decomposition("jordan", v, jordan_matrix(blocks), blocks)
 
 
 def jordan_decomposition(

@@ -679,6 +679,31 @@ def test_jordan_is_deterministic():
     )
 
 
+def layout_inputs():
+    """Every structure of size n <= 4, and three Gaussian cases of size 8-12."""
+    inputs = [generate_case(structure, 0, 3)[0]
+              for n in range(1, 5) for structure in exhaustive_structures(n)]
+    for text, seed in (("1i:3,1;1+1i:2;-1:2", 11), ("1-1i:2,2,1;2i:3,1;0:2", 12),
+                       ("1i:2,2;-1i:2,1;1/2:1,1;2+1i:2", 13)):
+        inputs.append(generate_case(parse_structure(text), seed, 3)[0])
+    return inputs
+
+
+def test_jordan_lays_out_the_chains_of_the_ladders_in_order():
+    # V is every chain's vectors side by side: ladders in order, chains in
+    # decreasing length, vectors in ascending stage; one block per chain.
+    for matrix in layout_inputs():
+        ladders = spectrum_with_ladders(matrix)[1]
+        chains = [chain for ladder in ladders for chain in jordan_chains(matrix, ladder)]
+        v = ExactMatrix.hstack([x for chain in chains for x in chain.vectors])
+        blocks = tuple(Block(chain.eigenvalue, chain.length) for chain in chains)
+        for decomposition in (jordan_decomposition(matrix),
+                              jordanform.decomp.STAGES["jordan"](matrix, ladders)):
+            assert decomposition.V == v
+            assert decomposition.blocks == blocks
+            assert decomposition.M == jordan_matrix(blocks)
+
+
 # --- the jordan shape check ---------------------------------------------------------------
 
 def jordan_shape(m, blocks):

@@ -147,6 +147,33 @@ def test_only_checks_and_gen_load_verify(argv, loads_verify, tmp_path):
     assert done.stdout == f"0 {loads_verify} {argv[0] == 'gen'}\n"
 
 
+# Run verify in process through ``cli.run`` and print its exit code and every
+# loaded module that is neither the package, __main__ nor the standard library.
+STANDARD_ONLY = """
+import contextlib, io, sys
+import jordanform.cli, jordanform.verify
+with contextlib.redirect_stdout(io.StringIO()):
+    code = jordanform.cli.run(["verify", sys.argv[1]])
+print(code, sorted(
+    name for name in sys.modules
+    if name != "__main__" and name.partition(".")[0] not in {"jordanform", *sys.stdlib_module_names}
+))
+"""
+
+
+def test_the_package_runs_on_the_standard_library_alone(tmp_path):
+    # pyproject.toml declares no dependencies: under -S no site-packages
+    # module can be found, and none may be loaded.
+    path = tmp_path / "matrix.json"
+    path.write_text('{"n": 3, "entries": [["1i", "1", "0"], ["0", "1i", "0"], ["1/2", "0", "-1"]]}')
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", STANDARD_ONLY, str(path)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "0 []\n"
+
+
 def test_spectral_runs_without_loading_decomp():
     # The stage ladders live in spectral, so finding a spectrum needs no decomp.
     script = (
