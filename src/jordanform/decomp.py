@@ -85,8 +85,7 @@ def _triangularize(
 def _schur(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
     eigenvalues = [ladder.eigenvalue for ladder in ladders for _ in range(ladder.top.dimension)]
     v, u = _triangularize(matrix, eigenvalues)
-    blocks = tuple(Block(u[i, i], 1) for i in range(u.rows))
-    return Decomposition("schur", v, u, blocks)
+    return Decomposition("schur", v, u, tuple(Block(lam, 1) for lam in eigenvalues))
 
 
 def trigonalize(

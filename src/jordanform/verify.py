@@ -10,10 +10,10 @@ giving an independent oracle for what the decomposition must recover.
 The shape is read off the declared blocks, whose positive sizes must add up
 to n; that is tested on the sizes alone, before anything of size n is
 built.  A jordan M must be their Jordan matrix.  A schur or blocktri M is
-upper triangular, each diagonal entry the eigenvalue of the block holding
-it; a blockdiag or blocktri M is zero wherever row and column lie in
-different blocks, and (M_j - lambda_j I)^(s_j) = 0 for each s_j x s_j
-blockdiag block M_j.
+upper triangular, its diagonal the declared eigenvalues, each repeated by
+its block's size.  A blockdiag or blocktri M must equal the block-diagonal
+matrix of its own s_j x s_j diagonal blocks M_j, and
+(M_j - lambda_j I)^(s_j) = 0 for each blockdiag block M_j.
 """
 
 from __future__ import annotations
@@ -231,24 +231,23 @@ def _shape_ok(kind, m: ExactMatrix, blocks: Sequence[Block]) -> Tuple[bool, str]
     sizes = [block.size for block in blocks]
     if any(size < 1 for size in sizes) or sum(sizes) != m.rows:
         return False, "declared block sizes do not partition M"
-    # Each block with its span: its first index and one past its last.
-    spans = [(block, end - block.size, end) for block, end in zip(blocks, accumulate(sizes))]
     if kind == "jordan" and m != jordan_matrix(blocks):
         return False, "M is not the Jordan matrix of the declared blocks"
     if kind in ("schur", "blocktri"):
         if not m.is_upper_triangular():
             return False, "nonzero entry below the diagonal"
-        if any(m[i, i] != block.eigenvalue for block, start, end in spans
-               for i in range(start, end)):
+        diagonal = [block.eigenvalue for block in blocks for _ in range(block.size)]
+        if [m[i, i] for i in range(m.rows)] != diagonal:
             return False, "diagonal entry is not its block's eigenvalue"
-    if kind in ("blockdiag", "blocktri") and any(
-        not x.is_zero() for _, start, end in spans for i in range(start, end)
-        for x in m.row(i)[:start] + m.row(i)[end:]
-    ):
-        return False, "nonzero entry outside the declared blocks"
+    if kind in ("blockdiag", "blocktri"):
+        # M's diagonal blocks: the s x s block of each size s ends at the running sum.
+        parts = [m.submatrix(end - s, end, end - s, end)
+                 for s, end in zip(sizes, accumulate(sizes))]
+        if m != ExactMatrix.block_diagonal(parts):
+            return False, "nonzero entry outside the declared blocks"
     if kind == "blockdiag":
-        for block, start, end in spans:
-            power = shift_by(m.submatrix(start, end, start, end), block.eigenvalue)
+        for block, part in zip(blocks, parts):
+            power = shift_by(part, block.eigenvalue)
             for _ in range((block.size - 1).bit_length()):  # to a power >= s_j
                 power = power * power
             if not power.is_zero():

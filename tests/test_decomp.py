@@ -127,6 +127,31 @@ def test_a_schur_step_without_an_eigenvector_is_an_internal_error():
         jordanform.decomp._triangularize(mat([[0, 0], [0, 1]]), [gr("5"), gr("1")])
 
 
+def test_schur_declares_the_spectrum_it_deflated(monkeypatch):
+    # The blocks are the eigenvalues the steps deflated, not U's diagonal read
+    # back: with U's last diagonal entry skewed by 1, the blocks stay the
+    # spectrum and the claim fails shape.
+    matrix = generate_case(parse_structure("0:2,1;1i:1;2:1"), 0, 3)[0]
+    ladders = spectrum_with_ladders(matrix)[1]
+    triangularize = jordanform.decomp._triangularize
+    n = matrix.rows
+    skew = ExactMatrix([[int(i == j == n - 1) for j in range(n)] for i in range(n)])
+
+    def skewed(tail, eigenvalues):
+        v, u = triangularize(tail, eigenvalues)
+        return v, u + skew
+
+    monkeypatch.setattr(jordanform.decomp, "_triangularize", skewed)
+    claim = jordanform.decomp.STAGES["schur"](matrix, ladders)
+    assert claim.M[n - 1, n - 1] == gr("3")
+    expected = [ladder.eigenvalue for ladder in ladders for _ in range(ladder.top.dimension)]
+    assert [str(x) for x in expected] == ["0", "0", "0", "1i", "2"]
+    assert claim.blocks == tuple(Block(lam, 1) for lam in expected)
+    assert shape_check(matrix, claim) == (
+        "shape", False, "diagonal entry is not its block's eigenvalue"
+    )
+
+
 def schur_structure_inputs():
     for n in range(1, 6):
         for structure in exhaustive_structures(n):

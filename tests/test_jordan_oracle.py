@@ -9,6 +9,8 @@ eigenvalue often has several blocks (a derogatory structure).  Non-real
 eigenvalues are drawn at n <= 4 only: sympy's ranks over expressions in I
 take seconds at n = 5, against a tenth of that for a real spectrum.
 sympy's own (P, J) must also pass ``check_decomposition`` as a Jordan claim.
+The other three stages are checked on the same inputs in sympy arithmetic,
+against the planted spectrum alone.
 """
 
 import random
@@ -19,9 +21,12 @@ from jordanform import (
     Block,
     Decomposition,
     ExactMatrix,
+    block_diagonalize,
+    blockwise_trigonalize,
     check_decomposition,
     jordan_decomposition,
     parse_scalar,
+    trigonalize,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -73,10 +78,14 @@ def cases(count=30, seed=24):
         yield planted, s * jordan * s.inv()
 
 
+def key(lam):
+    return sympy.re(lam), sympy.im(lam)
+
+
 def multiset(pairs):
     """(eigenvalue, size) pairs as a sorted list, the eigenvalue as its exact
     (re, im)."""
-    return sorted(((sympy.re(lam), sympy.im(lam)), size) for lam, size in pairs)
+    return sorted((key(lam), size) for lam, size in pairs)
 
 
 def test_jordan_blocks_are_sympys():
@@ -100,3 +109,45 @@ def test_jordan_blocks_are_sympys():
         derogatory += len(set(eigenvalues)) < len(eigenvalues)
         gaussian += any(sympy.im(lam) for lam in eigenvalues)
     assert derogatory >= 5 and gaussian >= 5
+
+
+def symbolic(matrix):
+    return sympy.Matrix(matrix.rows, matrix.cols, lambda i, j: number(matrix[i, j]))
+
+
+def is_zero(matrix):
+    """Whether every entry is 0 once its products of sums are expanded."""
+    return matrix.expand().is_zero_matrix
+
+
+def test_the_other_stages_match_the_planted_spectrum_in_sympy():
+    for planted, matrix in cases():
+        n, ours = matrix.rows, exact(matrix)
+        # Each eigenvalue's algebraic multiplicity, in canonical (re, im) order.
+        spectrum = {}
+        for lam, size in planted:
+            spectrum[key(lam)] = spectrum.get(key(lam), 0) + size
+        spectrum = sorted(spectrum.items())
+        for stage in (trigonalize, block_diagonalize, blockwise_trigonalize):
+            decomposition = stage(ours)
+            kind = decomposition.kind
+            v, m = symbolic(decomposition.V), symbolic(decomposition.M)
+            assert is_zero(matrix * v - v * m) and v.rank() == n, kind
+            blocks = [(key(number(b.eigenvalue)), b.size) for b in decomposition.blocks]
+            diagonal = [key(m[i, i]) for i in range(n)]
+            if kind == "schur":
+                assert blocks == [(lam, 1) for lam, count in spectrum for _ in range(count)]
+                assert m.is_upper and diagonal == [lam for lam, _ in blocks]
+                continue
+            assert blocks == spectrum, kind
+            start = 0
+            for lam, size in blocks:
+                end = start + size
+                assert m[start:end, :start].is_zero_matrix and m[start:end, end:].is_zero_matrix
+                block = m[start:end, start:end]
+                shifted = block - (lam[0] + sympy.I * lam[1]) * sympy.eye(size)
+                if kind == "blockdiag":
+                    assert is_zero(shifted ** size), kind
+                else:
+                    assert block.is_upper and diagonal[start:end] == [lam] * size, kind
+                start = end

@@ -28,6 +28,7 @@ from jordanform.scalars import ONE
 from jordanform.verify import PALETTE
 
 from conftest import DENSE3, gr, mat, shape_check
+from same_bytes import CHAINS
 from test_chain_counts import stage_results, with_columns, with_entry
 
 
@@ -610,6 +611,22 @@ def test_each_entry_outside_the_blocks_fails_shape(sizes):
                     "nonzero entry outside the declared blocks")
                 claim = Decomposition(kind, identity, m, blocks)
                 assert shape_check(m, claim) == ("shape", False, detail), (kind, i, j)
+
+
+def test_the_shape_of_a_block_kind_is_read_off_whole_matrices(monkeypatch):
+    # blockdiag and blocktri cut M into its diagonal blocks and compare M with
+    # their block-diagonal matrix: no scalar row of M is ever read.
+    matrices = [generate_case(parse_structure(text), 0, 3)[0]
+                for text in ("0:2,1;1i:1;2:1",) + CHAINS]
+    claims = [(matrix, stage(matrix)) for matrix in matrices
+              for stage in (block_diagonalize, blockwise_trigonalize)]
+
+    def no_row(self, i):
+        raise AssertionError("the shape check read a scalar row of M")
+
+    monkeypatch.setattr(ExactMatrix, "row", no_row)
+    for matrix, claim in claims:
+        assert check_decomposition(matrix, claim).passed, (claim.kind, matrix.rows)
 
 
 def test_jordan_matrix_assembly():
