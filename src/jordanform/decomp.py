@@ -1,6 +1,6 @@
 """The decomposition pipeline: triangularization, generalized-eigenspace
-block diagonalization, blockwise triangularization, and the Jordan form,
-with the Jordan chains read off the stage ladders of ``spectral``.
+block diagonalization, blockwise triangularization, and the Jordan form, laid
+out from the eliminations of ``matrices`` on the stage ladders of ``spectral``.
 
 Every stage returns a Decomposition (V, M) with A * V = V * M exactly.  All
 choices that the underlying theorems leave open (eigenvector picks, deflation
@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, InternalInvariantViolation, InvalidStructure
-from .matrices import ExactMatrix, kernel_chains, nullspace_basis, shift_by
-from .scalars import ONE, ZERO, GaussianRational, format_scalar, is_int
+from .matrices import ExactMatrix, kernel_chains, shift_by, triangularize
+from .scalars import GaussianRational, format_scalar, is_int
 from .spectral import StageLadder, spectrum_with_ladders
 
 
@@ -47,44 +47,13 @@ class Decomposition(NamedTuple):
 Part = Tuple[Block, ExactMatrix, ExactMatrix]  # a block with its V part and M part
 
 
-def _triangularize(
-    matrix: ExactMatrix, eigenvalues: Sequence[GaussianRational]
-) -> Tuple[ExactMatrix, ExactMatrix]:
-    # eigenvalues is the block's sorted spectrum.  Step k conjugates the tail
-    # T by B = [v, e_i for i != p], v the canonical eigenvector for lam_k, p its
-    # last nonzero index (v_p = 1): B^-1 T B = [[lam_k, row p of T], [0, T']],
-    # T'[i][j] = T[i][j] - v_i*T[p][j] (i, j != p).  Column k of V is v on the
-    # live indices, row k of H is row p of T, and U is the upper triangle of H*V.
-    n = matrix.rows
-    tail = [list(matrix.row(i)) for i in range(n)]
-    live = list(range(n))
-    rows_v, rows_h = ([[ZERO] * n for _ in range(n)] for _ in range(2))
-    for k, lam in enumerate(eigenvalues):
-        v, p = (ONE,), 0  # a 1x1 tail needs no kernel
-        if len(live) > 1:
-            kernel = nullspace_basis(shift_by(ExactMatrix(tail), lam))
-            if not kernel.dimension:
-                raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
-            v, p = kernel.vectors[0].column_entries(), kernel.free_columns[0]
-        head = tail.pop(p)
-        for i, x, h in zip(live, v, head):
-            rows_v[i][k], rows_h[k][i] = x, h
-        del live[p], head[p]
-        for row in tail:
-            del row[p]
-        tail = [[t - x * h for t, h in zip(row, head)] if x else row
-                for row, x in zip(tail, v[:p] + v[p + 1:])]
-    hv = ExactMatrix(rows_h) * (v_matrix := ExactMatrix(rows_v))
-    return v_matrix, ExactMatrix([(ZERO,) * k + hv.row(k)[k:] for k in range(n)])
-
-
 # The stages proper take the ladders spectrum_with_ladders returns, so a
 # caller that runs several stages on one matrix (cli verify) analyses it once;
 # STAGES lists them by kind.
 
 def _schur(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
     eigenvalues = [ladder.eigenvalue for ladder in ladders for _ in range(ladder.top.dimension)]
-    v, u = _triangularize(matrix, eigenvalues)
+    v, u = triangularize(matrix, eigenvalues)
     return Decomposition("schur", v, u, tuple(Block(lam, 1) for lam in eigenvalues))
 
 
@@ -92,13 +61,7 @@ def trigonalize(
     matrix: ExactMatrix,
     eigenvalues: Optional[Sequence[GaussianRational]] = None,
 ) -> Decomposition:
-    """Similarity to an upper triangular matrix by repeated deflation.
-
-    Step k takes the k-th eigenvalue of the sorted spectrum and the first
-    vector v of the canonical eigenspace basis of the block still left, puts
-    v in place of the standard basis vector at v's last nonzero index, and
-    deflates that index away; the last 1x1 block needs no kernel.
-    """
+    """Similarity to an upper triangular M with the sorted spectrum down its diagonal."""
     return _schur(matrix, spectrum_with_ladders(matrix, eigenvalues)[1])
 
 
@@ -139,7 +102,7 @@ def block_diagonalize(
 def _blocktri(matrix: ExactMatrix, ladders: Sequence[StageLadder]) -> Decomposition:
     parts = []
     for block, v_j, m_j in _eigenspace_blocks(matrix, ladders):
-        w_j, u_j = _triangularize(m_j, [block.eigenvalue] * block.size)
+        w_j, u_j = triangularize(m_j, [block.eigenvalue] * block.size)
         parts.append((block, v_j * w_j, u_j))
     return _assemble("blocktri", parts)
 

@@ -14,9 +14,10 @@ Products take packed columns: A^T is A's rows.  A kernel ``Basis`` keeps its
 packed rows and builds its vectors when they are read.  The format stays
 inside this module, and so do the analyses run on it: kernel ladders from
 one elimination of [N | I], Jordan chains seeded against the ladder's own
-rows, the factors of the characteristic polynomial from one Krylov pass, and
-the minimal polynomial as the lcm of the Krylov annihilators of the standard
-basis vectors (a spanning family, so the lcm annihilates the whole space).
+rows, Schur's deflation along a given spectrum, the factors of the
+characteristic polynomial from one Krylov pass, and the minimal polynomial
+as the lcm of the Krylov annihilators of the standard basis vectors (a
+spanning family, so the lcm annihilates the whole space).
 """
 
 from __future__ import annotations
@@ -483,6 +484,41 @@ def nullspace_basis(matrix: ExactMatrix) -> Basis:
     """Canonical basis of the kernel (see ``_kernel_rows``)."""
     rows = _kernel_rows(_rref_rows(matrix._data), matrix.cols)
     return Basis._of_rows(rows, matrix.cols)
+
+
+def triangularize(
+    matrix: ExactMatrix, eigenvalues: Sequence[GaussianRational]
+) -> Tuple[ExactMatrix, ExactMatrix]:
+    """Schur's deflation: V and an upper triangular U with matrix * V = V * U, for
+    the spectrum given one eigenvalue per row.  Step k takes v, the first canonical
+    kernel vector of the tail T - lam_k*I, and p, its free column (v_p = 1): column
+    k of V is v on the live indices, row k of H is row p of T, the next tail is
+    T[i] - v_i*T[p] off index p, and U is the upper triangle of H*V."""
+    n = matrix.rows
+    tail, live, h_rows, v_columns = list(matrix._data), list(range(n)), [], []
+    for lam in eigenvalues:
+        (v_re, v_im, d), p = ([1], [0], 1), 0  # a 1x1 tail needs no kernel
+        if len(live) > 1:
+            kernel = nullspace_basis(shift_by(ExactMatrix._trusted(tail, len(live)), lam))._rows
+            if not kernel:
+                raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
+            pivot, re, im, d, _ = kernel[-1]  # the first vector, reversed
+            v_re, v_im, p = re[::-1], im[::-1], len(live) - 1 - pivot
+        h_re, h_im, e = tail.pop(p)
+        h_rows.append(h := ([0] * n, [0] * n, e))
+        v_columns.append(v := ([0] * n, [0] * n, d))
+        for i, x, y, a, b in zip(live, h_re, h_im, v_re, v_im):
+            h[0][i], h[1][i], v[0][i], v[1][i] = x, y, a, b
+        del live[p], v_re[p], v_im[p]
+        for i, ((re, im, f), a, b) in enumerate(zip(tail, v_re, v_im)):
+            if a or b:  # T[i] - (a + b*i)/d * T[p], over f*d*e
+                re = [x * d * e - (a * y - b * z) * f for x, y, z in zip(re, h_re, h_im)]
+                im = [x * d * e - (a * z + b * y) * f for x, y, z in zip(im, h_re, h_im)]
+                f *= d * e
+            tail[i] = _primitive(re[:p] + re[p + 1:], im[:p] + im[p + 1:], f)
+    u = [_primitive([0] * k + re[k:], [0] * k + im[k:], d)
+         for k, (re, im, d) in enumerate(_product(h_rows, _columns(v_columns)))]
+    return ExactMatrix.hstack(list(starmap(_vector, v_columns))), ExactMatrix._trusted(u, n)
 
 
 def kernel_ladder(matrix: ExactMatrix, top: Optional[int] = None) -> List[Basis]:

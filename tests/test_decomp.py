@@ -15,6 +15,7 @@ from jordanform import (
     DependentInput,
     DimensionMismatch,
     ExactMatrix,
+    GaussianRational,
     InternalInvariantViolation,
     InvalidStructure,
     NotAnEigenvalue,
@@ -24,11 +25,13 @@ from jordanform import (
     blockwise_trigonalize,
     elementary_conjugator,
     exhaustive_structures,
+    format_scalar,
     generate_case,
     inverse,
     jordan_chains,
     jordan_decomposition,
     jordan_matrix,
+    nullspace_basis,
     parse_structure,
     rank,
     shift_by,
@@ -37,6 +40,7 @@ from jordanform import (
     trigonalize,
 )
 from jordanform.cli import decomposition_to_document
+from jordanform.scalars import ONE, ZERO
 from jordanform.spectral import spectrum_with_ladders
 
 from conftest import (
@@ -51,7 +55,7 @@ from conftest import (
     mat,
     shape_check,
 )
-from same_bytes import CHAINS, DEFLATIONS
+from same_bytes import CHAINS, DEFLATIONS, GAUSSIAN
 
 
 @pytest.fixture(scope="module")
@@ -109,22 +113,24 @@ def test_trigonalize_diagonal_is_spectrum(corpus):
 def test_trigonalize_deflates_along_the_known_spectrum(monkeypatch):
     # Each step takes the head of the sorted spectrum, so diag(0, 1, 2)
     # needs one kernel for 0 and one for 1; the 1x1 tail needs none.
+    matrix = mat([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+    ladders = spectrum_with_ladders(matrix)[1]
     kernels = []
-    real_nullspace_basis = jordanform.decomp.nullspace_basis
+    real_kernel_rows = matrices._kernel_rows
 
-    def counted_nullspace_basis(matrix):
-        kernels.append(matrix.rows)
-        return real_nullspace_basis(matrix)
+    def counted_kernel_rows(rows, cols):
+        kernels.append(cols)
+        return real_kernel_rows(rows, cols)
 
-    monkeypatch.setattr(jordanform.decomp, "nullspace_basis", counted_nullspace_basis)
-    decomposition = trigonalize(mat([[0, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    monkeypatch.setattr(matrices, "_kernel_rows", counted_kernel_rows)
+    decomposition = jordanform.decomp.STAGES["schur"](matrix, ladders)
     assert [str(decomposition.M[i, i]) for i in range(3)] == ["0", "1", "2"]
     assert kernels == [3, 2]
 
 
 def test_a_schur_step_without_an_eigenvector_is_an_internal_error():
     with pytest.raises(InternalInvariantViolation, match="^schur: no eigenvector for 5$"):
-        jordanform.decomp._triangularize(mat([[0, 0], [0, 1]]), [gr("5"), gr("1")])
+        matrices.triangularize(mat([[0, 0], [0, 1]]), [gr("5"), gr("1")])
 
 
 def test_schur_declares_the_spectrum_it_deflated(monkeypatch):
@@ -133,7 +139,7 @@ def test_schur_declares_the_spectrum_it_deflated(monkeypatch):
     # spectrum and the claim fails shape.
     matrix = generate_case(parse_structure("0:2,1;1i:1;2:1"), 0, 3)[0]
     ladders = spectrum_with_ladders(matrix)[1]
-    triangularize = jordanform.decomp._triangularize
+    triangularize = jordanform.decomp.triangularize
     n = matrix.rows
     skew = ExactMatrix([[int(i == j == n - 1) for j in range(n)] for i in range(n)])
 
@@ -141,7 +147,7 @@ def test_schur_declares_the_spectrum_it_deflated(monkeypatch):
         v, u = triangularize(tail, eigenvalues)
         return v, u + skew
 
-    monkeypatch.setattr(jordanform.decomp, "_triangularize", skewed)
+    monkeypatch.setattr(jordanform.decomp, "triangularize", skewed)
     claim = jordanform.decomp.STAGES["schur"](matrix, ladders)
     assert claim.M[n - 1, n - 1] == gr("3")
     expected = [ladder.eigenvalue for ladder in ladders for _ in range(ladder.top.dimension)]
@@ -150,6 +156,88 @@ def test_schur_declares_the_spectrum_it_deflated(monkeypatch):
     assert shape_check(matrix, claim) == (
         "shape", False, "diagonal entry is not its block's eigenvalue"
     )
+
+
+def reference_triangularize(matrix, eigenvalues):
+    # Schur's deflation in scalar arithmetic, as the stage once ran it: the
+    # oracle that matrices.triangularize must match byte for byte.
+    # eigenvalues is the block's sorted spectrum.  Step k conjugates the tail
+    # T by B = [v, e_i for i != p], v the canonical eigenvector for lam_k, p its
+    # last nonzero index (v_p = 1): B^-1 T B = [[lam_k, row p of T], [0, T']],
+    # T'[i][j] = T[i][j] - v_i*T[p][j] (i, j != p).  Column k of V is v on the
+    # live indices, row k of H is row p of T, and U is the upper triangle of H*V.
+    n = matrix.rows
+    tail = [list(matrix.row(i)) for i in range(n)]
+    live = list(range(n))
+    rows_v, rows_h = ([[ZERO] * n for _ in range(n)] for _ in range(2))
+    for k, lam in enumerate(eigenvalues):
+        v, p = (ONE,), 0  # a 1x1 tail needs no kernel
+        if len(live) > 1:
+            kernel = nullspace_basis(shift_by(ExactMatrix(tail), lam))
+            if not kernel.dimension:
+                raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
+            v, p = kernel.vectors[0].column_entries(), kernel.free_columns[0]
+        head = tail.pop(p)
+        for i, x, h in zip(live, v, head):
+            rows_v[i][k], rows_h[k][i] = x, h
+        del live[p], head[p]
+        for row in tail:
+            del row[p]
+        tail = [[t - x * h for t, h in zip(row, head)] if x else row
+                for row, x in zip(tail, v[:p] + v[p + 1:])]
+    hv = ExactMatrix(rows_h) * (v_matrix := ExactMatrix(rows_v))
+    return v_matrix, ExactMatrix([(ZERO,) * k + hv.row(k)[k:] for k in range(n)])
+
+
+def triangularize_oracle_inputs():
+    for n in range(1, 6):
+        for structure in exhaustive_structures(n):
+            yield generate_case(structure, 0, 3)[0]
+    for text in GAUSSIAN + CHAINS + DEFLATIONS:
+        for seed in (0, 1, 2):
+            yield generate_case(parse_structure(text), seed, 3)[0]
+    yield generate_case(parse_structure("0:5,3;1i:3,1"), 0, 9)[0]
+
+
+def test_triangularize_matches_the_scalar_deflation_byte_for_byte():
+    # Both the whole sorted spectrum, as schur hands it, and each blockdiag
+    # block M_j with its one eigenvalue m_j times, as blocktri hands it.
+    for matrix in triangularize_oracle_inputs():
+        ladders = spectrum_with_ladders(matrix)[1]
+        eigenvalues = [ladder.eigenvalue for ladder in ladders
+                       for _ in range(ladder.top.dimension)]
+        calls = [(matrix, eigenvalues)]
+        blockdiag = jordanform.decomp.STAGES["blockdiag"](matrix, ladders)
+        offset = 0
+        for block in blockdiag.blocks:
+            end = offset + block.size
+            calls.append((blockdiag.M.submatrix(offset, end, offset, end),
+                          [block.eigenvalue] * block.size))
+            offset = end
+        for tail, spectrum_in_order in calls:
+            v, u = matrices.triangularize(tail, spectrum_in_order)
+            expected_v, expected_u = reference_triangularize(tail, spectrum_in_order)
+            assert (v._data, u._data) == (expected_v._data, expected_u._data)
+            assert (v.rows, v.cols, u.rows, u.cols) == (expected_v.rows, expected_v.cols,
+                                                        expected_u.rows, expected_u.cols)
+
+
+def test_schur_does_no_scalar_arithmetic(monkeypatch):
+    # The deflation runs on packed rows: no scalar is subtracted or multiplied
+    # and no matrix is built from a scalar table while the stage runs.
+    cases = [generate_case(parse_structure("0:2,1;1i:1;2:1"), 0, 3)[0],
+             generate_case(parse_structure(CHAINS[0]), 0, 3)[0]]
+    assert [matrix.rows for matrix in cases] == [5, 16]
+    inputs = [(matrix, spectrum_with_ladders(matrix)[1]) for matrix in cases]
+    expected = [jordanform.decomp.STAGES["schur"](*pair) for pair in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar arithmetic or a scalar table in schur")
+
+    monkeypatch.setattr(GaussianRational, "__sub__", refuse)
+    monkeypatch.setattr(GaussianRational, "__mul__", refuse)
+    monkeypatch.setattr(ExactMatrix, "__new__", refuse)
+    assert [jordanform.decomp.STAGES["schur"](*pair) for pair in inputs] == expected
 
 
 def schur_structure_inputs():
@@ -395,7 +483,7 @@ def reference_blocktri(matrix, ladders):
     for block in base.blocks:
         end = offset + block.size
         sub = base.M.submatrix(offset, end, offset, end)
-        inner.append(jordanform.decomp._triangularize(sub, [block.eigenvalue] * block.size))
+        inner.append(reference_triangularize(sub, [block.eigenvalue] * block.size))
         offset = end
     v = base.V * ExactMatrix.block_diagonal([w for w, _ in inner])
     u = ExactMatrix.block_diagonal([u for _, u in inner])
