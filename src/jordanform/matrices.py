@@ -497,8 +497,8 @@ def triangularize(
     n = matrix.rows
     tail, live, h_rows, v_columns = list(matrix._data), list(range(n)), [], []
     for lam in eigenvalues:
-        (v_re, v_im, d), p = ([1], [0], 1), 0  # a 1x1 tail needs no kernel
-        if len(live) > 1:
+        (v_re, v_im, d), p = ([1], [0], 1), 0  # [1] spans the kernel of a 1x1 tail equal to lam
+        if len(live) > 1 or _unpack(*tail[0]) != [lam]:
             kernel = nullspace_basis(shift_by(ExactMatrix._trusted(tail, len(live)), lam))._rows
             if not kernel:
                 raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")

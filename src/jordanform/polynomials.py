@@ -68,8 +68,6 @@ class Polynomial:
             return Polynomial()
         out = [ZERO] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):
-            if a.is_zero():
-                continue
             for j, b in enumerate(other.coefficients):
                 out[i + j] = out[i + j] + a * b
         return Polynomial(out)

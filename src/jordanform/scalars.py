@@ -35,6 +35,21 @@ _gcd = math.gcd
 _new = object.__new__
 
 
+def _operand(operator):
+    """The binary operator on a scalar other side: an int or Fraction becomes
+    one (``_coerce``), and any other type is NotImplemented."""
+
+    @functools.wraps(operator)
+    def on_scalar(self, other):
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return operator(self, other)
+
+    return on_scalar
+
+
 @functools.total_ordering
 class GaussianRational:
     """A complex scalar a + bi with exact rational real and imaginary parts.
@@ -49,11 +64,8 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: int | Fraction | str = 0, im: int | Fraction | str = 0):
-        d = 1
-        if type(re) is not int or type(im) is not int:
-            value = _part(re) + _part(im) * _make(0, 1, 1)
-            re, im, d = value._a, value._b, value._d
-        self._a, self._b, self._d = re, im, d
+        value = _part(re) + _part(im) * _make(0, 1, 1)
+        self._a, self._b, self._d = value._a, value._b, value._d
 
     @property
     def re(self) -> Fraction:
@@ -65,50 +77,30 @@ class GaussianRational:
         from fractions import Fraction
         return Fraction(self._b, self._d)
 
+    @_operand
     def __add__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
         d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a + other._a, self._b + other._b, d)
         return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        d, e = self._d, other._d
-        if d == e:
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+        return self + -other
 
+    @_operand
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return other + -self
 
+    @_operand
     def __mul__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
-        if not b and not e:
-            return _reduced(a * c, 0, self._d * other._d)
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
+    @_operand
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         # (a + bi)/d divided by (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2)).
         a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
         norm = c * c + e * e
@@ -116,10 +108,8 @@ class GaussianRational:
             raise ZeroDivisionError("division by zero scalar")
         return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
+    @_operand
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
     def __neg__(self):
@@ -128,11 +118,8 @@ class GaussianRational:
     def __pos__(self):
         return self
 
+    @_operand
     def __eq__(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
@@ -146,12 +133,9 @@ class GaussianRational:
         value = value if a >= 0 else -value
         return -2 if value == -1 else value
 
+    @_operand
     def __lt__(self, other):
         # The (re, im) keys of both sides, each times the other's (positive) denominator.
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
         return (self._a * other._d, self._b * other._d) < (other._a * self._d, other._b * self._d)
 
     def __bool__(self):
@@ -167,7 +151,8 @@ class GaussianRational:
         return format_scalar(self)
 
     def __repr__(self):
-        return f"GaussianRational({format_scalar(self)!r})"
+        parts = (self._a, self._b) if self._b else (self._a,)
+        return f"GaussianRational({', '.join(repr(_format_ratio(p, self._d)) for p in parts)})"
 
 
 def _make(a: int, b: int, d: int) -> GaussianRational:

@@ -129,8 +129,10 @@ def test_trigonalize_deflates_along_the_known_spectrum(monkeypatch):
 
 
 def test_a_schur_step_without_an_eigenvector_is_an_internal_error():
-    with pytest.raises(InternalInvariantViolation, match="^schur: no eigenvector for 5$"):
-        matrices.triangularize(mat([[0, 0], [0, 1]]), [gr("5"), gr("1")])
+    # The last step, on the 1x1 tail, checks its eigenvalue like the others.
+    for entries, eigenvalues in (([[0, 0], [0, 1]], ["5", "1"]), ([[1, 0], [0, 2]], ["1", "5"])):
+        with pytest.raises(InternalInvariantViolation, match="^schur: no eigenvector for 5$"):
+            matrices.triangularize(mat(entries), [gr(x) for x in eigenvalues])
 
 
 def test_schur_declares_the_spectrum_it_deflated(monkeypatch):

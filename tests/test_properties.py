@@ -81,6 +81,7 @@ def canonical_literal(re, im):
 def test_format_then_parse_gives_the_scalar_back(re, im):
     value = GaussianRational(re, im)
     assert parse_scalar(format_scalar(value)) == value
+    assert eval(repr(value)) == value
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None, phases=NO_SHRINK)

@@ -195,6 +195,21 @@ def test_parts_read_back_as_fractions():
     assert GaussianRational(value.re, value.im) == value
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0", "GaussianRational('0')"),
+        ("-1/2", "GaussianRational('-1/2')"),
+        ("3i", "GaussianRational('0', '3')"),
+        ("1/2-3i", "GaussianRational('1/2', '-3')"),
+    ],
+)
+def test_repr_is_a_constructor_call_that_gives_the_value_back(text, expected):
+    value = parse_scalar(text)
+    assert repr(value) == expected
+    assert eval(repr(value)) == value
+
+
 def test_fractions_as_entries_coefficients_and_factors():
     half = Fraction(1, 2)
     assert gr("1i") + half == half + gr("1i") == gr("1/2+1i")
