@@ -497,13 +497,11 @@ def triangularize(
     n = matrix.rows
     tail, live, h_rows, v_columns = list(matrix._data), list(range(n)), [], []
     for lam in eigenvalues:
-        (v_re, v_im, d), p = ([1], [0], 1), 0  # [1] spans the kernel of a 1x1 tail equal to lam
-        if len(live) > 1 or _unpack(*tail[0]) != [lam]:
-            kernel = nullspace_basis(shift_by(ExactMatrix._trusted(tail, len(live)), lam))._rows
-            if not kernel:
-                raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
-            pivot, re, im, d, _ = kernel[-1]  # the first vector, reversed
-            v_re, v_im, p = re[::-1], im[::-1], len(live) - 1 - pivot
+        kernel = nullspace_basis(shift_by(ExactMatrix._trusted(tail, len(live)), lam))._rows
+        if not kernel:
+            raise InternalInvariantViolation(f"schur: no eigenvector for {format_scalar(lam)}")
+        pivot, re, im, d, _ = kernel[-1]  # the first vector, reversed
+        v_re, v_im, p = re[::-1], im[::-1], len(live) - 1 - pivot
         h_re, h_im, e = tail.pop(p)
         h_rows.append(h := ([0] * n, [0] * n, e))
         v_columns.append(v := ([0] * n, [0] * n, d))
@@ -542,8 +540,6 @@ def kernel_ladder(matrix: ExactMatrix, top: Optional[int] = None) -> List[Basis]
     rows = _back_substitute([row for row in forward if row[0] < n])
     stage = _kernel_rows(rows, n)
     bases = [Basis._of_rows(stage, n)]
-    if not 0 < len(stage) < (n if top is None else top):
-        return bases
     # L and E reversed, as the stage rows are.  lift takes K*c to y reversed:
     # its column n-1-p is the row of E at pivot p.
     left = [(re[:n - 1:-1], im[:n - 1:-1], 1) for pivot, re, im, _, _ in forward if pivot >= n]

@@ -109,7 +109,7 @@ def _eigenvalues(
         raise SpectrumNotRepresentable(
             rests[0] if len(rests) == 1 else poly_roots_exact(minimal_polynomial(matrix))[1]
         )
-    return sorted(counts.items())
+    return sorted(counts.items(), key=lambda item: item[0])
 
 
 class StageLadder(NamedTuple):

@@ -111,8 +111,8 @@ def test_trigonalize_diagonal_is_spectrum(corpus):
 
 
 def test_trigonalize_deflates_along_the_known_spectrum(monkeypatch):
-    # Each step takes the head of the sorted spectrum, so diag(0, 1, 2)
-    # needs one kernel for 0 and one for 1; the 1x1 tail needs none.
+    # Each step takes the head of the sorted spectrum and the kernel of the
+    # tail less it, so diag(0, 1, 2) takes kernels of sizes 3, 2 and 1.
     matrix = mat([[0, 0, 0], [0, 1, 0], [0, 0, 2]])
     ladders = spectrum_with_ladders(matrix)[1]
     kernels = []
@@ -125,7 +125,7 @@ def test_trigonalize_deflates_along_the_known_spectrum(monkeypatch):
     monkeypatch.setattr(matrices, "_kernel_rows", counted_kernel_rows)
     decomposition = jordanform.decomp.STAGES["schur"](matrix, ladders)
     assert [str(decomposition.M[i, i]) for i in range(3)] == ["0", "1", "2"]
-    assert kernels == [3, 2]
+    assert kernels == [3, 2, 1]
 
 
 def test_a_schur_step_without_an_eigenvector_is_an_internal_error():
@@ -319,11 +319,33 @@ def test_ladder_identity():
     ladder = stage_ladder(ExactMatrix.identity(2), gr("1"))
     assert ladder.dims() == [2]
     assert ladder.max_stage == 1
+    # One-stage ladders of a simple eigenvalue and of semisimple ones, with
+    # and without the multiplicity that the first stage already reaches.
+    simple = mat([[2, 1, 0], [0, 2, 0], [0, 0, 5]])
+    semisimple = mat([["1i", 0, 0], [0, "1i", 0], [0, 0, 2]])
+    for matrix, lam, m, vectors in (
+        (simple, "5", 1, [["0", "0", "1"]]),
+        (semisimple, "1i", 2, [["1", "0", "0"], ["0", "1", "0"]]),
+        (semisimple, "2", 1, [["0", "0", "1"]]),
+        (ExactMatrix.identity(2), "1", 2, [["1", "0"], ["0", "1"]]),
+    ):
+        for multiplicity in (None, m):
+            ladder = stage_ladder(matrix, gr(lam), multiplicity)
+            assert [vec_strs(basis.vectors) for basis in ladder.stage_bases] == [vectors]
 
 
 def test_ladder_requires_an_eigenvalue():
     with pytest.raises(NotAnEigenvalue):
         stage_ladder(SHEAR2, gr("7"))
+    # A trivial first kernel ends the ladder; with a multiplicity, which only
+    # a root of the characteristic polynomial has, it is an internal error.
+    matrix = mat([["1i", 0, 0], [0, "1i", 0], [0, 0, 2]])
+    for lam in ("7", "-1i"):
+        with pytest.raises(NotAnEigenvalue, match=f"^{lam} has a trivial eigenspace$"):
+            stage_ladder(matrix, gr(lam))
+        with pytest.raises(InternalInvariantViolation,
+                           match=f"^characteristic polynomial root {lam} is not an eigenvalue$"):
+            stage_ladder(matrix, gr(lam), 1)
 
 
 def test_ladder_nesting_and_stabilization(corpus):
