@@ -56,7 +56,7 @@ def _primitive(re: Sequence[int], im: Sequence[int], d: int) -> Packed:
 
 
 def _unpack(re: Sequence[int], im: Sequence[int], d: int) -> List[GaussianRational]:
-    return [_reduced(a, b, d) if a or b else ZERO for a, b in zip(re, im)]
+    return [_reduced(a, b, d) for a, b in zip(re, im)]
 
 
 def _joined(parts: Sequence[Packed]) -> Packed:
@@ -388,8 +388,7 @@ class Echelon:
                 continue
             if e != 1:
                 g = gcd(e, f_re, f_im)
-                if g != 1:
-                    e, f_re, f_im = e // g, f_re // g, f_im // g
+                e, f_re, f_im = e // g, f_re // g, f_im // g
             if e != 1:
                 re, im, d = [a * e for a in re], [b * e for b in im], d * e
             elif not touched:
@@ -695,7 +694,7 @@ def minimal_polynomial(matrix: ExactMatrix) -> Polynomial:
     result = Polynomial([ONE])
     for index in range(n):
         start = ([int(i == index) for i in range(n)], [0] * n, 1)
-        if len(span.packed) < n and span.add(*start):
+        if span.add(*start):
             annihilator, cyclic = _krylov_run(transposed, start)
             for _, re, im, d, _ in cyclic:
                 span.add(re, im, d)

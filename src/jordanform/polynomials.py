@@ -207,7 +207,7 @@ def _gaussian_integer_roots(g: Sequence[Tuple[int, int]]) -> List[Tuple[int, int
         v = -v
     half = pow(2 * iota, -1, p)
     modulus = p
-    while residues and modulus <= 8 * bound * bound:
+    while modulus <= 8 * bound * bound:
         old, modulus = modulus, modulus * modulus
         half = half * (2 - 2 * iota * half) % old
         iota = (iota - (iota * iota + 1) * half) % modulus

@@ -41,10 +41,9 @@ def _operand(operator):
 
     @functools.wraps(operator)
     def on_scalar(self, other):
-        if type(other) is not GaussianRational:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
         return operator(self, other)
 
     return on_scalar
@@ -166,8 +165,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     """(a + b*i)/d for d > 0, brought to canonical form with one gcd."""
     if d != 1:
         g = _gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
+        a, b, d = a // g, b // g, d // g
     return _make(a, b, d)
 
 
@@ -250,16 +248,14 @@ def parse_scalar(text: str) -> GaussianRational:
 
 def _format_ratio(num: int, den: int) -> str:
     g = _gcd(num, den)
-    if g != 1:
-        num, den = num // g, den // g
+    num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
 
 
 def format_scalar(value: GaussianRational) -> str:
     """Canonical text form; ``parse_scalar(format_scalar(v)) == v``.  An int
     or Fraction formats as the scalar it is; another type is a TypeError."""
-    if type(value) is not GaussianRational:
-        value = _coerce(value, "scalar")
+    value = _coerce(value, "scalar")
     a, b, d = value._a, value._b, value._d
     if not b:
         return _format_ratio(a, d)

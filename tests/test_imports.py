@@ -231,6 +231,24 @@ def test_the_gaussian_integer_pair_lists_stay_inside_polynomials():
     assert private_imports("polynomials") == []
 
 
+def test_the_canonical_spec_imports_only_the_standard_library():
+    # tests/canonical_spec.py states the canonical bytes from definitions,
+    # so it must share no code with what it checks: it imports nothing
+    # outside the standard library, relative imports included, and does not
+    # even name the package (as an import_module argument would).
+    source = (Path(__file__).resolve().parent / "canonical_spec.py").read_text(encoding="utf-8")
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    roots = {name.partition(".")[0] for name in modules}
+    assert "fractions" in roots
+    assert roots <= sys.stdlib_module_names
+    assert "jordanform" not in source
+
+
 DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
 
 
